@@ -244,7 +244,7 @@ def cmd_table(args) -> int:
     for t in t_values:
         if not 0 <= t < steps:
             raise InvalidThetaParams(f"step t={t} outside [0, {steps - 1}]", ())
-    table = classification_table(args.n, args.m, g, t_values, threads=args.threads)
+    table = classification_table(args.n, args.m, g, t_values)
     closure = sorted(symmetric_closure(g).values)
     rows = []
     findings = []
@@ -406,8 +406,7 @@ def _finish_iso(args, result: dict) -> int:
 
 def cmd_census(args) -> int:
     sizes = _parse_t_range(args.sizes, args.n // 2 + 1)
-    budget = args.budget
-    result = census(args.n, args.m, sizes, budget=budget)
+    result = census(args.n, args.m, sizes, budget=_census_budget(args))
     lines = []
     for record in result.records:
         lines.append(
@@ -449,6 +448,19 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _census_budget(args) -> int:
+    """--budget, else the environment variable, else the library default."""
+    if args.budget is not None:
+        return args.budget
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_CENSUS_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise CirculantError(f"{BUDGET_ENV}={raw!r} is not an integer") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circulant",
@@ -459,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "table", "csv"), default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--threads", type=int, default=1, help="sweep worker threads")
 
     p = sub.add_parser("reduce", help="fold jump values to canonical form")
     p.add_argument("--n", type=int, required=True)
@@ -525,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        default=int(os.environ.get(BUDGET_ENV, DEFAULT_CENSUS_BUDGET)),
-        help="maximum number of candidate sets",
+        help=f"maximum number of candidate sets (default: ${BUDGET_ENV}, "
+        f"else {DEFAULT_CENSUS_BUDGET})",
     )
     common(p)
     p.set_defaults(func=cmd_census)

@@ -20,6 +20,7 @@ from .errors import (
     InvalidThetaParams,
     OrderMismatch,
     SubgroupViolation,
+    VerificationFailure,
 )
 from .theta import (
     LabeledGraph,
@@ -27,7 +28,7 @@ from .theta import (
     ThetaParams,
     Verdict,
     check_theta_params,
-    classify_t,
+    classify_steps,
     theta_image,
 )
 
@@ -154,8 +155,9 @@ def v_set(n: int, m: int, g: CirculantGraph) -> VSet:
             validity.reasons,
         )
     steps = n // m
-    rows = tuple(classify_t(ThetaParams(n, m, t), g) for t in range(steps))
-    assert rows[0].verdict == Verdict.IDENTITY
+    rows = classify_steps(n, m, g, range(steps))
+    if rows[0].verdict != Verdict.IDENTITY:
+        raise VerificationFailure(f"step 0 of {g} is {rows[0].verdict.value}, not Identity")
 
     distinct: list[CirculantGraph] = []
     for row in rows:
@@ -334,8 +336,8 @@ def appended_jump_check(
         return AppendedJumpReport(
             False, f"augmented graph {augmented} has no Type-2 partner"
         )
-    verdicts = tuple(classify_t(ThetaParams(n, m, t), base) for t in range(n // m))
-    # the base has no jump divisible by m, so classify_t can never say
+    verdicts = classify_steps(n, m, base, range(n // m))
+    # the base has no jump divisible by m, so classify_steps can never say
     # Type2 outright; an unexplained circulant image surfaces as
     # Unclassified and counts as a failure here
     passed = all(

@@ -7,17 +7,21 @@ composes additively in t, and edges along jumps divisible by m are fixed.
 
 Applying the map to a circulant graph gives a labeled graph that may or
 may not be circulant again; when it is, the image's relation to the base
-graph is classified per step t.
+graph is classified per step t.  classify_steps does this for a whole
+sweep from O(m * |R|) edge differences per step; theta_image and
+detect_circulant build the image edge set and are the independent slow
+path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .core import CirculantGraph, JumpSet, edge_set, symmetric_closure
-from .errors import InvalidThetaParams, OrderMismatch
-from .type1 import type1_witnesses
+from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
+from .type1 import type1_set
 
 MIN_TYPE2_JUMPS = 3
 
@@ -137,16 +141,23 @@ def theta_vertex(p: ThetaParams, x: int) -> int:
 
 
 def theta_image(p: ThetaParams, g: CirculantGraph) -> LabeledGraph:
-    """Push the whole edge set of g through the vertex map."""
+    """Push the whole edge set of g through the vertex map.
+
+    This is the slow, independent path: family_verify's relation replay and
+    VSet.raw_image use it, and it is the reference for classify_steps.
+    """
     if p.n != g.n:
         raise OrderMismatch(f"params are for order {p.n}, graph has {g.n}")
     vmap = [theta_vertex(p, x) for x in range(p.n)]
+    base = edge_set(g)
     edges = set()
-    for a, b in edge_set(g):
+    for a, b in base:
         u, v = vmap[a], vmap[b]
         edges.add((u, v) if u < v else (v, u))
-    base = edge_set(g)
-    assert len(edges) == len(base)  # bijections preserve edge counts
+    if len(edges) != len(base):
+        raise VerificationFailure(
+            f"rotation map {p} sent {len(base)} edges of {g} to {len(edges)}"
+        )
     return LabeledGraph(p.n, frozenset(edges))
 
 
@@ -155,79 +166,124 @@ def detect_circulant(h: LabeledGraph) -> JumpSet | None:
 
     The candidate directed set is vertex 0's neighborhood.  If it is not
     closed under v -> n - v the graph cannot be circulant; otherwise the
-    folded candidate is confirmed against the whole edge set, never against
-    per-vertex spot checks.
+    graph of the folded candidate is built and compared with h edge for
+    edge.  This works for any labeled graph, at O(n * |R|) cost; rotation
+    images are classified faster by classify_steps.
     """
-    jumps, _ = _detect(h)
-    return jumps
-
-
-def _detect(h: LabeledGraph) -> tuple[JumpSet | None, bool]:
-    """(jump set or None, whether the 0-neighborhood was symmetric)."""
     n = h.n
     nbrs = {b for a, b in h.edges if a == 0} | {a for a, b in h.edges if b == 0}
     if not nbrs or any((n - v) % n not in nbrs for v in nbrs):
-        return None, False
+        return None
     candidate = JumpSet(n, tuple(sorted({min(v, n - v) for v in nbrs})))
     if edge_set(CirculantGraph(n, candidate)) != h.edges:
-        return None, True
-    return candidate, True
+        return None
+    return candidate
+
+
+def _edge_count(n: int, folded) -> int:
+    """|E(C_n(S))| for a set S of folded jumps: n per jump, n/2 for n/2."""
+    return n * len(folded) - (n // 2 if 2 * max(folded) == n else 0)
+
+
+def classify_steps(
+    n: int, m: int, g: CirculantGraph, t_values: Iterable[int]
+) -> tuple[TClassification, ...]:
+    """Classify the image of g at each rotation step in t_values.
+
+    Per step the verdict is Identity when the image is g itself, Type1
+    when a multiplier unit witnesses the image, Type2 when the image is
+    circulant with no such witness and g has at least three jumps
+    including one divisible by m, Unclassified for the remaining circulant
+    images, and NS (non-circulant) otherwise.
+
+    Why O(m * |R|) per step suffices.  The step-t map moves x by
+    (x mod m)*t*m, so with r = x mod m the edge (x, x + j) goes to an edge
+    with difference j + (((r + j) mod m) - r)*t*m (mod n): it depends on
+    x only through r.  Let D be these differences over the m residues r
+    and the jumps j of R.  Every image edge has its difference in D, so
+    the image is a subgraph of C_n(fold D); the map is a bijection, so the
+    image has |E(C_n(R))| edges.  Hence the image is circulant when
+    |E(C_n(fold D))| = |E(C_n(R))|, and then equals C_n(fold D).
+    Conversely, each difference in D is realised by an image edge (take
+    x = r), so a circulant image C_n(S) has fold D within S and
+    C_n(S) = image, a subgraph of C_n(fold D): the counts agree.  An edge
+    count below |E(C_n(R))| would contradict the subgraph argument and
+    raises VerificationFailure.
+
+    Vertex 0 is fixed, so its image neighborhood is the mapped closure of
+    R; when that is not closed under negation the step is NS at once.  A
+    symmetric neighborhood whose step fails the count test is NS with
+    symmetry_mismatch set.  Multiplier witnesses come from one
+    type1_set(g), built on the first circulant non-identity image.
+    """
+    if g.n != n:
+        raise OrderMismatch(f"graph has order {g.n}, not {n}")
+    # (v, v's shift per unit step) for the closure, and (j, the shift of
+    # the difference of (x, x + j) per unit step) for each residue r of x
+    closure = tuple((v, v % m * m) for v in symmetric_closure(g).values)
+    shifts = tuple((j, ((r + j) % m - r) * m) for r in range(m) for j in g.jumps)
+    base_edges = _edge_count(n, g.jumps)
+    anchored = len(g.r) >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in g.jumps)
+    multipliers: dict[JumpSet, tuple[int, ...]] | None = None
+    rows = []
+    for t in t_values:
+        ThetaParams(n, m, t)  # raises InvalidThetaParams for a bad n, m or t
+        nbrs = {(v + s * t) % n for v, s in closure}
+        if any((n - v) % n not in nbrs for v in nbrs):
+            rows.append(TClassification(t, Verdict.NON_CIRCULANT))
+            continue
+        folded = set()
+        for j, s in shifts:
+            d = (j + s * t) % n
+            folded.add(d if 2 * d <= n else n - d)
+        edges = _edge_count(n, folded)
+        if edges != base_edges:
+            if edges < base_edges:
+                raise VerificationFailure(
+                    f"step t={t} of {g}: C_{n}{tuple(sorted(folded))} has "
+                    f"{edges} edges, fewer than the image's {base_edges}"
+                )
+            rows.append(
+                TClassification(t, Verdict.NON_CIRCULANT, symmetry_mismatch=True)
+            )
+            continue
+        image = JumpSet(n, tuple(sorted(folded)))
+        if image == g.r:
+            rows.append(TClassification(t, Verdict.IDENTITY, image=image))
+            continue
+        if multipliers is None:
+            multipliers = {h.r: w for h, w in type1_set(g).witness.items()}
+        witnesses = multipliers.get(image, ())
+        if witnesses:
+            verdict = Verdict.TYPE1
+        elif anchored:
+            verdict = Verdict.TYPE2
+        else:
+            verdict = Verdict.UNCLASSIFIED
+        rows.append(TClassification(t, verdict, image=image, witnesses=witnesses))
+    return tuple(rows)
 
 
 def classify_t(p: ThetaParams, g: CirculantGraph) -> TClassification:
-    """Classify the image of g at one rotation step.
-
-    Identity when the image is g itself, Type1 when a multiplier unit
-    witnesses the image, Type2 when the image is circulant with no such
-    witness and g has at least three jumps including one divisible by m.
-    """
-    if p.n != g.n:
-        raise OrderMismatch(f"params are for order {p.n}, graph has {g.n}")
-    n = p.n
-    transformed = {theta_vertex(p, v) for v in symmetric_closure(g).values}
-    if any((n - v) % n not in transformed for v in transformed):
-        return TClassification(p.t, Verdict.NON_CIRCULANT)
-    # vertex 0 is fixed, so its image neighborhood is exactly the
-    # transformed closure; now confirm on the whole edge set
-    candidate = JumpSet(n, tuple(sorted({min(v, n - v) for v in transformed})))
-    if edge_set(CirculantGraph(n, candidate)) != theta_image(p, g).edges:
-        return TClassification(p.t, Verdict.NON_CIRCULANT, symmetry_mismatch=True)
-    if candidate == g.r:
-        return TClassification(p.t, Verdict.IDENTITY, image=candidate)
-    wits = type1_witnesses(g, CirculantGraph(n, candidate))
-    if wits:
-        return TClassification(
-            p.t, Verdict.TYPE1, image=candidate, witnesses=tuple(sorted(wits))
-        )
-    if len(g.r) >= MIN_TYPE2_JUMPS and any(j % p.m == 0 for j in g.jumps):
-        return TClassification(p.t, Verdict.TYPE2, image=candidate)
-    return TClassification(p.t, Verdict.UNCLASSIFIED, image=candidate)
+    """Classify the image of g at the single step p.t; see classify_steps."""
+    return classify_steps(p.n, p.m, g, (p.t,))[0]
 
 
 def classification_table(
     n: int,
     m: int,
     g: CirculantGraph,
-    t_values: range | None = None,
-    threads: int = 1,
+    t_values: Iterable[int] | None = None,
 ) -> tuple[TableRow, ...]:
     """Sweep rotation steps and render one row per t.
 
     Transformed values are listed in the order of the sorted base closure,
     so columns line up across rows.
     """
-    if t_values is None:
-        t_values = range(n // m)
     closure = sorted(symmetric_closure(g).values)
-
-    def row(t: int) -> TableRow:
-        p = ThetaParams(n, m, t)
-        transformed = tuple(theta_vertex(p, v) for v in closure)
-        return TableRow(t, transformed, classify_t(p, g))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(row, t_values))
-    return tuple(row(t) for t in t_values)
+    rows = classify_steps(n, m, g, range(n // m) if t_values is None else t_values)
+    table = []
+    for row in rows:
+        p = ThetaParams(n, m, row.t)
+        table.append(TableRow(row.t, tuple(theta_vertex(p, v) for v in closure), row))
+    return tuple(table)

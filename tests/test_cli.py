@@ -215,6 +215,22 @@ def test_exit_code_for_budget_flag_and_env(capsys, monkeypatch):
     assert code == 6
 
 
+def test_malformed_budget_env_fails_only_census(capsys, monkeypatch):
+    monkeypatch.setenv("CIRCULANT_CENSUS_BUDGET", "abc")
+    code, out, _ = run(capsys, ["reduce", "--n", "8", "--set", "1"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"n": 8, "jumps": [1]}
+    code, out, err = run(capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: CIRCULANT_CENSUS_BUDGET='abc'")
+    # the flag still takes precedence over the variable
+    code, _, _ = run(
+        capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3", "--budget", "1000"]
+    )
+    assert code == 0
+
+
 def test_out_flag_writes_the_envelope_to_a_file(capsys, tmp_path):
     path = tmp_path / "reduced.json"
     code, out, _ = run(capsys, ["reduce", "--n", "16", "--set", "9", "--out", str(path)])

@@ -1,23 +1,32 @@
 """Block-shift vertex maps, their images, and per-step classification."""
 
+import itertools
+
 import pytest
 
+import circulant.theta
 from circulant import edge_set, make_circulant
+from circulant.core import CirculantGraph, JumpSet
 from circulant.errors import InvalidThetaParams
+from circulant.groups import v_set
 from circulant.theta import (
+    MIN_TYPE2_JUMPS,
     M_TOO_SMALL,
     NO_ANCHOR_JUMP,
     NO_DIVISOR_CUBED,
     LabeledGraph,
+    TClassification,
     ThetaParams,
     Verdict,
     check_theta_params,
     classification_table,
+    classify_steps,
     classify_t,
     detect_circulant,
     theta_image,
     theta_vertex,
 )
+from circulant.type1 import type1_witnesses
 
 
 def test_params_accept_the_reference_regime():
@@ -172,12 +181,66 @@ def test_table_covers_every_step_and_repeats_with_the_period():
         assert a.image == b.image
 
 
-def test_table_threads_do_not_change_results():
-    g = make_circulant(54, [2, 3, 16, 20])
-    assert classification_table(54, 3, g, threads=2) == classification_table(54, 3, g)
-
-
 def test_table_honours_requested_steps():
     g = make_circulant(54, [2, 3, 16, 20])
     table = classification_table(54, 3, g, t_values=range(0, 18, 2))
     assert [row.t for row in table] == [0, 2, 4, 6, 8, 10, 12, 14, 16]
+
+
+def _reference_step(p, g):
+    """Classify one step from the whole image edge set (the slow path)."""
+    n = p.n
+    image = theta_image(p, g)
+    nbrs = {b for a, b in image.edges if a == 0} | {a for a, b in image.edges if b == 0}
+    symmetric = all((n - v) % n in nbrs for v in nbrs)
+    jumps = detect_circulant(image)
+    if jumps is None:
+        return TClassification(p.t, Verdict.NON_CIRCULANT, symmetry_mismatch=symmetric)
+    if jumps == g.r:
+        return TClassification(p.t, Verdict.IDENTITY, image=jumps)
+    wits = tuple(sorted(type1_witnesses(g, CirculantGraph(n, jumps))))
+    if wits:
+        verdict = Verdict.TYPE1
+    elif len(g.r) >= MIN_TYPE2_JUMPS and any(j % p.m == 0 for j in g.jumps):
+        verdict = Verdict.TYPE2
+    else:
+        verdict = Verdict.UNCLASSIFIED
+    return TClassification(p.t, verdict, image=jumps, witnesses=wits)
+
+
+def test_sweep_kernel_matches_the_edge_set_reference():
+    seen = set()
+    for n, m in ((16, 2), (24, 2), (27, 3), (32, 2)):
+        for k in (1, 2, 3):
+            for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                g = CirculantGraph(n, JumpSet(n, combo))
+                rows = classify_steps(n, m, g, range(n // m))
+                assert [row.t for row in rows] == list(range(n // m))
+                for row in rows:
+                    expected = _reference_step(ThetaParams(n, m, row.t), g)
+                    assert row == expected, (n, m, combo)
+                    seen.add(row.verdict)
+    # Unclassified never occurs in this range, and neither does a symmetry
+    # mismatch (nor in any sweep tried up to order 432), so that field
+    # compares False with False
+    assert seen == set(Verdict) - {Verdict.UNCLASSIFIED}
+
+
+def test_sweep_builds_the_multiplier_orbit_at_most_once(monkeypatch):
+    calls = []
+    original = circulant.theta.type1_set
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(circulant.theta, "type1_set", counting)
+    g = make_circulant(48, [1, 4, 23])
+    rows = v_set(48, 2, g).rows
+    assert sum(row.verdict is Verdict.TYPE1 for row in rows) >= 2
+    assert calls == [g]
+    # jumps divisible by m are fixed, so every image is the base itself and
+    # the orbit is never needed
+    calls.clear()
+    v_set(16, 2, make_circulant(16, [2, 4]))
+    assert calls == []
