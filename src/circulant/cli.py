@@ -87,7 +87,7 @@ def _parse_jumps(text: str) -> list[int]:
         raise CirculantError(f"cannot parse jump list {text!r}") from exc
 
 
-def _parse_t_range(text: str, upper: int) -> list[int]:
+def _parse_t_range(text: str) -> list[int]:
     text = text.replace(" ", "")
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -126,13 +126,16 @@ def _render_table(rows) -> str:
     return "\n".join(lines)
 
 
-def _render_csv(rows) -> str:
+def _render_csv(rows, fieldnames=None) -> str:
+    """rows as csv; with fieldnames given, an empty table keeps its header."""
     if isinstance(rows, dict):
         rows = [rows]
-    if not rows:
-        return ""
+    if fieldnames is None:
+        if not rows:
+            return ""
+        fieldnames = list(rows[0])
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
     for r in rows:
         writer.writerow({k: _cell(v) for k, v in r.items()})
@@ -240,7 +243,7 @@ def cmd_vset(args) -> int:
 def cmd_table(args) -> int:
     g = make_circulant(args.n, _parse_jumps(args.set))
     steps = args.n // args.m
-    t_values = _parse_t_range(args.t, steps) if args.t else list(range(steps))
+    t_values = _parse_t_range(args.t) if args.t else list(range(steps))
     for t in t_values:
         if not 0 <= t < steps:
             raise InvalidThetaParams(f"step t={t} outside [0, {steps - 1}]", ())
@@ -405,7 +408,7 @@ def _finish_iso(args, result: dict) -> int:
 
 
 def cmd_census(args) -> int:
-    sizes = _parse_t_range(args.sizes, args.n // 2 + 1)
+    sizes = _parse_t_range(args.sizes)
     result = census(args.n, args.m, sizes, budget=_census_budget(args))
     lines = []
     for record in result.records:
@@ -427,18 +430,22 @@ def cmd_census(args) -> int:
         "classes": result.summary.classes,
         "t2_equals_v": result.summary.t2_equals_v,
     }
+    rows = [
+        {
+            "base": " ".join(map(str, r["base"]["jumps"])),
+            "members": len(r["members"]),
+            "group_order": r["group_order"],
+            "t2_equals_v": r["t2_equals_v"],
+        }
+        for r in lines
+    ]
     if args.format == "json":
         text = "\n".join(json.dumps(x) for x in lines + [summary])
+    elif args.format == "csv":
+        # one record per class; the summary counts are in json and table
+        text = _render_csv(rows, ["base", "members", "group_order", "t2_equals_v"])
     else:
-        rows = [
-            {
-                "base": " ".join(map(str, r["base"]["jumps"])),
-                "members": len(r["members"]),
-                "group_order": r["group_order"],
-                "t2_equals_v": r["t2_equals_v"],
-            }
-            for r in lines
-        ] or [{"base": "(none)", "members": 0, "group_order": "-", "t2_equals_v": "-"}]
+        rows = rows or [{"base": "(none)", "members": 0, "group_order": "-", "t2_equals_v": "-"}]
         text = _render_table(rows) + f"\nexamined={summary['examined']} classes={summary['classes']} t2_equals_v={summary['t2_equals_v']}"
     if args.out:
         with open(args.out, "w") as fh:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .errors import EmptyConnectionSet, InvalidJump
+from .errors import EmptyConnectionSet, InvalidJump, VerificationFailure
 
 
 @dataclass(frozen=True, order=True)
@@ -146,3 +146,28 @@ def scale(k: int, g: CirculantGraph) -> CirculantGraph:
     if k < 1:
         raise InvalidJump(f"scale factor must be positive, got {k}")
     return CirculantGraph(k * g.n, JumpSet(k * g.n, tuple(k * j for j in g.jumps)))
+
+
+def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> None:
+    """Check that a composition table is an Abelian group with the given identity.
+
+    table[i][j] is the index of the composite of elements i and j.  Raises
+    VerificationFailure naming the first axiom that fails: closure, the
+    identity, inverses, commutativity or associativity.
+    """
+    k = len(table)
+    elems = set(range(k))
+    for i, row in enumerate(table):
+        if len(row) != k or not set(row) <= elems:
+            raise VerificationFailure(f"row {i} of the table is not closed over {k} elements")
+    if any(table[identity][j] != j for j in range(k)):
+        raise VerificationFailure(f"element {identity} is not an identity")
+    for i in range(k):
+        if identity not in table[i]:
+            raise VerificationFailure(f"element {i} has no inverse")
+        for j in range(k):
+            if table[i][j] != table[j][i]:
+                raise VerificationFailure(f"elements {i} and {j} do not commute")
+            for l in range(k):
+                if table[table[i][j]][l] != table[i][table[j][l]]:
+                    raise VerificationFailure(f"({i}*{j})*{l} != {i}*({j}*{l})")

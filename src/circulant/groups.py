@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
 
-from .core import CirculantGraph, JumpSet
+from .core import CirculantGraph, JumpSet, check_abelian_group
 from .errors import (
     BudgetExceeded,
     InvalidThetaParams,
@@ -31,6 +31,7 @@ from .theta import (
     classify_steps,
     theta_image,
 )
+from .type1 import Orbits
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
 
@@ -144,8 +145,11 @@ class CensusResult:
     summary: CensusSummary
 
 
-def v_set(n: int, m: int, g: CirculantGraph) -> VSet:
-    """Classify every rotation step of g for the divisor m."""
+def v_set(n: int, m: int, g: CirculantGraph, *, orbits: Orbits | None = None) -> VSet:
+    """Classify every rotation step of g for the divisor m.
+
+    orbits is passed to classify_steps; see multiplier_witnesses.
+    """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
     validity = check_theta_params(n, m, g.r)
@@ -155,7 +159,7 @@ def v_set(n: int, m: int, g: CirculantGraph) -> VSet:
             validity.reasons,
         )
     steps = n // m
-    rows = classify_steps(n, m, g, range(steps))
+    rows = classify_steps(n, m, g, range(steps), orbits=orbits)
     if rows[0].verdict != Verdict.IDENTITY:
         raise VerificationFailure(f"step 0 of {g} is {rows[0].verdict.value}, not Identity")
 
@@ -187,13 +191,16 @@ def v_group(v: VSet) -> OrbitGroup:
     return _orbit_group(modulus, tuple(range(modulus)), v.graph_period, labels)
 
 
-def t2_set(n: int, m: int, g: CirculantGraph) -> Type2Set:
+def t2_set(
+    n: int, m: int, g: CirculantGraph, *, orbits: Orbits | None = None
+) -> Type2Set:
     """Base plus distinct Type-2 partners from the full sweep.
 
     Images with verdict Type1 are left out although a rotation reaches
-    them; see Type2Set for the C_48(1, 4, 23) example.
+    them; see Type2Set for the C_48(1, 4, 23) example.  orbits is passed
+    to v_set.
     """
-    v = v_set(n, m, g)
+    v = v_set(n, m, g, orbits=orbits)
     members = [g]
     for row in v.rows:
         if row.verdict == Verdict.TYPE2:
@@ -257,7 +264,7 @@ def _orbit_group(
             assert c in rep_pos, (a, b)
             row.append(rep_pos[c])
         table.append(tuple(row))
-    _verify_group_axioms(tuple(table))
+    check_abelian_group(tuple(table), 0)
     # labels must repeat with the period
     for i in indices:
         j = (i + period) % modulus
@@ -272,20 +279,6 @@ def _orbit_group(
         quotient_reps=reps,
         quotient_table=tuple(table),
     )
-
-
-def _verify_group_axioms(table: tuple[tuple[int, ...], ...]) -> None:
-    k = len(table)
-    elems = set(range(k))
-    for row in table:
-        assert set(row) <= elems
-    assert all(table[0][j] == j for j in range(k))
-    for i in range(k):
-        assert any(table[i][j] == 0 for j in range(k)), i
-        for j in range(k):
-            assert table[i][j] == table[j][i]
-            for l in range(k):
-                assert table[table[i][j]][l] == table[i][table[j][l]]
 
 
 def t2_set_equality(g: CirculantGraph, h: CirculantGraph, m: int) -> bool:
@@ -361,6 +354,9 @@ def census(
     Only sets holding a jump divisible by m are swept.  Classes with more
     than one member are reported once each, keyed by the lexicographically
     least member.  The enumeration space is bounded upfront by budget.
+    A unit multiple of a candidate keeps its size and its jump divisible
+    by m, so candidates come in whole multiplier orbits; one orbits dict,
+    alive for this call only, builds each orbit once for all its members.
     """
     sizes = tuple(sorted(set(sizes)))
     if m < 2 or n % (m ** 3) != 0:
@@ -373,6 +369,7 @@ def census(
         raise BudgetExceeded(
             f"{space} candidate sets exceed the budget of {budget}"
         )
+    orbits: Orbits = {}
     records: list[CensusRecord] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
     examined = 0
@@ -384,7 +381,7 @@ def census(
             if jump_predicate is not None and not jump_predicate(combo):
                 continue
             g = CirculantGraph(n, JumpSet(n, combo))
-            s = t2_set(n, m, g)
+            s = t2_set(n, m, g, orbits=orbits)
             examined += 1
             all_partner = all(
                 row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .core import CirculantGraph, JumpSet, edge_set, symmetric_closure
 from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
-from .type1 import type1_set
+from .type1 import Orbits, multiplier_witnesses
 
 MIN_TYPE2_JUMPS = 3
 
@@ -39,16 +39,7 @@ class ThetaParams:
     t: int
 
     def __post_init__(self):
-        reasons = _transform_reasons(self.n, self.m)
-        if reasons:
-            raise InvalidThetaParams(
-                f"invalid rotation parameters n={self.n}, m={self.m}: {', '.join(reasons)}",
-                reasons,
-            )
-        if not 0 <= self.t < self.n // self.m:
-            raise InvalidThetaParams(
-                f"step t={self.t} outside [0, {self.n // self.m - 1}]", ()
-            )
+        _check_step(self.t, _sweep_length(self.n, self.m))
 
 
 @dataclass(frozen=True)
@@ -113,6 +104,22 @@ def _transform_reasons(n: int, m: int) -> tuple[str, ...]:
     elif n % (m ** 3) != 0:
         reasons.append(NO_DIVISOR_CUBED)
     return tuple(reasons)
+
+
+def _sweep_length(n: int, m: int) -> int:
+    """n/m for a valid (n, m); raises InvalidThetaParams otherwise."""
+    reasons = _transform_reasons(n, m)
+    if reasons:
+        raise InvalidThetaParams(
+            f"invalid rotation parameters n={n}, m={m}: {', '.join(reasons)}",
+            reasons,
+        )
+    return n // m
+
+
+def _check_step(t: int, steps: int) -> None:
+    if not 0 <= t < steps:
+        raise InvalidThetaParams(f"step t={t} outside [0, {steps - 1}]", ())
 
 
 def check_theta_params(n: int, m: int, r: JumpSet) -> ThetaValidity:
@@ -186,7 +193,12 @@ def _edge_count(n: int, folded) -> int:
 
 
 def classify_steps(
-    n: int, m: int, g: CirculantGraph, t_values: Iterable[int]
+    n: int,
+    m: int,
+    g: CirculantGraph,
+    t_values: Iterable[int],
+    *,
+    orbits: Orbits | None = None,
 ) -> tuple[TClassification, ...]:
     """Classify the image of g at each rotation step in t_values.
 
@@ -214,7 +226,9 @@ def classify_steps(
     R; when that is not closed under negation the step is NS at once.  A
     symmetric neighborhood whose step fails the count test is NS with
     symmetry_mismatch set.  Multiplier witnesses come from one
-    type1_set(g), built on the first circulant non-identity image.
+    multiplier_witnesses(g, orbits) dict, built on the first circulant
+    non-identity image; a caller sweeping many bases passes one orbits
+    dict so that members of one multiplier orbit share it.
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
@@ -225,9 +239,12 @@ def classify_steps(
     base_edges = _edge_count(n, g.jumps)
     anchored = len(g.r) >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in g.jumps)
     multipliers: dict[JumpSet, tuple[int, ...]] | None = None
+    steps = None
     rows = []
     for t in t_values:
-        ThetaParams(n, m, t)  # raises InvalidThetaParams for a bad n, m or t
+        if steps is None:
+            steps = _sweep_length(n, m)
+        _check_step(t, steps)
         nbrs = {(v + s * t) % n for v, s in closure}
         if any((n - v) % n not in nbrs for v in nbrs):
             rows.append(TClassification(t, Verdict.NON_CIRCULANT))
@@ -252,7 +269,7 @@ def classify_steps(
             rows.append(TClassification(t, Verdict.IDENTITY, image=image))
             continue
         if multipliers is None:
-            multipliers = {h.r: w for h, w in type1_set(g).witness.items()}
+            multipliers = multiplier_witnesses(g, orbits)
         witnesses = multipliers.get(image, ())
         if witnesses:
             verdict = Verdict.TYPE1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import CirculantGraph, JumpSet, reflexive_reduce
+from .core import CirculantGraph, JumpSet, check_abelian_group, reflexive_reduce
 from .errors import NotAUnit, OrderMismatch
 
 
@@ -78,13 +78,41 @@ def phi_apply(n: int, x: int, r: JumpSet) -> JumpSet:
 
 def type1_set(g: CirculantGraph) -> Type1Set:
     """Sweep every unit and collect the distinct multiplier images."""
+    group = units(g.n)
     buckets: dict[JumpSet, list[int]] = {}
-    for x in units(g.n).units:
+    for x in group.units:
         buckets.setdefault(phi_apply(g.n, x, g.r), []).append(x)
     members = tuple(CirculantGraph(g.n, js) for js in sorted(buckets))
     witness = {m: tuple(buckets[m.r]) for m in members}
-    assert sum(len(w) for w in witness.values()) == len(units(g.n))
+    assert sum(len(w) for w in witness.values()) == len(group)
     return Type1Set(base=g, members=members, witness=witness)
+
+
+Orbits = dict[JumpSet, dict[JumpSet, tuple[int, ...]]]
+
+
+def multiplier_witnesses(
+    g: CirculantGraph, orbits: Orbits | None = None
+) -> dict[JumpSet, tuple[int, ...]]:
+    """Map each multiplier image of g to its ascending witness units.
+
+    orbits, when given, shares one type1_set per orbit among its members:
+    it maps every member seen so far to the witness dict of the member g0
+    the orbit was built from.  For g = u*g0 the units taking g to X are
+    exactly those taking g0 to X, times the inverse of u, so g's dict is a
+    relabelling of g0's.  Any other g gets a fresh type1_set whose members
+    are all recorded.
+    """
+    known = None if orbits is None else orbits.get(g.r)
+    if known is None:
+        witness = {h.r: w for h, w in type1_set(g).witness.items()}
+        if orbits is not None:
+            for js in witness:
+                orbits[js] = witness
+        return witness
+    n = g.n
+    inverse = pow(known[g.r][0], -1, n)
+    return {js: tuple(sorted(x * inverse % n for x in w)) for js, w in known.items()}
 
 
 def type1_witnesses(g: CirculantGraph, h: CirculantGraph) -> frozenset[int]:
@@ -121,7 +149,7 @@ def type1_group(g: CirculantGraph) -> Type1Group:
     table = tuple(
         tuple(index[phi_apply(n, a * b % n, g.r)] for b in reps) for a in reps
     )
-    _check_abelian(table, index[base.r])
+    check_abelian_group(table, index[base.r])
     return Type1Group(carrier=ts, representatives=reps, stabilizer=stabilizer, table=table)
 
 
@@ -144,18 +172,3 @@ def type1_set_equality(g: CirculantGraph, h: CirculantGraph) -> bool:
         assert not set(mine.members) & set(theirs.members)
         assert g not in theirs.members
     return member
-
-
-def _check_abelian(table: tuple[tuple[int, ...], ...], identity: int) -> None:
-    """Assert the composition table is an Abelian group with the given identity."""
-    k = len(table)
-    elems = set(range(k))
-    for row in table:
-        assert set(row) <= elems
-    assert all(table[identity][j] == j for j in range(k))
-    for i in range(k):
-        assert any(table[i][j] == identity for j in range(k)), i
-        for j in range(k):
-            assert table[i][j] == table[j][i]
-            for l in range(k):
-                assert table[table[i][j]][l] == table[i][table[j][l]]

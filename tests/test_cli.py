@@ -1,5 +1,6 @@
 """Command line interface: envelopes, renderings, exit codes."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -180,6 +181,23 @@ def test_census_with_no_classes_is_summary_only(capsys):
     assert len(lines) == 1
     assert lines[0]["type"] == "summary"
     assert lines[0]["examined"] == 4
+
+
+def test_census_csv_has_one_record_per_class(capsys):
+    code, out, err = run(
+        capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3", "--format", "csv"]
+    )
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()))
+    assert rows == [
+        {"base": "1 2 7", "members": "2", "group_order": "2", "t2_equals_v": "False"},
+        {"base": "1 6 7", "members": "2", "group_order": "2", "t2_equals_v": "False"},
+    ]
+    code, out, _ = run(
+        capsys, ["census", "--n", "8", "--m", "2", "--sizes", "3", "--format", "csv"]
+    )
+    assert code == 0
+    assert out.splitlines() == ["base,members,group_order,t2_equals_v"]
 
 
 def test_exit_code_for_invalid_jumps(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from circulant import (
     JumpSet,
+    check_abelian_group,
     edge_set,
     make_circulant,
     period_cycle_stats,
@@ -13,7 +14,7 @@ from circulant import (
     scale,
     symmetric_closure,
 )
-from circulant.errors import EmptyConnectionSet, InvalidJump
+from circulant.errors import EmptyConnectionSet, InvalidJump, VerificationFailure
 
 
 def test_reduce_keeps_canonical_values():
@@ -155,3 +156,32 @@ def test_scale_by_one_is_identity():
 def test_scale_rejects_nonpositive_factors():
     with pytest.raises(InvalidJump):
         scale(0, make_circulant(16, [1, 2, 7]))
+
+
+def test_group_checker_accepts_cyclic_groups():
+    for k in (1, 2, 5):
+        check_abelian_group(tuple(tuple((i + j) % k for j in range(k)) for i in range(k)), 0)
+    # the identity need not be element 0: Z_3 with 2 as its identity
+    check_abelian_group(((1, 2, 0), (2, 0, 1), (0, 1, 2)), 2)
+
+
+def test_group_checker_rejects_a_non_associative_table():
+    # closed, commutative, identity 0 and inverses, but (1*1)*2 = 0 while
+    # 1*(1*2) = 1
+    table = ((0, 1, 2), (1, 1, 0), (2, 0, 2))
+    with pytest.raises(VerificationFailure, match=r"\(1\*1\)\*2"):
+        check_abelian_group(table, 0)
+
+
+@pytest.mark.parametrize(
+    "table, identity, axiom",
+    [
+        (((0, 1), (1, 2)), 0, "not closed"),
+        (((0, 1), (1, 0)), 1, "not an identity"),
+        (((0, 1), (1, 1)), 0, "no inverse"),
+        (((0, 1), (0, 1)), 0, "do not commute"),
+    ],
+)
+def test_group_checker_names_the_failed_axiom(table, identity, axiom):
+    with pytest.raises(VerificationFailure, match=axiom):
+        check_abelian_group(table, identity)

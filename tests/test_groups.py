@@ -2,6 +2,7 @@
 
 import pytest
 
+import circulant.type1
 from circulant import edge_set, make_circulant
 from circulant.errors import BudgetExceeded, InvalidThetaParams
 from circulant.groups import (
@@ -207,3 +208,24 @@ def test_census_jump_predicate_prunes_the_space():
 def test_census_rejects_inadmissible_parameters():
     with pytest.raises(InvalidThetaParams):
         census(12, 2, [3])
+
+
+def test_census_builds_each_multiplier_orbit_once(monkeypatch):
+    original = circulant.type1.type1_set
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(circulant.type1, "type1_set", counting)
+    result = census(54, 3, [3])
+    assert 0 < len(calls) < result.summary.examined
+    covered = set()
+    for g in calls:
+        assert g not in covered, g
+        covered.update(original(g).members)
+    # the orbits live for one call: a second census builds them again
+    first = len(calls)
+    census(54, 3, [3])
+    assert calls[first:] == calls[:first]

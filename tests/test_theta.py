@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-import circulant.theta
+import circulant.type1
 from circulant import edge_set, make_circulant
 from circulant.core import CirculantGraph, JumpSet
 from circulant.errors import InvalidThetaParams
@@ -228,13 +228,13 @@ def test_sweep_kernel_matches_the_edge_set_reference():
 
 def test_sweep_builds_the_multiplier_orbit_at_most_once(monkeypatch):
     calls = []
-    original = circulant.theta.type1_set
+    original = circulant.type1.type1_set
 
     def counting(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(circulant.theta, "type1_set", counting)
+    monkeypatch.setattr(circulant.type1, "type1_set", counting)
     g = make_circulant(48, [1, 4, 23])
     rows = v_set(48, 2, g).rows
     assert sum(row.verdict is Verdict.TYPE1 for row in rows) >= 2
