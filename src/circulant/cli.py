@@ -45,7 +45,7 @@ from .oracle import (
     BRUTE_FORCE_CAP,
     brute_force_isomorphic,
     gcd_signature_check,
-    spectral_fingerprint,
+    same_spectrum,
 )
 from .theta import Verdict, check_theta_params, classification_table
 from .type1 import type1_group, type1_set, type1_witnesses
@@ -378,7 +378,7 @@ def cmd_iso(args) -> int:
             result["m"] = m
             result["t"] = steps
             return _finish_iso(args, result)
-    if not gcd_signature_check(g, h) or spectral_fingerprint(g) != spectral_fingerprint(h):
+    if not gcd_signature_check(g, h) or not same_spectrum(g, h):
         result["relation"] = "not-isomorphic"
         result["evidence"] = "invariant mismatch"
         return _finish_iso(args, result)

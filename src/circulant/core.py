@@ -154,6 +154,12 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
     table[i][j] is the index of the composite of elements i and j.  Raises
     VerificationFailure naming the first axiom that fails: closure, the
     identity, inverses, commutativity or associativity.
+
+    Associativity is Light's test on a generating set.  The elements a
+    with (x*a)*y = x*(a*y) for all x and y are closed under the operation:
+    for a and b among them, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) =
+    x*(a*(b*y)) = x*((a*b)*y).  So it suffices to test a generating set,
+    at O(k^2) per generator instead of O(k^3) in all.
     """
     k = len(table)
     elems = set(range(k))
@@ -168,6 +174,48 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
         for j in range(k):
             if table[i][j] != table[j][i]:
                 raise VerificationFailure(f"elements {i} and {j} do not commute")
+    # greedy generating set: each element not yet reached joins it, and the
+    # reached set is closed again under right multiplication by generators
+    generators: list[int] = []
+    reached = {identity}
+    for a in range(k):
+        if a in reached:
+            continue
+        generators.append(a)
+        stack = list(reached)
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                y = table[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    for i in range(k):
+        for g in generators:
             for l in range(k):
-                if table[table[i][j]][l] != table[i][table[j][l]]:
-                    raise VerificationFailure(f"({i}*{j})*{l} != {i}*({j}*{l})")
+                if table[table[i][g]][l] != table[i][table[g][l]]:
+                    raise VerificationFailure(f"({i}*{g})*{l} != {i}*({g}*{l})")
+
+
+def check_equal_or_disjoint(
+    g: CirculantGraph,
+    g_class: Iterable[CirculantGraph],
+    h: CirculantGraph,
+    h_class: Iterable[CirculantGraph],
+) -> bool:
+    """Whether h lies in g's class, given the classes of g and h.
+
+    Classes of one equivalence are equal or disjoint: h in g's class must
+    go with equal classes and g in h's class, and h outside it with
+    disjoint classes and g outside h's.  Raises VerificationFailure when
+    neither holds.
+    """
+    mine, theirs = set(g_class), set(h_class)
+    member = h in mine
+    if member:
+        holds = mine == theirs and g in theirs
+    else:
+        holds = not mine & theirs and g not in theirs
+    if not holds:
+        raise VerificationFailure(f"the classes of {g} and {h} are neither equal nor disjoint")
+    return member

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
 
-from .core import CirculantGraph, JumpSet, check_abelian_group
+from .core import CirculantGraph, JumpSet, check_abelian_group, check_equal_or_disjoint
 from .errors import (
     BudgetExceeded,
     InvalidThetaParams,
@@ -236,7 +236,10 @@ def t2_group(s: Type2Set) -> OrbitGroup:
         if row.t in idx
     }
     group = _orbit_group(modulus, s.t2_indices, s.vset.graph_period, labels)
-    assert group.quotient_order == len(s.members)
+    if group.quotient_order != len(s.members):
+        raise VerificationFailure(
+            f"quotient of order {group.quotient_order} for {len(s.members)} partners of {s.base}"
+        )
     return group
 
 
@@ -253,7 +256,8 @@ def _orbit_group(
         while k not in generated:
             generated.add(k)
             k = (k + generator) % modulus
-        assert generated == set(indices)
+        if generated != set(indices):
+            raise VerificationFailure(f"{generator} does not generate the indices mod {modulus}")
     reps = tuple(i for i in indices if i < period)
     table = []
     rep_pos = {r: i for i, r in enumerate(reps)}
@@ -261,15 +265,16 @@ def _orbit_group(
         row = []
         for b in reps:
             c = (a + b) % modulus % period
-            assert c in rep_pos, (a, b)
+            if c not in rep_pos:
+                raise VerificationFailure(f"{a}+{b} escapes the representatives mod {period}")
             row.append(rep_pos[c])
         table.append(tuple(row))
     check_abelian_group(tuple(table), 0)
     # labels must repeat with the period
     for i in indices:
         j = (i + period) % modulus
-        if j in labels:
-            assert labels[i] == labels[j], f"label period broken at {i}"
+        if j in labels and labels[i] != labels[j]:
+            raise VerificationFailure(f"label period broken at {i}")
     return OrbitGroup(
         modulus=modulus,
         generator=generator,
@@ -289,16 +294,7 @@ def t2_set_equality(g: CirculantGraph, h: CirculantGraph, m: int) -> bool:
     """
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    mine = t2_set(g.n, m, g)
-    member = h in mine.members
-    theirs = t2_set(h.n, m, h)
-    if member:
-        assert set(mine.members) == set(theirs.members)
-        assert g in theirs.members
-    else:
-        assert not set(mine.members) & set(theirs.members)
-        assert g not in theirs.members
-    return member
+    return check_equal_or_disjoint(g, t2_set(g.n, m, g).members, h, t2_set(h.n, m, h).members)
 
 
 def appended_jump_check(

@@ -20,6 +20,7 @@ from .theta import ThetaParams
 
 BRUTE_FORCE_CAP = 24
 SPECTRAL_DIGITS = 9
+SPECTRAL_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,33 @@ def spectral_fingerprint(g: CirculantGraph, digits: int = SPECTRAL_DIGITS) -> tu
     return tuple(sorted(round(float(v), digits) + 0.0 for v in eigs))
 
 
+def same_spectrum(g: CirculantGraph, h: CirculantGraph) -> bool:
+    """Whether the sorted spectra of g and h agree within SPECTRAL_TOLERANCE.
+
+    Equal spectra can round to different fingerprints when an eigenvalue
+    sits near a rounding boundary, so fingerprints are compared entry by
+    entry with a tolerance, not for equality.  A false match only passes
+    the pair on to a stronger check; a mismatch refutes isomorphism.
+    """
+    a, b = spectral_fingerprint(g), spectral_fingerprint(h)
+    return len(a) == len(b) and all(abs(x - y) <= SPECTRAL_TOLERANCE for x, y in zip(a, b))
+
+
 def brute_force_isomorphic(
     g: CirculantGraph, h: CirculantGraph, cap: int = BRUTE_FORCE_CAP
 ) -> IsoWitness | None:
     """Exhaustive isomorphism search with adjacency-consistency pruning.
 
-    Returns the first witness in deterministic order (lowest image of
-    vertex 0 wins) or None after exhausting the search space.  Orders
-    above cap raise BudgetExceeded instead of answering slowly.
+    Returns the first witness in deterministic order or None after
+    exhausting the search space.  Orders above cap raise BudgetExceeded
+    instead of answering slowly.
+
+    Vertex 0 is only ever mapped to 0, which loses no isomorphism: h is
+    circulant, so every rotation x -> x + c is an automorphism of h, and
+    any isomorphism f composed with x -> x - f(0) is one that fixes 0.
+    Vertex 0 is placed first and images are tried in ascending order, so
+    the witness found is the one a search over all images of 0 would find
+    first; a refutation skips only the n - 1 subtrees that hold nothing.
     """
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
@@ -108,7 +128,8 @@ def brute_force_isomorphic(
         placed |= 1 << best
 
     mapping = [-1] * n
-    used = 0
+    mapping[0] = 0
+    used = 1 << 0
 
     def extend(depth: int) -> bool:
         nonlocal used
@@ -140,9 +161,10 @@ def brute_force_isomorphic(
             mapping[v] = -1
         return False
 
-    if not extend(0):
+    if not extend(1):
         return None
-    assert _maps_edges(n, mapping, edge_set(g), edge_set(h))
+    if not _maps_edges(n, mapping, edge_set(g), edge_set(h)):
+        raise VerificationFailure(f"search returned a mapping that does not take {g} onto {h}")
     return IsoWitness(tuple(mapping), True)
 
 

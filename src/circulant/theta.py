@@ -15,6 +15,7 @@ path.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -126,7 +127,8 @@ def check_theta_params(n: int, m: int, r: JumpSet) -> ThetaValidity:
     """Full admissibility of (n, m) for Type-2 analysis of r.
 
     Valid means m > 1, m^3 divides n, and some jump of r is divisible by m.
-    admissible_m lists every m that passes all three tests for this r.
+    admissible_m lists every m that passes all three tests for this r;
+    m^3 | n bounds the candidates by the cube root of n.
     """
     if r.n != n:
         raise OrderMismatch(f"jump set is for order {r.n}, not {n}")
@@ -135,7 +137,7 @@ def check_theta_params(n: int, m: int, r: JumpSet) -> ThetaValidity:
         reasons.append(NO_ANCHOR_JUMP)
     admissible = tuple(
         c
-        for c in range(2, n + 1)
+        for c in itertools.takewhile(lambda c: c ** 3 <= n, itertools.count(2))
         if n % (c ** 3) == 0 and any(j % c == 0 for j in r.jumps)
     )
     return ThetaValidity(n, m, not reasons, tuple(reasons), admissible)

@@ -11,8 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import CirculantGraph, JumpSet, check_abelian_group, reflexive_reduce
-from .errors import NotAUnit, OrderMismatch
+from .core import (
+    CirculantGraph,
+    JumpSet,
+    check_abelian_group,
+    check_equal_or_disjoint,
+    reflexive_reduce,
+)
+from .errors import NotAUnit, OrderMismatch, VerificationFailure
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,8 @@ def phi_apply(n: int, x: int, r: JumpSet) -> JumpSet:
     if gcd(n, x % n) != 1:
         raise NotAUnit(f"{x} is not a unit mod {n}")
     image = reflexive_reduce(n, (x * j % n for j in r.jumps))
-    # a unit multiple never collapses two folded jumps
-    assert len(image) == len(r)
+    if len(image) != len(r):
+        raise VerificationFailure(f"unit {x} collapsed jumps of {r.jumps} mod {n}")
     return image
 
 
@@ -84,7 +90,8 @@ def type1_set(g: CirculantGraph) -> Type1Set:
         buckets.setdefault(phi_apply(g.n, x, g.r), []).append(x)
     members = tuple(CirculantGraph(g.n, js) for js in sorted(buckets))
     witness = {m: tuple(buckets[m.r]) for m in members}
-    assert sum(len(w) for w in witness.values()) == len(group)
+    if sum(len(w) for w in witness.values()) != len(group):
+        raise VerificationFailure(f"witness sets of {g} do not partition the units")
     return Type1Set(base=g, members=members, witness=witness)
 
 
@@ -136,20 +143,23 @@ def type1_group(g: CirculantGraph) -> Type1Group:
     stabilizer = ts.witness[base]
     stab_set = set(stabilizer)
     # the stabilizer must be a subgroup of the units ...
-    assert 1 in stab_set
+    if 1 not in stab_set:
+        raise VerificationFailure(f"stabilizer of {g} lacks the unit 1")
     for a in stabilizer:
         for b in stabilizer:
-            assert a * b % n in stab_set, (a, b)
+            if a * b % n not in stab_set:
+                raise VerificationFailure(f"stabilizer of {g} is not closed: {a}*{b}")
     # ... and every witness set one of its cosets
     reps = tuple(min(ts.witness[m]) for m in ts.members)
     for m, rep in zip(ts.members, reps):
-        assert set(ts.witness[m]) == {rep * s % n for s in stabilizer}, m
+        if set(ts.witness[m]) != {rep * s % n for s in stabilizer}:
+            raise VerificationFailure(f"witness set of {m} is not a coset of the stabilizer")
 
-    index = {m.r: i for i, m in enumerate(ts.members)}
-    table = tuple(
-        tuple(index[phi_apply(n, a * b % n, g.r)] for b in reps) for a in reps
-    )
-    check_abelian_group(table, index[base.r])
+    # the witness sets partition the units, so the member whose set holds
+    # a*b is the image of the base under a*b
+    member_of = {x: i for i, m in enumerate(ts.members) for x in ts.witness[m]}
+    table = tuple(tuple(member_of[a * b % n] for b in reps) for a in reps)
+    check_abelian_group(table, ts.members.index(base))
     return Type1Group(carrier=ts, representatives=reps, stabilizer=stabilizer, table=table)
 
 
@@ -162,13 +172,4 @@ def type1_set_equality(g: CirculantGraph, h: CirculantGraph) -> bool:
     """
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    mine = type1_set(g)
-    member = h in mine.members
-    theirs = type1_set(h)
-    if member:
-        assert set(mine.members) == set(theirs.members)
-        assert g in theirs.members
-    else:
-        assert not set(mine.members) & set(theirs.members)
-        assert g not in theirs.members
-    return member
+    return check_equal_or_disjoint(g, type1_set(g).members, h, type1_set(h).members)

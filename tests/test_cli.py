@@ -153,6 +153,14 @@ def test_iso_above_cap_is_inconclusive(capsys):
     assert d["result"]["relation"] == "inconclusive"
 
 
+def test_iso_spectra_split_by_rounding_do_not_refute(capsys):
+    # b = 25 * theta_{168,2,21}(a): isomorphic, but one eigenvalue rounds to
+    # 6.000315263 for a and 6.000315262 for b at nine digits
+    argv = ["iso", "--n", "168", "--a", "14,39,42,45,48,52", "--b", "9,14,24,42,44,75"]
+    d = run_json(capsys, argv)
+    assert d["result"]["relation"] == "inconclusive"
+
+
 def test_census_emits_ndjson(capsys):
     code, out, err = run(capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3"])
     assert code == 0

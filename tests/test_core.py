@@ -1,6 +1,8 @@
 """Canonical jump sets, closures, edge sets, and per-jump cycle structure."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +187,47 @@ def test_group_checker_rejects_a_non_associative_table():
 def test_group_checker_names_the_failed_axiom(table, identity, axiom):
     with pytest.raises(VerificationFailure, match=axiom):
         check_abelian_group(table, identity)
+
+
+def _associative_group(table):
+    # the O(k^3) reference for tables already closed and commutative with
+    # identity 0: inverses plus every associativity triple
+    k = len(table)
+    return all(0 in row for row in table) and all(
+        table[table[i][j]][l] == table[i][table[j][l]]
+        for i in range(k)
+        for j in range(k)
+        for l in range(k)
+    )
+
+
+def test_group_checker_matches_the_triple_loop_exhaustively():
+    for k in (3, 4):
+        cells = [(i, j) for i in range(1, k) for j in range(i, k)]
+        accepted = 0
+        for values in itertools.product(range(k), repeat=len(cells)):
+            rows = [[0] * k for _ in range(k)]
+            for i in range(k):
+                rows[0][i] = rows[i][0] = i
+            for (i, j), v in zip(cells, values):
+                rows[i][j] = rows[j][i] = v
+            table = tuple(map(tuple, rows))
+            try:
+                check_abelian_group(table, 0)
+                ok = True
+            except VerificationFailure:
+                ok = False
+            assert ok == _associative_group(table), table
+            accepted += ok
+        # Z_3; Z_4 and Z_2 x Z_2 with their relabellings fixing 0
+        assert accepted == {3: 1, 4: 4}[k]
+
+
+def test_no_module_relies_on_assert():
+    # python -O strips assert statements, so certifying checks must raise
+    package = Path(__file__).resolve().parent.parent / "src" / "circulant"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

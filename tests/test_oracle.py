@@ -1,14 +1,22 @@
 """Independent isomorphism checks: invariants, brute force, witness replay."""
 
+import itertools
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
 import pytest
 
 from circulant import make_circulant
+from circulant.core import CirculantGraph, JumpSet
 from circulant.errors import BudgetExceeded, OrderMismatch, VerificationFailure
 from circulant.oracle import (
     BRUTE_FORCE_CAP,
     brute_force_isomorphic,
     gcd_signature,
     gcd_signature_check,
+    same_spectrum,
     spectral_fingerprint,
     verify_theta_witness,
 )
@@ -55,6 +63,16 @@ def test_spectrum_separates_a_gcd_signature_collision():
     b = make_circulant(16, [1, 2, 5])
     assert gcd_signature_check(a, b)
     assert spectral_fingerprint(a) != spectral_fingerprint(b)
+    assert not same_spectrum(a, b)
+
+
+def test_spectra_agree_across_a_rounding_boundary():
+    # 37 * (9, 17, 18, 26, 37) = (5, 21, 26, 35, 36) mod 78, yet one
+    # eigenvalue of each rounds to a different ninth digit
+    g = make_circulant(78, [9, 17, 18, 26, 37])
+    h = make_circulant(78, [5, 21, 26, 35, 36])
+    assert spectral_fingerprint(g) != spectral_fingerprint(h)
+    assert same_spectrum(g, h)
 
 
 def test_brute_force_finds_a_witness_for_the_known_pair():
@@ -63,7 +81,32 @@ def test_brute_force_finds_a_witness_for_the_known_pair():
     w = brute_force_isomorphic(g, h)
     assert w is not None
     assert w.verified
-    assert sorted(w.mapping) == list(range(16))
+    # the witness a search over every image of vertex 0 finds first
+    assert w.mapping == (0, 3, 14, 1, 12, 15, 10, 13, 8, 11, 6, 9, 4, 7, 2, 5)
+
+
+def test_brute_force_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(9, 15):
+        by_degree = {}
+        for k in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                graph = nx.circulant_graph(n, combo)
+                spectrum = np.sort(nx.adjacency_spectrum(graph).real)
+                degree = 2 * k - (2 * combo[-1] == n)
+                by_degree.setdefault(degree, []).append(
+                    (CirculantGraph(n, JumpSet(n, combo)), graph, spectrum)
+                )
+        for graphs in by_degree.values():
+            for (g, gx, gs), (h, hx, hs) in itertools.combinations(graphs, 2):
+                # a spectrum difference refutes isomorphism; networkx's own
+                # search is asked only about pairs it cannot separate, since
+                # refuting one regular pair takes it about 50 ms
+                expected = np.allclose(gs, hs, atol=1e-6) and nx.is_isomorphic(gx, hx)
+                w = brute_force_isomorphic(g, h)
+                assert (w is not None) == expected, (g, h)
+                if w is not None:
+                    assert w.mapping[0] == 0, (g, h)
 
 
 def test_brute_force_rejects_different_cycle_lengths():
@@ -91,6 +134,28 @@ def test_brute_force_enforces_the_cap():
         brute_force_isomorphic(
             make_circulant(16, [1, 2, 7]), make_circulant(16, [2, 3, 5]), cap=8
         )
+
+
+def test_witness_check_survives_optimized_mode():
+    # under python -O an assert would vanish; the re-verification must not
+    script = textwrap.dedent(
+        """
+        import sys
+        from circulant import make_circulant, oracle
+        from circulant.errors import VerificationFailure
+        oracle._maps_edges = lambda *args: False
+        g, h = make_circulant(16, [1, 2, 7]), make_circulant(16, [2, 3, 5])
+        try:
+            oracle.brute_force_isomorphic(g, h)
+        except VerificationFailure:
+            print("refused, optimize", sys.flags.optimize)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused, optimize 1"
 
 
 def test_witness_replay_accepts_the_known_rotation():

@@ -36,6 +36,12 @@ def test_params_accept_the_reference_regime():
     assert v.admissible_m == (2,)
 
 
+def test_admissible_m_reaches_the_cube_root():
+    # 6^3 = 216: the scan must include c with c^3 = n
+    assert check_theta_params(216, 2, make_circulant(216, [6]).r).admissible_m == (2, 3, 6)
+    assert check_theta_params(216, 2, make_circulant(216, [4, 9]).r).admissible_m == (2, 3)
+
+
 def test_params_require_cube_divisor():
     v = check_theta_params(16, 4, make_circulant(16, [1, 2, 7]).r)
     assert not v.valid

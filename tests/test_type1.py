@@ -159,3 +159,17 @@ def test_shared_orbit_witnesses_equal_a_fresh_type1_set():
         assert set(orbits) == set(sets)
         # most sets were relabelled from an orbit built for another member
         assert len({id(w) for w in orbits.values()}) < len(sets) // 2, n
+
+
+def test_group_table_matches_the_multiplier_action():
+    for n in (16, 24, 27):
+        for k in (1, 2, 3):
+            for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                g = CirculantGraph(n, JumpSet(n, combo))
+                group = type1_group(g)
+                index = {m.r: i for i, m in enumerate(group.carrier.members)}
+                reps = group.representatives
+                expected = tuple(
+                    tuple(index[phi_apply(n, a * b % n, g.r)] for b in reps) for a in reps
+                )
+                assert group.table == expected, g
