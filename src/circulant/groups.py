@@ -148,7 +148,9 @@ class CensusResult:
 def v_set(n: int, m: int, g: CirculantGraph, *, orbits: Orbits | None = None) -> VSet:
     """Classify every rotation step of g for the divisor m.
 
-    orbits is passed to classify_steps; see multiplier_witnesses.
+    orbits is passed to classify_steps: census shares multiplier orbits
+    through it (see multiplier_witnesses); a single sweep leaves it None
+    and looks witnesses up from a pinned jump.
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")

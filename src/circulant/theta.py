@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .core import CirculantGraph, JumpSet, edge_set, symmetric_closure
 from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
-from .type1 import Orbits, multiplier_witnesses
+from .type1 import Orbits, multiplier_witnesses, witness_lookup
 
 MIN_TYPE2_JUMPS = 3
 
@@ -227,10 +227,13 @@ def classify_steps(
     Vertex 0 is fixed, so its image neighborhood is the mapped closure of
     R; when that is not closed under negation the step is NS at once.  A
     symmetric neighborhood whose step fails the count test is NS with
-    symmetry_mismatch set.  Multiplier witnesses come from one
-    multiplier_witnesses(g, orbits) dict, built on the first circulant
-    non-identity image; a caller sweeping many bases passes one orbits
-    dict so that members of one multiplier orbit share it.
+    symmetry_mismatch set.  Multiplier witnesses are looked up once per
+    distinct circulant non-identity image (a sweep revisits each image
+    once per period of the image sequence), from type1.witness_lookup(g),
+    which pins one jump of g and tries at most 2*|S|*gcd(r0, n) units.  A
+    caller sweeping whole multiplier orbits (census) passes one orbits
+    dict instead, and the witnesses come from multiplier_witnesses(g,
+    orbits), shared among the members of each orbit.
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
@@ -241,6 +244,7 @@ def classify_steps(
     base_edges = _edge_count(n, g.jumps)
     anchored = len(g.r) >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in g.jumps)
     multipliers: dict[JumpSet, tuple[int, ...]] | None = None
+    lookup = None
     steps = None
     rows = []
     for t in t_values:
@@ -271,8 +275,16 @@ def classify_steps(
             rows.append(TClassification(t, Verdict.IDENTITY, image=image))
             continue
         if multipliers is None:
-            multipliers = multiplier_witnesses(g, orbits)
-        witnesses = multipliers.get(image, ())
+            if orbits is None:
+                multipliers, lookup = {}, witness_lookup(g)
+            else:
+                multipliers = multiplier_witnesses(g, orbits)
+        witnesses = multipliers.get(image)
+        if witnesses is None:
+            # a non-member of the shared orbit, or an image not yet looked up
+            witnesses = ()
+            if lookup is not None:
+                witnesses = multipliers[image] = lookup(image)
         if witnesses:
             verdict = Verdict.TYPE1
         elif anchored:

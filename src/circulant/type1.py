@@ -4,12 +4,20 @@ Multiplying every vertex by a unit x of Z_n is a graph isomorphism
 C_n(R) -> C_n(xR).  The distinct images form the Type-1 set of the graph,
 the units witnessing each image partition the unit group, and composition
 of multipliers makes the Type-1 set an Abelian group.
+
+Witnesses come from two places.  type1_set applies all phi(n) units to R
+and serves callers that need the whole orbit (t1set, type1_group,
+type1_set_equality, and census through multiplier_witnesses).
+witness_lookup pins one jump of R and solves for the units that can move
+it into the target set, at most 2*|S|*gcd(r0, n) candidates, for callers
+that ask about single images (sweeps, type1_witnesses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Callable
 
 from .core import (
     CirculantGraph,
@@ -98,37 +106,92 @@ def type1_set(g: CirculantGraph) -> Type1Set:
 Orbits = dict[JumpSet, dict[JumpSet, tuple[int, ...]]]
 
 
-def multiplier_witnesses(
-    g: CirculantGraph, orbits: Orbits | None = None
-) -> dict[JumpSet, tuple[int, ...]]:
+def multiplier_witnesses(g: CirculantGraph, orbits: Orbits) -> dict[JumpSet, tuple[int, ...]]:
     """Map each multiplier image of g to its ascending witness units.
 
-    orbits, when given, shares one type1_set per orbit among its members:
-    it maps every member seen so far to the witness dict of the member g0
-    the orbit was built from.  For g = u*g0 the units taking g to X are
-    exactly those taking g0 to X, times the inverse of u, so g's dict is a
-    relabelling of g0's.  Any other g gets a fresh type1_set whose members
-    are all recorded.
+    orbits shares one type1_set per orbit among its members: it maps every
+    member seen so far to the witness dict of the member g0 the orbit was
+    built from.  For g = u*g0 the units taking g to X are exactly those
+    taking g0 to X, times the inverse of u, so g's dict is a relabelling
+    of g0's.  Any other g gets a fresh type1_set whose members are all
+    recorded.
     """
-    known = None if orbits is None else orbits.get(g.r)
+    known = orbits.get(g.r)
     if known is None:
         witness = {h.r: w for h, w in type1_set(g).witness.items()}
-        if orbits is not None:
-            for js in witness:
-                orbits[js] = witness
+        for js in witness:
+            orbits[js] = witness
         return witness
     n = g.n
     inverse = pow(known[g.r][0], -1, n)
     return {js: tuple(sorted(x * inverse % n for x in w)) for js, w in known.items()}
 
 
+def witness_lookup(g: CirculantGraph) -> Callable[[JumpSet], tuple[int, ...]]:
+    """Lookup S -> the ascending units x with xR = S, for R the jumps of g.
+
+    It pins the jump r0 of R with the least d = gcd(r0, n) (the smallest
+    such jump) instead of applying all phi(n) units, and returns the same
+    tuple as type1_set(g).witness for a member, () for any other S.
+
+    A unit x keeps gcd(j, n) for every j, so a multiplier image of R has
+    the same multiset of gcds with n as R; an S without it, in particular
+    one with |S| != |R|, gets () at once.
+
+    Every witness is a candidate.  A unit x with xR = S maps the closure
+    +-R onto +-S, so x*r0 = w (mod n) for some w in {s, n - s} with s in S,
+    and gcd(w, n) = gcd(x*r0, n) = d: only the s with gcd(s, n) = d can be
+    hit.  d divides r0, w and n, so the congruence reads
+    (r0/d)*x = w/d (mod n/d), where r0/d is a unit mod n/d; hence
+    x = (w/d)*(r0/d)^-1 (mod n/d), which holds for exactly the d residues
+    x0 + k*n/d mod n, 0 <= k < d.  The units among them, at most 2*|S|*d,
+    include every witness.
+
+    The test is exact.  For a unit x, j -> x*j permutes Z_n and commutes
+    with negation, so it maps the |R| jumps of R into |R| distinct pairs
+    {v, n - v}; when every x*j lies in +-S and |R| = |S|, xR = S, and
+    every witness passes.  x*r0 = w is in +-S by construction, so only the
+    other jumps are tested.  Each candidate that passes is confirmed with
+    phi_apply, and a disagreement raises VerificationFailure.
+    """
+    n, r = g.n, g.r
+    d, r0 = min((gcd(j, n), j) for j in r.jumps)
+    q = n // d
+    inverse = pow(r0 // d, -1, q)
+    profile = sorted(gcd(j, n) for j in r.jumps)
+    others = tuple(j for j in r.jumps if j != r0)
+
+    def lookup(s: JumpSet) -> tuple[int, ...]:
+        if s.n != n:
+            raise OrderMismatch(f"jump set is for order {s.n}, not {n}")
+        gcds = [gcd(j, n) for j in s.jumps]
+        if sorted(gcds) != profile:
+            return ()
+        pinned = {w for j, c in zip(s.jumps, gcds) if c == d for w in (j, n - j)}
+        closure = {w for j in s.jumps for w in (j, n - j)}
+        found = [
+            x
+            for w in pinned
+            for x in range(w // d * inverse % q, n, q)
+            if gcd(x, n) == 1 and all(x * j % n in closure for j in others)
+        ]
+        for x in found:
+            image = phi_apply(n, x, r)
+            if image != s:
+                raise VerificationFailure(
+                    f"unit {x} passed the pinned-jump test for {g} -> {s.jumps} "
+                    f"but maps it to {image.jumps}"
+                )
+        return tuple(sorted(found))
+
+    return lookup
+
+
 def type1_witnesses(g: CirculantGraph, h: CirculantGraph) -> frozenset[int]:
     """Units x with xR = S, i.e. witnesses that h is a multiplier image of g."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return frozenset(
-        x for x in units(g.n).units if phi_apply(g.n, x, g.r) == h.r
-    )
+    return frozenset(witness_lookup(g)(h.r))
 
 
 def type1_group(g: CirculantGraph) -> Type1Group:

@@ -24,6 +24,36 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    sequence = (
+        ["t1set", "--n", "16"],  # --set missing: argparse exits with 2
+        ["t1set", "--n", "16", "--set", "1,2,7", "--format", "table"],
+        ["t1set", "--n", "16", "--set", "1,2,7"],
+    )
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert json.loads(fresh[2][1])["command"] == "t1set"
+
+    builds = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in sequence] == fresh
+    assert len(builds) == 1
+
+
 def test_reduce_envelope(capsys):
     d = run_json(capsys, ["reduce", "--n", "54", "--set", "2,3,16,20,34,38,51,52"])
     assert d["command"] == "reduce"

@@ -14,7 +14,7 @@ from circulant.groups import census, t2_set
 from circulant.oracle import (
     brute_force_isomorphic,
     gcd_signature_check,
-    spectral_fingerprint,
+    same_spectrum,
 )
 from circulant.theta import ThetaParams, theta_vertex
 from circulant.type1 import phi_apply, type1_set, units
@@ -178,7 +178,9 @@ def test_certified_pairs_pass_the_invariants(params, data):
         members = t2_set(n, m, g).members
         h = data.draw(st.sampled_from(members))
     assert gcd_signature_check(g, h)
-    assert spectral_fingerprint(g) == spectral_fingerprint(h)
+    # the tolerance iso relies on: exact fingerprints of isomorphic graphs
+    # can round one eigenvalue to different ninth digits
+    assert same_spectrum(g, h)
 
 
 def test_census_classes_are_equal_or_disjoint():

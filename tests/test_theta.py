@@ -232,21 +232,37 @@ def test_sweep_kernel_matches_the_edge_set_reference():
     assert seen == set(Verdict) - {Verdict.UNCLASSIFIED}
 
 
-def test_sweep_builds_the_multiplier_orbit_at_most_once(monkeypatch):
-    calls = []
-    original = circulant.type1.type1_set
+def test_single_sweep_looks_up_each_image_once(monkeypatch):
+    orbit_builds, looked_up = [], []
+    original_set = circulant.type1.type1_set
+    original_lookup = circulant.theta.witness_lookup
 
-    def counting(g):
-        calls.append(g)
-        return original(g)
+    def counting_set(g):
+        orbit_builds.append(g)
+        return original_set(g)
 
-    monkeypatch.setattr(circulant.type1, "type1_set", counting)
+    def counting_lookup(g):
+        lookup = original_lookup(g)
+
+        def counted(s):
+            looked_up.append(s)
+            return lookup(s)
+
+        return counted
+
+    monkeypatch.setattr(circulant.type1, "type1_set", counting_set)
+    monkeypatch.setattr(circulant.theta, "witness_lookup", counting_lookup)
     g = make_circulant(48, [1, 4, 23])
     rows = v_set(48, 2, g).rows
     assert sum(row.verdict is Verdict.TYPE1 for row in rows) >= 2
-    assert calls == [g]
+    assert orbit_builds == []
+    revisited = [row.image for row in rows if row.image not in (None, g.r)]
+    # the sweep meets each image more than once, and looks each up once
+    assert len(revisited) > len(set(revisited))
+    assert len(looked_up) == len(set(looked_up))
+    assert set(looked_up) == set(revisited)
     # jumps divisible by m are fixed, so every image is the base itself and
-    # the orbit is never needed
-    calls.clear()
+    # no lookup is needed
+    looked_up.clear()
     v_set(16, 2, make_circulant(16, [2, 4]))
-    assert calls == []
+    assert looked_up == [] and orbit_builds == []

@@ -16,6 +16,7 @@ from circulant.type1 import (
     type1_set_equality,
     type1_witnesses,
     units,
+    witness_lookup,
 )
 
 
@@ -159,6 +160,29 @@ def test_shared_orbit_witnesses_equal_a_fresh_type1_set():
         assert set(orbits) == set(sets)
         # most sets were relabelled from an orbit built for another member
         assert len({id(w) for w in orbits.values()}) < len(sets) // 2, n
+
+
+def test_pinned_lookup_equals_the_full_scan():
+    # every pair of jump sets of equal size up to three, and one pair of
+    # different sizes per base
+    for n in (16, 18, 24, 27, 32):
+        by_size = [
+            [JumpSet(n, combo) for combo in itertools.combinations(range(1, n // 2 + 1), k)]
+            for k in (1, 2, 3)
+        ]
+        for k, sets in enumerate(by_size):
+            other = by_size[k - 1][0]
+            for r in sets:
+                g = CirculantGraph(n, r)
+                fresh = {h.r: w for h, w in type1_set(g).witness.items()}
+                lookup = witness_lookup(g)
+                assert lookup(other) == (), (g, other)
+                for s in sets:
+                    assert lookup(s) == fresh.get(s, ()), (g, s)
+    # every jump of C_16(2, 4, 6) shares a factor with 16, and all eight
+    # units fix it: 9 is found only as the lift 1 + 16/2
+    g = make_circulant(16, [2, 4, 6])
+    assert witness_lookup(g)(g.r) == units(16).units
 
 
 def test_group_table_matches_the_multiplier_action():
