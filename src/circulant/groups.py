@@ -27,13 +27,17 @@ from .theta import (
     TClassification,
     ThetaParams,
     Verdict,
-    check_theta_params,
     classify_steps,
     theta_image,
+    theta_reasons,
 )
-from .type1 import Orbits
+from .type1 import units
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
+
+# census state: the jumps of each multiplier-orbit member -> (the sweep of
+# the orbit's first member g0, a unit u with u*g0 = the member)
+SweepOrbits = dict[tuple[int, ...], tuple[tuple[TClassification, ...], int]]
 
 
 @dataclass
@@ -145,32 +149,58 @@ class CensusResult:
     summary: CensusSummary
 
 
-def v_set(n: int, m: int, g: CirculantGraph, *, orbits: Orbits | None = None) -> VSet:
+def v_set(
+    n: int, m: int, g: CirculantGraph, *, orbits: SweepOrbits | None = None
+) -> VSet:
     """Classify every rotation step of g for the divisor m.
 
-    orbits is passed to classify_steps: census shares multiplier orbits
-    through it (see multiplier_witnesses); a single sweep leaves it None
-    and looks witnesses up from a pinned jump.
+    A single sweep leaves orbits None and runs classify_steps.  census
+    passes one orbits dict for its whole run and sweeps each multiplier
+    orbit once: the first member g0 it meets is swept, every unit multiple
+    u*g0 is recorded with that sweep and u, and a later member u*g0 gets
+    g0's rows with each image multiplied by u.
+
+    Why those rows are the member's own sweep (lemma B).  Let u be a unit,
+    R the jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives
+    u*x = u*r (mod m), so theta_t(u*x) = u*theta_t(x) - c*M with
+    c = floor(u*r/m), a function of r alone; theta_t keeps residues mod m,
+    so theta_t(mu_u(x)) = tau(mu_u(theta_t(x))), where
+    tau(y) = y - c(y mod m)*M moves each residue class within itself.  As
+    mu_u maps C_n(R) onto C_n(uR), the image of C_n(uR) is tau of u times
+    the image of C_n(R).  Suppose that image is C_n(S).  Then vertex 0's
+    image neighbourhood N = theta_t(+-R) is +-S, closed under negation,
+    and theta_t(-v) = M - theta_t(v) for v mod m != 0, so N's part off
+    residue 0 is closed under -M: a union of <M>-cosets, and so is that
+    part of +-uS, as u<M> = <M>.  tau moves an edge difference d of
+    C_n(uS) by a multiple of M, and not at all when m | d, so tau is an
+    automorphism of C_n(uS) and the image of C_n(uR) is C_n(uS).  With
+    u^-1 for u, a circulant image of C_n(uR) gives one of C_n(R), so both
+    sweeps have the same NS steps.  Multiplication by u is injective on
+    jump sets, so uS = uR exactly when S = R (Identity), and x*uR = uS
+    exactly when x*R = S: the witnesses, hence Type1, carry over as they
+    are.  Type2 against Unclassified depends on |R| and on a jump divisible
+    by m, both kept by u.  NS rows are reused whole: no sweep sets
+    symmetry_mismatch, because every image difference is theta_t(v) or
+    theta_t(v) - M for a v in +-R, so a symmetric N holds them all and
+    C_n(fold N), with as many edges as C_n(R), is the image.
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
-    validity = check_theta_params(n, m, g.r)
-    if not validity.valid:
+    reasons = theta_reasons(n, m, g.r)
+    if reasons:
         raise InvalidThetaParams(
-            f"(n={n}, m={m}) inadmissible for {g}: {', '.join(validity.reasons)}",
-            validity.reasons,
+            f"(n={n}, m={m}) inadmissible for {g}: {', '.join(reasons)}", reasons
         )
     steps = n // m
-    rows = classify_steps(n, m, g, range(steps), orbits=orbits)
+    if orbits is None:
+        rows = classify_steps(n, m, g, range(steps))
+    else:
+        rows = _orbit_rows(n, m, g, orbits)
     if rows[0].verdict != Verdict.IDENTITY:
         raise VerificationFailure(f"step 0 of {g} is {rows[0].verdict.value}, not Identity")
 
-    distinct: list[CirculantGraph] = []
-    for row in rows:
-        if row.image is not None:
-            img = CirculantGraph(n, row.image)
-            if img not in distinct:
-                distinct.append(img)
+    images = dict.fromkeys(row.image for row in rows if row.image is not None)
+    distinct = tuple(CirculantGraph(n, image) for image in images)
 
     period = next((t for t in range(1, steps) if rows[t].verdict == Verdict.IDENTITY), steps)
     findings = [
@@ -183,7 +213,41 @@ def v_set(n: int, m: int, g: CirculantGraph, *, orbits: Orbits | None = None) ->
         findings.append(
             f"identity steps {sorted(identity_ts)} are not the multiples of {period}"
         )
-    return VSet(g, m, rows, tuple(distinct), period, tuple(findings))
+    return VSet(g, m, rows, distinct, period, tuple(findings))
+
+
+def _multiply(n: int, u: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
+    """The folded jumps of u*R for a unit u, which keeps them distinct."""
+    products = [u * j % n for j in jumps]
+    return tuple(sorted([x if 2 * x <= n else n - x for x in products]))
+
+
+def _orbit_rows(
+    n: int, m: int, g: CirculantGraph, orbits: SweepOrbits
+) -> tuple[TClassification, ...]:
+    """g's sweep, swept once per multiplier orbit; see v_set."""
+    known = orbits.get(g.jumps)
+    if known is None:
+        rows = classify_steps(n, m, g, range(n // m))
+        for u in units(n).units:
+            orbits.setdefault(_multiply(n, u, g.jumps), (rows, u))
+        return rows
+    rows, u = known
+    images: dict[JumpSet, JumpSet] = {}
+    relabelled = []
+    for row in rows:
+        if row.image is None:
+            relabelled.append(row)
+            continue
+        image = images.get(row.image)
+        if image is None:
+            image = images[row.image] = JumpSet(n, _multiply(n, u, row.image.jumps))
+        if row.verdict is Verdict.IDENTITY and image != g.r:
+            raise VerificationFailure(
+                f"{u} * {row.image.jumps} is {image.jumps}, not the jumps of {g}"
+            )
+        relabelled.append(TClassification(row.t, row.verdict, image, row.witnesses))
+    return tuple(relabelled)
 
 
 def v_group(v: VSet) -> OrbitGroup:
@@ -194,7 +258,7 @@ def v_group(v: VSet) -> OrbitGroup:
 
 
 def t2_set(
-    n: int, m: int, g: CirculantGraph, *, orbits: Orbits | None = None
+    n: int, m: int, g: CirculantGraph, *, orbits: SweepOrbits | None = None
 ) -> Type2Set:
     """Base plus distinct Type-2 partners from the full sweep.
 
@@ -354,7 +418,9 @@ def census(
     least member.  The enumeration space is bounded upfront by budget.
     A unit multiple of a candidate keeps its size and its jump divisible
     by m, so candidates come in whole multiplier orbits; one orbits dict,
-    alive for this call only, builds each orbit once for all its members.
+    alive for this call only, sweeps each orbit once, and every other
+    member relabels that sweep (lemma B, proved in v_set).  Each candidate
+    still gets its own t2_set, with v_set's step-0 and period checks.
     """
     sizes = tuple(sorted(set(sizes)))
     if m < 2 or n % (m ** 3) != 0:
@@ -367,7 +433,7 @@ def census(
         raise BudgetExceeded(
             f"{space} candidate sets exceed the budget of {budget}"
         )
-    orbits: Orbits = {}
+    orbits: SweepOrbits = {}
     records: list[CensusRecord] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
     examined = 0

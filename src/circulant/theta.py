@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .core import CirculantGraph, JumpSet, edge_set, symmetric_closure
 from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
-from .type1 import Orbits, multiplier_witnesses, witness_lookup
+from .type1 import witness_lookup
 
 MIN_TYPE2_JUMPS = 3
 
@@ -123,24 +123,33 @@ def _check_step(t: int, steps: int) -> None:
         raise InvalidThetaParams(f"step t={t} outside [0, {steps - 1}]", ())
 
 
+def theta_reasons(n: int, m: int, r: JumpSet) -> tuple[str, ...]:
+    """Why (n, m) is inadmissible for Type-2 analysis of r; () when valid.
+
+    Valid means m > 1, m^3 divides n, and some jump of r is divisible by m.
+    """
+    reasons = _transform_reasons(n, m)
+    if m >= 2 and not any(j % m == 0 for j in r.jumps):
+        reasons += (NO_ANCHOR_JUMP,)
+    return reasons
+
+
 def check_theta_params(n: int, m: int, r: JumpSet) -> ThetaValidity:
     """Full admissibility of (n, m) for Type-2 analysis of r.
 
-    Valid means m > 1, m^3 divides n, and some jump of r is divisible by m.
-    admissible_m lists every m that passes all three tests for this r;
-    m^3 | n bounds the candidates by the cube root of n.
+    The reasons are those of theta_reasons.  admissible_m lists every m
+    that passes all three tests for this r; m^3 | n bounds the candidates
+    by the cube root of n.
     """
     if r.n != n:
         raise OrderMismatch(f"jump set is for order {r.n}, not {n}")
-    reasons = list(_transform_reasons(n, m))
-    if m >= 2 and not any(j % m == 0 for j in r.jumps):
-        reasons.append(NO_ANCHOR_JUMP)
+    reasons = theta_reasons(n, m, r)
     admissible = tuple(
         c
         for c in itertools.takewhile(lambda c: c ** 3 <= n, itertools.count(2))
         if n % (c ** 3) == 0 and any(j % c == 0 for j in r.jumps)
     )
-    return ThetaValidity(n, m, not reasons, tuple(reasons), admissible)
+    return ThetaValidity(n, m, not reasons, reasons, admissible)
 
 
 def theta_vertex(p: ThetaParams, x: int) -> int:
@@ -199,8 +208,6 @@ def classify_steps(
     m: int,
     g: CirculantGraph,
     t_values: Iterable[int],
-    *,
-    orbits: Orbits | None = None,
 ) -> tuple[TClassification, ...]:
     """Classify the image of g at each rotation step in t_values.
 
@@ -227,13 +234,11 @@ def classify_steps(
     Vertex 0 is fixed, so its image neighborhood is the mapped closure of
     R; when that is not closed under negation the step is NS at once.  A
     symmetric neighborhood whose step fails the count test is NS with
-    symmetry_mismatch set.  Multiplier witnesses are looked up once per
-    distinct circulant non-identity image (a sweep revisits each image
-    once per period of the image sequence), from type1.witness_lookup(g),
-    which pins one jump of g and tries at most 2*|S|*gcd(r0, n) units.  A
-    caller sweeping whole multiplier orbits (census) passes one orbits
-    dict instead, and the witnesses come from multiplier_witnesses(g,
-    orbits), shared among the members of each orbit.
+    symmetry_mismatch set.  A sweep revisits each image once per period
+    of the image sequence, so each distinct image is built and validated
+    as a JumpSet once, and its multiplier witnesses are looked up once,
+    from type1.witness_lookup(g), which pins one jump of g and tries at
+    most 2*|S|*gcd(r0, n) units.
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
@@ -243,7 +248,8 @@ def classify_steps(
     shifts = tuple((j, ((r + j) % m - r) * m) for r in range(m) for j in g.jumps)
     base_edges = _edge_count(n, g.jumps)
     anchored = len(g.r) >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in g.jumps)
-    multipliers: dict[JumpSet, tuple[int, ...]] | None = None
+    # folded jumps of each distinct non-identity image -> (image, witnesses)
+    images: dict[tuple[int, ...], tuple[JumpSet, tuple[int, ...]]] = {}
     lookup = None
     steps = None
     rows = []
@@ -270,21 +276,17 @@ def classify_steps(
                 TClassification(t, Verdict.NON_CIRCULANT, symmetry_mismatch=True)
             )
             continue
-        image = JumpSet(n, tuple(sorted(folded)))
-        if image == g.r:
-            rows.append(TClassification(t, Verdict.IDENTITY, image=image))
+        key = tuple(sorted(folded))
+        if key == g.jumps:
+            rows.append(TClassification(t, Verdict.IDENTITY, image=g.r))
             continue
-        if multipliers is None:
-            if orbits is None:
-                multipliers, lookup = {}, witness_lookup(g)
-            else:
-                multipliers = multiplier_witnesses(g, orbits)
-        witnesses = multipliers.get(image)
-        if witnesses is None:
-            # a non-member of the shared orbit, or an image not yet looked up
-            witnesses = ()
-            if lookup is not None:
-                witnesses = multipliers[image] = lookup(image)
+        known = images.get(key)
+        if known is None:
+            if lookup is None:
+                lookup = witness_lookup(g)
+            image = JumpSet(n, key)
+            known = images[key] = (image, lookup(image))
+        image, witnesses = known
         if witnesses:
             verdict = Verdict.TYPE1
         elif anchored:

@@ -7,10 +7,11 @@ of multipliers makes the Type-1 set an Abelian group.
 
 Witnesses come from two places.  type1_set applies all phi(n) units to R
 and serves callers that need the whole orbit (t1set, type1_group,
-type1_set_equality, and census through multiplier_witnesses).
-witness_lookup pins one jump of R and solves for the units that can move
-it into the target set, at most 2*|S|*gcd(r0, n) candidates, for callers
-that ask about single images (sweeps, type1_witnesses).
+type1_set_equality).  witness_lookup pins one jump of R and solves for the
+units that can move it into the target set, at most 2*|S|*gcd(r0, n)
+candidates, for callers that ask about single images (sweeps,
+type1_witnesses).  census sweeps one member of each multiplier orbit and
+relabels that sweep for the others (groups.v_set), so it needs neither.
 """
 
 from __future__ import annotations
@@ -101,30 +102,6 @@ def type1_set(g: CirculantGraph) -> Type1Set:
     if sum(len(w) for w in witness.values()) != len(group):
         raise VerificationFailure(f"witness sets of {g} do not partition the units")
     return Type1Set(base=g, members=members, witness=witness)
-
-
-Orbits = dict[JumpSet, dict[JumpSet, tuple[int, ...]]]
-
-
-def multiplier_witnesses(g: CirculantGraph, orbits: Orbits) -> dict[JumpSet, tuple[int, ...]]:
-    """Map each multiplier image of g to its ascending witness units.
-
-    orbits shares one type1_set per orbit among its members: it maps every
-    member seen so far to the witness dict of the member g0 the orbit was
-    built from.  For g = u*g0 the units taking g to X are exactly those
-    taking g0 to X, times the inverse of u, so g's dict is a relabelling
-    of g0's.  Any other g gets a fresh type1_set whose members are all
-    recorded.
-    """
-    known = orbits.get(g.r)
-    if known is None:
-        witness = {h.r: w for h, w in type1_set(g).witness.items()}
-        for js in witness:
-            orbits[js] = witness
-        return witness
-    n = g.n
-    inverse = pow(known[g.r][0], -1, n)
-    return {js: tuple(sorted(x * inverse % n for x in w)) for js, w in known.items()}
 
 
 def witness_lookup(g: CirculantGraph) -> Callable[[JumpSet], tuple[int, ...]]:

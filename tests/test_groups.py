@@ -1,9 +1,12 @@
 """Rotation sweeps, Type-2 partner sets, their index groups, and the census."""
 
+import itertools
+
 import pytest
 
-import circulant.type1
+import circulant.groups
 from circulant import edge_set, make_circulant
+from circulant.core import CirculantGraph, JumpSet
 from circulant.errors import BudgetExceeded, InvalidThetaParams
 from circulant.groups import (
     appended_jump_check,
@@ -14,7 +17,8 @@ from circulant.groups import (
     v_group,
     v_set,
 )
-from circulant.theta import Verdict
+from circulant.theta import Verdict, classify_steps
+from circulant.type1 import phi_apply, type1_set, units
 
 
 def test_vset_of_the_order54_base():
@@ -211,21 +215,70 @@ def test_census_rejects_inadmissible_parameters():
 
 
 def test_census_builds_each_multiplier_orbit_once(monkeypatch):
-    original = circulant.type1.type1_set
-    calls = []
+    original = circulant.groups.classify_steps
+    swept = []
 
-    def counting(g):
-        calls.append(g)
-        return original(g)
+    def counting(n, m, g, t_values):
+        swept.append(g)
+        return original(n, m, g, t_values)
 
-    monkeypatch.setattr(circulant.type1, "type1_set", counting)
+    monkeypatch.setattr(circulant.groups, "classify_steps", counting)
     result = census(54, 3, [3])
-    assert 0 < len(calls) < result.summary.examined
+    assert 0 < len(swept) < result.summary.examined
     covered = set()
-    for g in calls:
+    for g in swept:
         assert g not in covered, g
-        covered.update(original(g).members)
-    # the orbits live for one call: a second census builds them again
-    first = len(calls)
+        covered.update(type1_set(g).members)
+    # no orbit is swept twice and every candidate's orbit is swept: one
+    # sweep per orbit
+    candidates = {
+        CirculantGraph(54, JumpSet(54, combo))
+        for combo in itertools.combinations(range(1, 28), 3)
+        if any(j % 3 == 0 for j in combo)
+    }
+    assert covered == candidates
+    assert len(candidates) == result.summary.examined
+    # the orbits live for one call: a second census sweeps again
+    first = len(swept)
     census(54, 3, [3])
-    assert calls[first:] == calls[:first]
+    assert swept[first:] == swept[:first]
+
+
+def test_relabelled_sweeps_equal_fresh_sweeps():
+    # lemma B: the sweep of u*R relabelled from R's is u*R's own sweep,
+    # and its Type-2 set is the u-multiple of R's
+    for n, m in ((16, 2), (24, 2), (27, 3), (32, 2)):
+        for k in (1, 2, 3):
+            for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                if not any(j % m == 0 for j in combo):
+                    continue
+                g = CirculantGraph(n, JumpSet(n, combo))
+                orbits = {}
+                base = t2_set(n, m, g, orbits=orbits)
+                fresh = {}
+                for u in units(n).units:
+                    h = CirculantGraph(n, phi_apply(n, u, g.r))
+                    assert h.jumps in orbits
+                    s = t2_set(n, m, h, orbits=orbits)
+                    if h not in fresh:
+                        fresh[h] = classify_steps(n, m, h, range(n // m))
+                    assert s.vset.rows == fresh[h], (n, m, combo, u)
+                    assert s.members == tuple(
+                        CirculantGraph(n, phi_apply(n, u, x.r)) for x in base.members
+                    ), (n, m, combo, u)
+
+
+def test_census_equals_a_fresh_t2_set_per_candidate(monkeypatch):
+    cases = ((16, 2, [3, 4, 5]), (24, 2, [3, 4]), (27, 3, [3, 4]))
+    shared = [census(*case) for case in cases]
+    assert sum(len(r.records) for r in shared) > 0
+    fresh_t2_set = circulant.groups.t2_set
+    swept = []
+
+    def fresh(n, m, g, orbits):
+        swept.append(g)
+        return fresh_t2_set(n, m, g)
+
+    monkeypatch.setattr(circulant.groups, "t2_set", fresh)
+    assert [census(*case) for case in cases] == shared
+    assert len(swept) == sum(r.summary.examined for r in shared)

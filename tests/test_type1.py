@@ -9,7 +9,6 @@ from circulant import make_circulant
 from circulant.core import CirculantGraph, JumpSet
 from circulant.errors import NotAUnit, OrderMismatch
 from circulant.type1 import (
-    multiplier_witnesses,
     phi_apply,
     type1_group,
     type1_set,
@@ -143,23 +142,6 @@ def test_set_equality_goldens():
     assert type1_set_equality(g, make_circulant(16, [3, 5, 6]))
     assert not type1_set_equality(g, make_circulant(16, [2, 3, 5]))
     assert type1_set_equality(g, g)
-
-
-def test_shared_orbit_witnesses_equal_a_fresh_type1_set():
-    for n in (16, 24, 27, 54):
-        orbits = {}
-        sets = [
-            JumpSet(n, combo)
-            for k in (1, 2, 3)
-            for combo in itertools.combinations(range(1, n // 2 + 1), k)
-        ]
-        for r in sets:
-            g = CirculantGraph(n, r)
-            fresh = {h.r: w for h, w in type1_set(g).witness.items()}
-            assert multiplier_witnesses(g, orbits) == fresh, g
-        assert set(orbits) == set(sets)
-        # most sets were relabelled from an orbit built for another member
-        assert len({id(w) for w in orbits.values()}) < len(sets) // 2, n
 
 
 def test_pinned_lookup_equals_the_full_scan():
