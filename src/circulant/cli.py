@@ -243,15 +243,13 @@ def cmd_vset(args) -> int:
 
 def cmd_table(args) -> int:
     g = make_circulant(args.n, _parse_jumps(args.set))
-    steps = args.n // args.m
-    t_values = _parse_t_range(args.t) if args.t else list(range(steps))
-    for t in t_values:
-        if not 0 <= t < steps:
-            raise InvalidThetaParams(f"step t={t} outside [0, {steps - 1}]", ())
-    table = classification_table(args.n, args.m, g, t_values)
+    table = classification_table(
+        args.n, args.m, g, _parse_t_range(args.t) if args.t else None
+    )
+    # one row per requested step, in the order asked
+    t_values = [entry.t for entry in table]
     closure = sorted(symmetric_closure(g).values)
     rows = []
-    findings = []
     for entry in table:
         cls = entry.classification
         rows.append(
@@ -264,15 +262,11 @@ def cmd_table(args) -> int:
                 "witnesses": list(cls.witnesses),
             }
         )
-        if cls.symmetry_mismatch:
-            findings.append(
-                f"t={entry.t}: 0-neighborhood symmetric but image not circulant"
-            )
     envelope = {
         "command": "table",
         "inputs": {"n": args.n, "m": args.m, "set": list(g.jumps), "t": t_values},
         "result": {"columns": closure, "rows": rows},
-        "findings": findings,
+        "findings": [],
     }
     flat = [
         {"t": r["t"], **{str(c): v for c, v in zip(closure, r["values"])}, "circulant?": r["display"]}

@@ -98,6 +98,22 @@ def _check_p_list(p_list: tuple[int, ...]) -> None:
         raise InvalidFamilyParams(f"multipliers {p_list} share a factor {gcd(*p_list)}")
 
 
+def _anchor_swapped(base: FamilyInstance, p_list: tuple[int, ...]) -> FamilyInstance:
+    """base with its anchor jump m replaced by the jumps m*p_i in every member.
+
+    The anchor is the only jump of a base member divisible by m, so the
+    other jumps stay as they are; the extra jumps may make members
+    multiplier-related, so the claim weakens to type1-or-type2.
+    """
+    extra = [base.m * p for p in p_list]
+    sets = tuple(
+        _fold(base.order, [j for j in s.jumps if j != base.m] + extra) for s in base.sets
+    )
+    return FamilyInstance(
+        base.order, base.m, sets, base.relations, FamilyClaim.TYPE1_OR_TYPE2
+    )
+
+
 def family_m2(n: int, s: int) -> FamilyInstance:
     """Order 8n pair swapped by theta at steps n and 3n (m = 2)."""
     if n < 2:
@@ -121,42 +137,31 @@ def family_m2(n: int, s: int) -> FamilyInstance:
 
 
 def family_m2_general(n: int, s: int, p_list: tuple[int, ...], y: int) -> FamilyInstance:
-    """Order 8n pair with extra even jumps 2*p_i (m = 2).
+    """family_m2 with the anchor jump 2 replaced by extra even jumps 2*p_i.
 
     Requires a common even jump 2y of both sets with y a unit mod 4n; the
     pair is then multiplier- or rotation-isomorphic, resolved by
     family_verify.
     """
-    if n < 2:
-        raise InvalidFamilyParams(f"n must be at least 2, got {n}")
-    if not 1 <= 2 * s - 1 <= 2 * n - 1:
-        raise InvalidFamilyParams(f"odd jump 2s-1={2 * s - 1} outside [1, {2 * n - 1}]")
-    if n == 2 * s - 1:
-        raise DegenerateFamily(f"n = 2s-1 = {n} makes both sets equal")
+    base = family_m2(n, s)
     _check_p_list(p_list)
-    order = 8 * n
-    extra = [2 * p for p in p_list]
-    r = _fold(order, [2 * s - 1, 4 * n - (2 * s - 1)] + extra)
-    t = _fold(order, [2 * n - (2 * s - 1), 2 * n + 2 * s - 1] + extra)
+    instance = _anchor_swapped(base, p_list)
+    r, t = instance.sets
     common = set(r.jumps) & set(t.jumps)
-    folded_y = min(2 * y % order, (order - 2 * y) % order)
+    folded_y = min(2 * y % base.order, (base.order - 2 * y) % base.order)
     if folded_y not in common or gcd(4 * n, y) != 1:
         raise InvalidFamilyParams(
             f"2y={2 * y} must be a common jump with y a unit mod {4 * n}"
         )
-    relations = (
-        ThetaRelation(n, 0, 1),
-        ThetaRelation(3 * n, 0, 1),
-        ThetaRelation(n, 1, 0),
-        ThetaRelation(3 * n, 1, 0),
-        ThetaRelation(2 * n, 0, 0),
-        ThetaRelation(2 * n, 1, 1),
-    )
-    return FamilyInstance(order, 2, (r, t), relations, FamilyClaim.TYPE1_OR_TYPE2)
+    return instance
 
 
 def family_m3(n: int) -> FamilyInstance:
-    """Order 27n triple cycled by theta at step n (m = 3)."""
+    """Order 27n triple cycled by theta at step n (m = 3).
+
+    The sets are family_general_p(3, n, 1, 0)'s, but only the 3-cycle at
+    step n is declared, not its inverse at step 2n.
+    """
     if n < 1:
         raise InvalidFamilyParams(f"n must be positive, got {n}")
     order = 27 * n
@@ -170,93 +175,34 @@ def family_m3(n: int) -> FamilyInstance:
 
 
 def family_m3_general(n: int, p_list: tuple[int, ...]) -> FamilyInstance:
-    """Order 27n triple with extra jumps 3*p_i in every member (m = 3)."""
-    if n < 1:
-        raise InvalidFamilyParams(f"n must be positive, got {n}")
+    """family_m3 with the anchor jump 3 replaced by extra jumps 3*p_i."""
+    base = family_m3(n)
     _check_p_list(p_list)
-    order = 27 * n
-    extra = [3 * p for p in p_list]
-    sets = (
-        _fold(order, [1, 9 * n - 1, 9 * n + 1] + extra),
-        _fold(order, [3 * n + 1, 6 * n - 1, 12 * n + 1] + extra),
-        _fold(order, [3 * n - 1, 6 * n + 1, 12 * n - 1] + extra),
-    )
-    relations = tuple(ThetaRelation(n, i, (i + 1) % 3) for i in range(3))
-    return FamilyInstance(order, 3, sets, relations, FamilyClaim.TYPE1_OR_TYPE2)
+    return _anchor_swapped(base, p_list)
 
 
 def family_m5(n: int) -> FamilyInstance:
-    """Order 125n five-cycle: theta at step jn shifts member i to i+j (m = 5)."""
-    if n < 1:
-        raise InvalidFamilyParams(f"n must be positive, got {n}")
-    order = 125 * n
-    sets = []
-    for i in range(1, 6):
-        d = 5 * n * (i - 1) + 1
-        sets.append(
-            _fold(order, [5, d, 25 * n - d, 25 * n + d, 50 * n - d, 50 * n + d])
-        )
-    relations = tuple(
-        ThetaRelation(j * n, i, (i + j) % 5) for i in range(5) for j in range(1, 5)
-    )
-    return FamilyInstance(order, 5, tuple(sets), relations, FamilyClaim.TYPE2)
+    """Order 125n five-cycle (m = 5): family_general_p(5, n, 1, 0)."""
+    return family_general_p(5, n, 1, 0)
 
 
 def family_m5_general(n: int, p_list: tuple[int, ...]) -> FamilyInstance:
     """family_m5 with the anchor jump 5 replaced by extra jumps 5*p_i."""
-    if n < 1:
-        raise InvalidFamilyParams(f"n must be positive, got {n}")
+    base = family_m5(n)
     _check_p_list(p_list)
-    order = 125 * n
-    extra = [5 * p for p in p_list]
-    sets = []
-    for i in range(1, 6):
-        d = 5 * n * (i - 1) + 1
-        sets.append(
-            _fold(order, [d, 25 * n - d, 25 * n + d, 50 * n - d, 50 * n + d] + extra)
-        )
-    relations = tuple(
-        ThetaRelation(j * n, i, (i + j) % 5) for i in range(5) for j in range(1, 5)
-    )
-    return FamilyInstance(order, 5, tuple(sets), relations, FamilyClaim.TYPE1_OR_TYPE2)
+    return _anchor_swapped(base, p_list)
 
 
 def family_m7(n: int) -> FamilyInstance:
-    """Order 343n seven-cycle: theta at step jn shifts member i to i+j (m = 7)."""
-    if n < 1:
-        raise InvalidFamilyParams(f"n must be positive, got {n}")
-    order = 343 * n
-    sets = []
-    for i in range(1, 8):
-        d = 7 * n * (i - 1) + 1
-        raw = [7, d]
-        for j in (49, 98, 147):
-            raw += [j * n - d, j * n + d]
-        sets.append(_fold(order, raw))
-    relations = tuple(
-        ThetaRelation(j * n, i, (i + j) % 7) for i in range(7) for j in range(1, 7)
-    )
-    return FamilyInstance(order, 7, tuple(sets), relations, FamilyClaim.TYPE2)
+    """Order 343n seven-cycle (m = 7): family_general_p(7, n, 1, 0)."""
+    return family_general_p(7, n, 1, 0)
 
 
 def family_m7_general(n: int, p_list: tuple[int, ...]) -> FamilyInstance:
     """family_m7 with the anchor jump 7 replaced by extra jumps 7*p_i."""
-    if n < 1:
-        raise InvalidFamilyParams(f"n must be positive, got {n}")
+    base = family_m7(n)
     _check_p_list(p_list)
-    order = 343 * n
-    extra = [7 * p for p in p_list]
-    sets = []
-    for i in range(1, 8):
-        d = 7 * n * (i - 1) + 1
-        raw = [d]
-        for j in (49, 98, 147):
-            raw += [j * n - d, j * n + d]
-        sets.append(_fold(order, raw + extra))
-    relations = tuple(
-        ThetaRelation(j * n, i, (i + j) % 7) for i in range(7) for j in range(1, 7)
-    )
-    return FamilyInstance(order, 7, tuple(sets), relations, FamilyClaim.TYPE1_OR_TYPE2)
+    return _anchor_swapped(base, p_list)
 
 
 def _is_odd_prime(p: int) -> bool:

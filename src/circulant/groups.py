@@ -48,7 +48,7 @@ class VSet:
     functions of (t, base) and are recomputed on demand via raw_image.
     graph_period is the smallest positive t whose image equals the base
     again, or n/m when none does.  findings collects empirical anomalies
-    (symmetry shortcut disagreements, period violations) without failing.
+    (identity steps off the multiples of the period) without failing.
     """
 
     base: CirculantGraph
@@ -179,10 +179,8 @@ def v_set(
     jump sets, so uS = uR exactly when S = R (Identity), and x*uR = uS
     exactly when x*R = S: the witnesses, hence Type1, carry over as they
     are.  Type2 against Unclassified depends on |R| and on a jump divisible
-    by m, both kept by u.  NS rows are reused whole: no sweep sets
-    symmetry_mismatch, because every image difference is theta_t(v) or
-    theta_t(v) - M for a v in +-R, so a symmetric N holds them all and
-    C_n(fold N), with as many edges as C_n(R), is the image.
+    by m, both kept by u.  NS rows carry only t, so they are reused whole;
+    N alone decides them (lemma A, proved in theta.classify_steps).
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
@@ -203,11 +201,7 @@ def v_set(
     distinct = tuple(CirculantGraph(n, image) for image in images)
 
     period = next((t for t in range(1, steps) if rows[t].verdict == Verdict.IDENTITY), steps)
-    findings = [
-        f"t={row.t}: 0-neighborhood symmetric but image not circulant"
-        for row in rows
-        if row.symmetry_mismatch
-    ]
+    findings = []
     identity_ts = {row.t for row in rows if row.verdict == Verdict.IDENTITY}
     if identity_ts != set(range(0, steps, period)):
         findings.append(

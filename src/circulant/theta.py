@@ -8,9 +8,9 @@ composes additively in t, and edges along jumps divisible by m are fixed.
 Applying the map to a circulant graph gives a labeled graph that may or
 may not be circulant again; when it is, the image's relation to the base
 graph is classified per step t.  classify_steps does this for a whole
-sweep from O(m * |R|) edge differences per step; theta_image and
-detect_circulant build the image edge set and are the independent slow
-path.
+sweep from vertex 0's image neighbourhood alone, O(|R|) per step;
+theta_image and detect_circulant build the image edge set and are the
+independent slow path.
 """
 
 from __future__ import annotations
@@ -78,15 +78,12 @@ class TClassification:
 
     image is the canonical jump set of the image when circulant; witnesses
     are the multiplier units when the image is a Type-1 partner.
-    symmetry_mismatch flags the anomaly where vertex 0's image neighborhood
-    is closed under negation yet the whole edge set is not circulant.
     """
 
     t: int
     verdict: Verdict
     image: JumpSet | None = None
     witnesses: tuple[int, ...] = ()
-    symmetry_mismatch: bool = False
 
 
 @dataclass(frozen=True)
@@ -198,11 +195,6 @@ def detect_circulant(h: LabeledGraph) -> JumpSet | None:
     return candidate
 
 
-def _edge_count(n: int, folded) -> int:
-    """|E(C_n(S))| for a set S of folded jumps: n per jump, n/2 for n/2."""
-    return n * len(folded) - (n // 2 if 2 * max(folded) == n else 0)
-
-
 def classify_steps(
     n: int,
     m: int,
@@ -217,66 +209,47 @@ def classify_steps(
     including one divisible by m, Unclassified for the remaining circulant
     images, and NS (non-circulant) otherwise.
 
-    Why O(m * |R|) per step suffices.  The step-t map moves x by
-    (x mod m)*t*m, so with r = x mod m the edge (x, x + j) goes to an edge
-    with difference j + (((r + j) mod m) - r)*t*m (mod n): it depends on
-    x only through r.  Let D be these differences over the m residues r
-    and the jumps j of R.  Every image edge has its difference in D, so
-    the image is a subgraph of C_n(fold D); the map is a bijection, so the
-    image has |E(C_n(R))| edges.  Hence the image is circulant when
-    |E(C_n(fold D))| = |E(C_n(R))|, and then equals C_n(fold D).
-    Conversely, each difference in D is realised by an image edge (take
-    x = r), so a circulant image C_n(S) has fold D within S and
-    C_n(S) = image, a subgraph of C_n(fold D): the counts agree.  An edge
-    count below |E(C_n(R))| would contradict the subgraph argument and
-    raises VerificationFailure.
+    Why vertex 0 decides (lemma A).  theta_t fixes 0, so vertex 0's image
+    neighbourhood is N = theta_t(+-R), and |N| = |+-R| as theta_t is a
+    bijection.  The image is circulant iff N = -N, and then it is
+    C_n(fold N).  If the image is C_n(S), then N = +-S, closed under
+    negation.  Conversely let N = -N and M = m*m*t.  The edge (x, x + v),
+    v in +-R, goes to an edge with difference
+    v + (((x + v) mod m) - (x mod m))*t*m.  When m | v this is
+    v = theta_t(v); otherwise it is theta_t(v) or theta_t(v) - M, and
+    theta_t(-v) = -v + (m - v mod m)*t*m = M - theta_t(v), so
+    theta_t(v) - M = -theta_t(-v) lies in -N = N.  Every image edge is
+    thus an edge of C_n(fold N), which has n*|N|/2 = n*|+-R|/2 edges, as
+    many as C_n(R) and so as the image: the image is all of C_n(fold N).
 
-    Vertex 0 is fixed, so its image neighborhood is the mapped closure of
-    R; when that is not closed under negation the step is NS at once.  A
-    symmetric neighborhood whose step fails the count test is NS with
-    symmetry_mismatch set.  A sweep revisits each image once per period
-    of the image sequence, so each distinct image is built and validated
-    as a JumpSet once, and its multiplier witnesses are looked up once,
-    from type1.witness_lookup(g), which pins one jump of g and tries at
-    most 2*|S|*gcd(r0, n) units.
+    A step therefore costs O(|R|).  A sweep revisits each image once per
+    period of the image sequence, so each distinct image is built and
+    validated as a JumpSet once, and its multiplier witnesses are looked
+    up once, from type1.witness_lookup(g), which pins one jump of g and
+    tries at most 2*|S|*gcd(r0, n) units.
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
-    # (v, v's shift per unit step) for the closure, and (j, the shift of
-    # the difference of (x, x + j) per unit step) for each residue r of x
+    steps = _sweep_length(n, m)
+    # (v, v's shift per unit step) for each v of the closure
     closure = tuple((v, v % m * m) for v in symmetric_closure(g).values)
-    shifts = tuple((j, ((r + j) % m - r) * m) for r in range(m) for j in g.jumps)
-    base_edges = _edge_count(n, g.jumps)
     anchored = len(g.r) >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in g.jumps)
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[JumpSet, tuple[int, ...]]] = {}
     lookup = None
-    steps = None
     rows = []
     for t in t_values:
-        if steps is None:
-            steps = _sweep_length(n, m)
         _check_step(t, steps)
         nbrs = {(v + s * t) % n for v, s in closure}
+        if len(nbrs) != len(closure):
+            raise VerificationFailure(
+                f"step t={t} of {g} sent {len(closure)} neighbours of 0 "
+                f"to {len(nbrs)}"
+            )
         if any((n - v) % n not in nbrs for v in nbrs):
             rows.append(TClassification(t, Verdict.NON_CIRCULANT))
             continue
-        folded = set()
-        for j, s in shifts:
-            d = (j + s * t) % n
-            folded.add(d if 2 * d <= n else n - d)
-        edges = _edge_count(n, folded)
-        if edges != base_edges:
-            if edges < base_edges:
-                raise VerificationFailure(
-                    f"step t={t} of {g}: C_{n}{tuple(sorted(folded))} has "
-                    f"{edges} edges, fewer than the image's {base_edges}"
-                )
-            rows.append(
-                TClassification(t, Verdict.NON_CIRCULANT, symmetry_mismatch=True)
-            )
-            continue
-        key = tuple(sorted(folded))
+        key = tuple(sorted(v for v in nbrs if 2 * v <= n))
         if key == g.jumps:
             rows.append(TClassification(t, Verdict.IDENTITY, image=g.r))
             continue
@@ -314,7 +287,9 @@ def classification_table(
     so columns line up across rows.
     """
     closure = sorted(symmetric_closure(g).values)
-    rows = classify_steps(n, m, g, range(n // m) if t_values is None else t_values)
+    if t_values is None:
+        t_values = range(_sweep_length(n, m))
+    rows = classify_steps(n, m, g, t_values)
     table = []
     for row in rows:
         p = ThetaParams(n, m, row.t)

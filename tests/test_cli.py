@@ -147,6 +147,11 @@ def test_table_honours_step_selection(capsys):
         ["table", "--n", "54", "--m", "3", "--set", "2,3,16,20", "--t", "0..3"],
     )
     assert [row["t"] for row in d["result"]["rows"]] == [0, 1, 2, 3]
+    d = run_json(
+        capsys,
+        ["table", "--n", "54", "--m", "3", "--set", "2,3,16,20", "--t", "5..3"],
+    )
+    assert d["inputs"]["t"] == [] and d["result"]["rows"] == []
 
 
 def test_family_envelope_includes_verification(capsys):
@@ -252,6 +257,15 @@ def test_exit_code_for_inadmissible_parameters(capsys):
         capsys, ["iso", "--n", "16", "--a", "1,2,7", "--b", "2,3,5", "--m", "4"]
     )
     assert code == 3
+    # table checks (n, m) before its first step, even when there is none
+    for argv, reason in (
+        (["--m", "0"], "MTooSmall"),
+        (["--m", "-2"], "MTooSmall"),
+        (["--m", "3", "--t", "5..3"], "NoDivisorCubed"),
+    ):
+        code, out, err = run(capsys, ["table", "--n", "16", "--set", "1,2"] + argv)
+        assert (code, out) == (3, ""), argv
+        assert reason in err, argv
 
 
 def test_exit_code_for_degenerate_families(capsys):

@@ -117,6 +117,27 @@ def test_m7_smallest_instance_verifies():
 def test_general_variants_reduce_to_their_bases():
     assert family_m5_general(1, (1,)).sets == family_m5(1).sets
     assert family_m7_general(1, (1,)).sets == family_m7(1).sets
+    for n in (1, 2, 3):
+        assert family_m5(n) == family_general_p(5, n, 1, 0)
+        assert family_m7(n) == family_general_p(7, n, 1, 0)
+    # each *_general variant is its base with the anchor m swapped for m*p_i
+    cases = [
+        (family_m2_general(5, 2, (3,), 3), family_m2(5, 2), (3,)),
+        (family_m2_general(6, 1, (1, 5), 5), family_m2(6, 1), (1, 5)),
+        (family_m3_general(2, (2,)), family_m3(2), (2,)),
+        (family_m3_general(3, (4, 9)), family_m3(3), (4, 9)),
+        (family_m5_general(2, (3,)), family_m5(2), (3,)),
+        (family_m7_general(1, (2, 3)), family_m7(1), (2, 3)),
+    ]
+    for general, base, p_list in cases:
+        extra = [base.m * p for p in p_list]
+        sets = tuple(
+            make_circulant(base.order, [j for j in s if j % base.m] + extra).r
+            for s in base.sets
+        )
+        assert general == FamilyInstance(
+            base.order, base.m, sets, base.relations, FamilyClaim.TYPE1_OR_TYPE2
+        )
     scaled = family_m5_general(1, (2,))
     assert scaled.sets[0].jumps == (1, 10, 24, 26, 49, 51)
     v = family_verify(scaled)

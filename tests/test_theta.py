@@ -1,6 +1,7 @@
 """Block-shift vertex maps, their images, and per-step classification."""
 
 import itertools
+import random
 
 import pytest
 
@@ -198,10 +199,11 @@ def _reference_step(p, g):
     n = p.n
     image = theta_image(p, g)
     nbrs = {b for a, b in image.edges if a == 0} | {a for a, b in image.edges if b == 0}
-    symmetric = all((n - v) % n in nbrs for v in nbrs)
     jumps = detect_circulant(image)
     if jumps is None:
-        return TClassification(p.t, Verdict.NON_CIRCULANT, symmetry_mismatch=symmetric)
+        # lemma A: a non-circulant image never has a symmetric 0-neighbourhood
+        assert any((n - v) % n not in nbrs for v in nbrs), (p, g)
+        return TClassification(p.t, Verdict.NON_CIRCULANT)
     if jumps == g.r:
         return TClassification(p.t, Verdict.IDENTITY, image=jumps)
     wits = tuple(sorted(type1_witnesses(g, CirculantGraph(n, jumps))))
@@ -214,21 +216,50 @@ def _reference_step(p, g):
     return TClassification(p.t, verdict, image=jumps, witnesses=wits)
 
 
-def test_sweep_kernel_matches_the_edge_set_reference():
-    seen = set()
+def _anchored_base(rng, n, m, coset):
+    """3-8 jumps, one divisible by m.
+
+    A coset base adds to its anchor one coset d + <m*m*t0>, so its images
+    are circulant at the multiples of t0; at even n its anchor is the half
+    jump n/2, which folds onto itself.  Other bases are drawn at random.
+    """
+    while True:
+        if coset:
+            anchor = n // 2 if n % (2 * m) == 0 else m * rng.randint(1, n // (2 * m))
+            d = rng.choice([x for x in range(1, n) if x % m])
+            step = m * m * rng.randrange(1, n // m)
+            values = [anchor] + [(d + k * step) % n for k in range(8)]
+        else:
+            values = [m * rng.randint(1, n // (2 * m))]
+            values += rng.sample(range(1, n // 2 + 1), rng.randint(2, 7))
+        g = make_circulant(n, values)
+        if 3 <= len(g.jumps) <= 8:
+            return g
+
+
+def _reference_bases():
+    """Every set of 1-3 jumps at orders 16-32, then seeded anchored bases
+    at the orders the benchmark sweeps (m = 5 and 7)."""
     for n, m in ((16, 2), (24, 2), (27, 3), (32, 2)):
         for k in (1, 2, 3):
             for combo in itertools.combinations(range(1, n // 2 + 1), k):
-                g = CirculantGraph(n, JumpSet(n, combo))
-                rows = classify_steps(n, m, g, range(n // m))
-                assert [row.t for row in rows] == list(range(n // m))
-                for row in rows:
-                    expected = _reference_step(ThetaParams(n, m, row.t), g)
-                    assert row == expected, (n, m, combo)
-                    seen.add(row.verdict)
-    # Unclassified never occurs in this range, and neither does a symmetry
-    # mismatch (nor in any sweep tried up to order 432), so that field
-    # compares False with False
+                yield n, m, CirculantGraph(n, JumpSet(n, combo))
+    rng = random.Random(20261018)
+    for n, m in ((250, 5), (343, 7), (686, 7)):
+        for coset in (False, False, True, True):
+            yield n, m, _anchored_base(rng, n, m, coset)
+
+
+def test_sweep_kernel_matches_the_edge_set_reference():
+    seen = set()
+    for n, m, g in _reference_bases():
+        rows = classify_steps(n, m, g, range(n // m))
+        assert [row.t for row in rows] == list(range(n // m))
+        for row in rows:
+            expected = _reference_step(ThetaParams(n, m, row.t), g)
+            assert row == expected, (n, m, g.jumps)
+            seen.add(row.verdict)
+    # Unclassified never occurs in these bases
     assert seen == set(Verdict) - {Verdict.UNCLASSIFIED}
 
 
