@@ -2,8 +2,9 @@
 
 JSON envelopes on stdout are the contract: fixed key order, sorted sets,
 byte-identical across runs for the same inputs.  Table and csv formats are
-projections of the same data.  Findings (empirical anomalies worth a look,
-never errors) go to stderr.
+projections of the same data.  Every envelope keeps its "findings" key,
+which is always empty: each check either passes or fails with an exit
+code, and errors go to stderr as "error: ...".
 
 Exit codes: 0 success, 2 invalid input, 3 invalid rotation parameters,
 4 invalid family parameters, 5 verification failure, 6 budget exceeded.
@@ -48,7 +49,7 @@ from .oracle import (
     gcd_signature_check,
     same_spectrum,
 )
-from .theta import Verdict, check_theta_params, classification_table
+from .theta import Verdict, check_theta_params, classification_table, theta_reasons
 from .type1 import type1_group, type1_set, type1_witnesses
 
 BUDGET_ENV = "CIRCULANT_CENSUS_BUDGET"
@@ -97,9 +98,6 @@ def _parse_t_range(text: str) -> list[int]:
 
 
 def _emit(args, envelope: dict, rows=None) -> None:
-    findings = envelope.get("findings", [])
-    for note in findings:
-        print(f"finding: {note}", file=sys.stderr)
     if args.format == "json":
         text = json.dumps(envelope, indent=2)
     elif args.format == "csv":
@@ -203,7 +201,7 @@ def cmd_t2set(args) -> int:
             "graph_period": s.vset.graph_period,
             "group": _orbit_group_json(group),
         },
-        "findings": list(s.vset.findings),
+        "findings": [],
     }
     _emit(args, envelope, [_graph_json(x) for x in s.members])
     return 0
@@ -235,7 +233,7 @@ def cmd_vset(args) -> int:
                 "order": group.order,
             },
         },
-        "findings": list(v.findings),
+        "findings": [],
     }
     _emit(args, envelope, rows)
     return 0
@@ -351,18 +349,16 @@ def cmd_iso(args) -> int:
         result["relation"] = "type1"
         result["multipliers"] = wits
         return _finish_iso(args, result)
-    m_candidates = (
-        [args.m] if args.m else list(check_theta_params(args.n, 2, g.r).admissible_m)
-    )
+    if args.m is None:
+        m_candidates = check_theta_params(args.n, 2, g.r).admissible_m
+    else:
+        reasons = theta_reasons(args.n, args.m, g.r)
+        if reasons:
+            raise InvalidThetaParams(
+                f"(n={args.n}, m={args.m}) inadmissible: {', '.join(reasons)}", reasons
+            )
+        m_candidates = (args.m,)
     for m in m_candidates:
-        validity = check_theta_params(args.n, m, g.r)
-        if not validity.valid:
-            if args.m:
-                raise InvalidThetaParams(
-                    f"(n={args.n}, m={m}) inadmissible: {', '.join(validity.reasons)}",
-                    validity.reasons,
-                )
-            continue
         steps = [
             row.t
             for row in t2_set(args.n, m, g).vset.rows

@@ -3,8 +3,9 @@
 Each generator emits a family instance: an ordered list of jump sets on a
 common order n = (something) * m^3, together with the rotation steps that
 are claimed to map each set onto the next.  family_verify re-derives every
-claimed relation from scratch and computes the Type-2 set and group of the
-family, so generator bugs cannot slip through as silent claims.
+claimed relation via the verifier (oracle.verify_theta_witness, edge by
+edge) and computes the Type-2 set and group of the family, so generator
+bugs cannot slip through as silent claims.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .errors import (
     VerificationFailure,
 )
 from .groups import t2_group, t2_set
-from .theta import ThetaParams, detect_circulant, theta_image
+from .oracle import verify_theta_witness
+from .theta import ThetaParams
 from .type1 import type1_witnesses
 
 
@@ -247,20 +249,17 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
     """Re-derive every claim of a family instance from scratch.
 
     Checks, in order: every declared rotation relation maps its source
-    onto its target exactly; pairwise multiplier witnesses decide the
-    type1/type2 resolution; for a type2 resolution, the Type-2 set of the
-    first member is exactly the family and its group order is the family
-    size.  Any failed check raises VerificationFailure.
+    onto its target exactly, confirmed edge by edge by
+    oracle.verify_theta_witness, whose failure names t and both graphs;
+    pairwise multiplier witnesses decide the type1/type2 resolution; for a
+    type2 resolution, the Type-2 set of the first member is exactly the
+    family and its group order is the family size.  Any failed check
+    raises VerificationFailure.
     """
     graphs = instance.graphs
     for rel in instance.relations:
         params = ThetaParams(instance.order, instance.m, rel.t % (instance.order // instance.m))
-        image = detect_circulant(theta_image(params, graphs[rel.source]))
-        if image != instance.sets[rel.target]:
-            raise VerificationFailure(
-                f"theta at t={rel.t} maps member {rel.source} to "
-                f"{tuple(image) if image else None}, not member {rel.target}"
-            )
+        verify_theta_witness(params, graphs[rel.source], graphs[rel.target])
     pairs: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):

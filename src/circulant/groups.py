@@ -22,15 +22,7 @@ from .errors import (
     SubgroupViolation,
     VerificationFailure,
 )
-from .theta import (
-    LabeledGraph,
-    TClassification,
-    ThetaParams,
-    Verdict,
-    classify_steps,
-    theta_image,
-    theta_reasons,
-)
+from .theta import TClassification, Verdict, _sweep_length, classify_steps, theta_reasons
 from .type1 import units
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
@@ -44,11 +36,9 @@ SweepOrbits = dict[tuple[int, ...], tuple[tuple[TClassification, ...], int]]
 class VSet:
     """Full rotation sweep of a base graph.
 
-    rows[t] classifies the image at step t; raw labeled images are pure
-    functions of (t, base) and are recomputed on demand via raw_image.
-    graph_period is the smallest positive t whose image equals the base
-    again, or n/m when none does.  findings collects empirical anomalies
-    (identity steps off the multiples of the period) without failing.
+    rows[t] classifies the image at step t.  graph_period is the smallest
+    positive t whose image equals the base again, or n/m when none does;
+    the Identity steps are exactly its multiples, which v_set checks.
     """
 
     base: CirculantGraph
@@ -56,14 +46,10 @@ class VSet:
     rows: tuple[TClassification, ...]
     distinct: tuple[CirculantGraph, ...]
     graph_period: int
-    findings: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
         return self.base.n
-
-    def raw_image(self, t: int) -> LabeledGraph:
-        return theta_image(ThetaParams(self.n, self.m, t), self.base)
 
 
 @dataclass
@@ -201,13 +187,14 @@ def v_set(
     distinct = tuple(CirculantGraph(n, image) for image in images)
 
     period = next((t for t in range(1, steps) if rows[t].verdict == Verdict.IDENTITY), steps)
-    findings = []
-    identity_ts = {row.t for row in rows if row.verdict == Verdict.IDENTITY}
-    if identity_ts != set(range(0, steps, period)):
-        findings.append(
-            f"identity steps {sorted(identity_ts)} are not the multiples of {period}"
+    # theta composes additively in t, so the steps fixing g are a subgroup
+    # of Z_{n/m}: the multiples of its least positive element
+    identity_ts = [row.t for row in rows if row.verdict == Verdict.IDENTITY]
+    if identity_ts != list(range(0, steps, period)):
+        raise VerificationFailure(
+            f"identity steps {identity_ts} of {g} are not the multiples of {period}"
         )
-    return VSet(g, m, rows, distinct, period, tuple(findings))
+    return VSet(g, m, rows, distinct, period)
 
 
 def _multiply(n: int, u: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
@@ -417,10 +404,7 @@ def census(
     still gets its own t2_set, with v_set's step-0 and period checks.
     """
     sizes = tuple(sorted(set(sizes)))
-    if m < 2 or n % (m ** 3) != 0:
-        raise InvalidThetaParams(
-            f"(n={n}, m={m}) fails m > 1 with m^3 | n", ()
-        )
+    _sweep_length(n, m)  # raises InvalidThetaParams naming each reason
     half = n // 2
     space = sum(comb(half, k) for k in sizes if k <= half)
     if space > budget:

@@ -8,9 +8,11 @@ composes additively in t, and edges along jumps divisible by m are fixed.
 Applying the map to a circulant graph gives a labeled graph that may or
 may not be circulant again; when it is, the image's relation to the base
 graph is classified per step t.  classify_steps does this for a whole
-sweep from vertex 0's image neighbourhood alone, O(|R|) per step;
-theta_image and detect_circulant build the image edge set and are the
-independent slow path.
+sweep from vertex 0's image neighbourhood alone, O(|R|) per step.
+theta_image and detect_circulant build the whole image edge set.  No
+library module calls them: they are the reference the tests compare
+classify_steps against.  The library's one edge-level check of a rotation
+is oracle.verify_theta_witness.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class ThetaValidity:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A plain labeled graph on Z_n, edges as (low, high) pairs."""
+    """A labeled graph on Z_n, edges as (low, high) pairs; test reference."""
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -158,8 +160,8 @@ def theta_vertex(p: ThetaParams, x: int) -> int:
 def theta_image(p: ThetaParams, g: CirculantGraph) -> LabeledGraph:
     """Push the whole edge set of g through the vertex map.
 
-    This is the slow, independent path: family_verify's relation replay and
-    VSet.raw_image use it, and it is the reference for classify_steps.
+    The slow, independent test reference for classify_steps; the library
+    certifies a rotation with oracle.verify_theta_witness instead.
     """
     if p.n != g.n:
         raise OrderMismatch(f"params are for order {p.n}, graph has {g.n}")
@@ -182,8 +184,9 @@ def detect_circulant(h: LabeledGraph) -> JumpSet | None:
     The candidate directed set is vertex 0's neighborhood.  If it is not
     closed under v -> n - v the graph cannot be circulant; otherwise the
     graph of the folded candidate is built and compared with h edge for
-    edge.  This works for any labeled graph, at O(n * |R|) cost; rotation
-    images are classified faster by classify_steps.
+    edge.  This works for any labeled graph, at O(n * |R|) cost; it is
+    the tests' reference, and rotation images are classified by
+    classify_steps.
     """
     n = h.n
     nbrs = {b for a, b in h.edges if a == 0} | {a for a, b in h.edges if b == 0}

@@ -253,10 +253,16 @@ def test_exit_code_for_inadmissible_parameters(capsys):
     code, _, err = run(capsys, ["t2set", "--n", "12", "--m", "2", "--set", "1,2,7"])
     assert code == 3
     assert "NoDivisorCubed" in err
-    code, _, err = run(
-        capsys, ["iso", "--n", "16", "--a", "1,2,7", "--b", "2,3,5", "--m", "4"]
-    )
-    assert code == 3
+    # an explicit --m is checked, 0 included, before any rotation step
+    for m, reason in (("4", "NoDivisorCubed"), ("0", "MTooSmall")):
+        code, out, err = run(
+            capsys, ["iso", "--n", "16", "--a", "1,2,7", "--b", "2,3,5", "--m", m]
+        )
+        assert (code, out) == (3, ""), m
+        assert reason in err, m
+    code, out, err = run(capsys, ["census", "--n", "16", "--m", "3", "--sizes", "3"])
+    assert (code, out) == (3, "")
+    assert "NoDivisorCubed" in err
     # table checks (n, m) before its first step, even when there is none
     for argv, reason in (
         (["--m", "0"], "MTooSmall"),

@@ -231,3 +231,23 @@ def test_no_module_relies_on_assert():
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def test_edge_set_reference_stays_out_of_the_library():
+    # theta_image, detect_circulant and LabeledGraph are the tests' slow
+    # reference; the library's one edge-level check is verify_theta_witness
+    reference = {"theta_image", "detect_circulant", "LabeledGraph"}
+    package = Path(__file__).resolve().parent.parent / "src" / "circulant"
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("theta.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        assert not named & reference, (path.name, sorted(named & reference))

@@ -23,6 +23,7 @@ from circulant.families import (
     family_m7_general,
     family_verify,
 )
+from circulant.theta import ThetaParams, Verdict, classify_t
 from golden import SEVEN_SETS
 
 
@@ -197,12 +198,21 @@ def test_instance_rejects_mismatched_gcd_signatures():
 
 
 def test_verify_catches_a_tampered_relation():
-    m3 = family_m3(1)
-    tampered = FamilyInstance(
-        27, 3, m3.sets, (ThetaRelation(1, 0, 2),), FamilyClaim.TYPE2
-    )
-    with pytest.raises(VerificationFailure):
-        family_verify(tampered)
+    p7 = family_general_p(7, 2, 3, 2)
+    step = classify_t(ThetaParams(p7.order, p7.m, 1), p7.graphs[0])
+    assert step.verdict is Verdict.NON_CIRCULANT
+    cases = [
+        # member 0's image at t = 1 is member 1, not member 2
+        (family_m3(1), ThetaRelation(1, 0, 2)),
+        # member 0's image at t = 1 is not circulant at all
+        (p7, ThetaRelation(1, 0, 1)),
+    ]
+    for honest, relation in cases:
+        tampered = FamilyInstance(
+            honest.order, honest.m, honest.sets, (relation,), FamilyClaim.TYPE2
+        )
+        with pytest.raises(VerificationFailure, match=rf"\bt={relation.t}\b"):
+            family_verify(tampered)
 
 
 def test_verify_catches_an_overreaching_claim():

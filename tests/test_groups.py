@@ -5,9 +5,9 @@ import itertools
 import pytest
 
 import circulant.groups
-from circulant import edge_set, make_circulant
+from circulant import make_circulant
 from circulant.core import CirculantGraph, JumpSet
-from circulant.errors import BudgetExceeded, InvalidThetaParams
+from circulant.errors import BudgetExceeded, InvalidThetaParams, VerificationFailure
 from circulant.groups import (
     appended_jump_check,
     census,
@@ -17,7 +17,7 @@ from circulant.groups import (
     v_group,
     v_set,
 )
-from circulant.theta import Verdict, classify_steps
+from circulant.theta import TClassification, Verdict, classify_steps
 from circulant.type1 import phi_apply, type1_set, units
 
 
@@ -33,8 +33,20 @@ def test_vset_of_the_order54_base():
         (3, 8, 10, 26),
     ]
     assert vs.rows[0].verdict is Verdict.IDENTITY
-    assert vs.findings == ()
-    assert vs.raw_image(0).edges == edge_set(g)
+
+
+def test_vset_rejects_identity_steps_off_the_period(monkeypatch):
+    original = circulant.groups.classify_steps
+
+    def stray(n, m, g, t_values):
+        rows = list(original(n, m, g, t_values))
+        rows[7] = TClassification(7, Verdict.IDENTITY, image=g.r)
+        return tuple(rows)
+
+    monkeypatch.setattr(circulant.groups, "classify_steps", stray)
+    # the period of this sweep is 6, so an Identity step at 7 is impossible
+    with pytest.raises(VerificationFailure, match="not the multiples of 6"):
+        v_set(54, 3, make_circulant(54, [2, 3, 16, 20]))
 
 
 def test_vset_of_the_order81_base():
@@ -210,8 +222,11 @@ def test_census_jump_predicate_prunes_the_space():
 
 
 def test_census_rejects_inadmissible_parameters():
-    with pytest.raises(InvalidThetaParams):
-        census(12, 2, [3])
+    cases = ((12, 2, "NoDivisorCubed"), (16, 3, "NoDivisorCubed"), (16, 1, "MTooSmall"))
+    for n, m, reason in cases:
+        with pytest.raises(InvalidThetaParams, match=reason) as info:
+            census(n, m, [3])
+        assert info.value.reasons == (reason,)
 
 
 def test_census_builds_each_multiplier_orbit_once(monkeypatch):
