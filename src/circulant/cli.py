@@ -8,6 +8,9 @@ code, and errors go to stderr as "error: ...".
 
 Exit codes: 0 success, 2 invalid input, 3 invalid rotation parameters,
 4 invalid family parameters, 5 verification failure, 6 budget exceeded.
+Each subcommand checks its parameters before it answers: iso checks an
+explicit --m before comparing the graphs, family names a flag its kind
+needs and lacks, and census checks n and (n, m) before its budget.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from .core import CirculantGraph, make_circulant, symmetric_closure
@@ -49,10 +51,21 @@ from .oracle import (
     gcd_signature_check,
     same_spectrum,
 )
-from .theta import Verdict, check_theta_params, classification_table, theta_reasons
+from .theta import Verdict, admissible_m, classification_table, sweep_length
 from .type1 import type1_group, type1_set, type1_witnesses
 
-BUDGET_ENV = "CIRCULANT_CENSUS_BUDGET"
+# family kind -> (generator, the flags it needs, in its argument order)
+_FAMILY_KINDS = {
+    "m2": (family_m2, ("n", "s")),
+    "m2-general": (family_m2_general, ("n", "s", "p-list", "y")),
+    "m3": (family_m3, ("n",)),
+    "m3-general": (family_m3_general, ("n", "p-list")),
+    "m5": (family_m5, ("n",)),
+    "m5-general": (family_m5_general, ("n", "p-list")),
+    "m7": (family_m7, ("n",)),
+    "m7-general": (family_m7_general, ("n", "p-list")),
+    "general-p": (family_general_p, ("p", "n", "x", "y")),
+}
 
 _DISPLAY = {
     Verdict.NON_CIRCULANT: "NS",
@@ -246,7 +259,7 @@ def cmd_table(args) -> int:
     )
     # one row per requested step, in the order asked
     t_values = [entry.t for entry in table]
-    closure = sorted(symmetric_closure(g).values)
+    closure = sorted(symmetric_closure(g))
     rows = []
     for entry in table:
         cls = entry.classification
@@ -288,27 +301,19 @@ def cmd_family(args) -> int:
 
 
 def _build_family(args) -> FamilyInstance:
-    kind = args.kind
-    p_list = tuple(_parse_jumps(args.p_list)) if args.p_list else ()
-    if kind == "m2":
-        return family_m2(args.family_n, args.s)
-    if kind == "m2-general":
-        return family_m2_general(args.family_n, args.s, p_list, args.y)
-    if kind == "m3":
-        return family_m3(args.family_n)
-    if kind == "m3-general":
-        return family_m3_general(args.family_n, p_list)
-    if kind == "m5":
-        return family_m5(args.family_n)
-    if kind == "m5-general":
-        return family_m5_general(args.family_n, p_list)
-    if kind == "m7":
-        return family_m7(args.family_n)
-    if kind == "m7-general":
-        return family_m7_general(args.family_n, p_list)
-    if kind == "general-p":
-        return family_general_p(args.p, args.family_n, args.x, args.y)
-    raise InvalidFamilyParams(f"unknown family kind {kind!r}")
+    generator, flags = _FAMILY_KINDS[args.kind]
+    values = {
+        "n": args.family_n,
+        "s": args.s,
+        "p": args.p,
+        "x": args.x,
+        "y": args.y,
+        "p-list": None if args.p_list is None else tuple(_parse_jumps(args.p_list)),
+    }
+    missing = [f"--{flag}" for flag in flags if values[flag] is None]
+    if missing:
+        raise InvalidFamilyParams(f"family kind {args.kind} needs {', '.join(missing)}")
+    return generator(*(values[flag] for flag in flags))
 
 
 def _family_inputs(args) -> dict:
@@ -340,6 +345,8 @@ def _family_json(instance: FamilyInstance, verification: FamilyVerification) -> 
 def cmd_iso(args) -> int:
     g = make_circulant(args.n, _parse_jumps(args.a))
     h = make_circulant(args.n, _parse_jumps(args.b))
+    if args.m is not None:
+        sweep_length(args.n, args.m, g.r)
     result: dict = {"a": _graph_json(g), "b": _graph_json(h)}
     if g == h:
         result["relation"] = "equal"
@@ -349,16 +356,7 @@ def cmd_iso(args) -> int:
         result["relation"] = "type1"
         result["multipliers"] = wits
         return _finish_iso(args, result)
-    if args.m is None:
-        m_candidates = check_theta_params(args.n, 2, g.r).admissible_m
-    else:
-        reasons = theta_reasons(args.n, args.m, g.r)
-        if reasons:
-            raise InvalidThetaParams(
-                f"(n={args.n}, m={args.m}) inadmissible: {', '.join(reasons)}", reasons
-            )
-        m_candidates = (args.m,)
-    for m in m_candidates:
+    for m in admissible_m(g.r) if args.m is None else (args.m,):
         steps = [
             row.t
             for row in t2_set(args.n, m, g).vset.rows
@@ -400,7 +398,7 @@ def _finish_iso(args, result: dict) -> int:
 
 def cmd_census(args) -> int:
     sizes = _parse_t_range(args.sizes)
-    result = census(args.n, args.m, sizes, budget=_census_budget(args))
+    result = census(args.n, args.m, sizes, budget=args.budget)
     lines = []
     for record in result.records:
         lines.append(
@@ -444,19 +442,6 @@ def cmd_census(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _census_budget(args) -> int:
-    """--budget, else the environment variable, else the library default."""
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_CENSUS_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise CirculantError(f"{BUDGET_ENV}={raw!r} is not an integer") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,10 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("family", help="generate and verify a parametric family")
-    p.add_argument("--kind", required=True, choices=(
-        "m2", "m2-general", "m3", "m3-general", "m5", "m5-general",
-        "m7", "m7-general", "general-p",
-    ))
+    p.add_argument("--kind", required=True, choices=tuple(_FAMILY_KINDS))
     p.add_argument("--n", dest="family_n", type=int, required=True, help="family parameter n")
     p.add_argument("--s", type=int, help="odd-jump parameter for m2 kinds")
     p.add_argument("--p", type=int, help="odd prime for general-p")
@@ -534,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        help=f"maximum number of candidate sets (default: ${BUDGET_ENV}, "
-        f"else {DEFAULT_CENSUS_BUDGET})",
+        default=DEFAULT_CENSUS_BUDGET,
+        help="maximum number of candidate sets (default: %(default)s)",
     )
     common(p)
     p.set_defaults(func=cmd_census)

@@ -15,6 +15,12 @@ from typing import Iterable
 from .errors import EmptyConnectionSet, InvalidJump, VerificationFailure
 
 
+def check_order(n: int) -> None:
+    """Raise InvalidJump unless n is the order of some graph, i.e. n >= 3."""
+    if n < 3:
+        raise InvalidJump(f"graph order must be at least 3, got {n}")
+
+
 @dataclass(frozen=True, order=True)
 class JumpSet:
     """Canonical connection set: sorted, distinct, folded into [1, n//2]."""
@@ -23,8 +29,7 @@ class JumpSet:
     jumps: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise InvalidJump(f"graph order must be at least 3, got {self.n}")
+        check_order(self.n)
         if not self.jumps:
             raise EmptyConnectionSet("connection set is empty")
         prev = 0
@@ -62,14 +67,6 @@ class CirculantGraph:
 
 
 @dataclass(frozen=True)
-class DirectedJumpSet:
-    """Symmetric closure of a jump set: every jump together with its negation."""
-
-    n: int
-    values: frozenset[int]
-
-
-@dataclass(frozen=True)
 class CycleStats:
     """Cycle decomposition of the edges contributed by a single jump."""
 
@@ -86,8 +83,7 @@ def reflexive_reduce(n: int, raw: Iterable[int]) -> JumpSet:
     negation n - v, duplicates collapse, and the result is sorted.  A value
     congruent to 0 would be a loop and is rejected.
     """
-    if n < 3:
-        raise InvalidJump(f"graph order must be at least 3, got {n}")
+    check_order(n)
     values = list(raw)
     if not values:
         raise EmptyConnectionSet("connection set is empty")
@@ -107,13 +103,13 @@ def make_circulant(n: int, raw: Iterable[int]) -> CirculantGraph:
     return CirculantGraph(n, reflexive_reduce(n, raw))
 
 
-def symmetric_closure(g: CirculantGraph) -> DirectedJumpSet:
+def symmetric_closure(g: CirculantGraph) -> frozenset[int]:
     """All directed jump values of g: each jump j yields j and n - j."""
     values = set()
     for j in g.jumps:
         values.add(j)
         values.add(g.n - j)
-    return DirectedJumpSet(g.n, frozenset(values))
+    return frozenset(values)
 
 
 def edge_set(g: CirculantGraph) -> frozenset[tuple[int, int]]:
@@ -133,8 +129,7 @@ def period_cycle_stats(n: int, jump: int) -> CycleStats:
     Jump j splits the vertices into gcd(n, j) cycles, each of length
     n / gcd(n, j).
     """
-    if n < 3:
-        raise InvalidJump(f"graph order must be at least 3, got {n}")
+    check_order(n)
     if not 1 <= jump <= n - 1:
         raise InvalidJump(f"jump {jump} outside [1, {n - 1}] for order {n}")
     g = gcd(n, jump)

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .groups import t2_group, t2_set
 from .oracle import verify_theta_witness
-from .theta import ThetaParams
+from .theta import ThetaParams, theta_reasons
 from .type1 import type1_witnesses
 
 
@@ -56,11 +56,13 @@ class FamilyInstance:
         signatures = {tuple(sorted(gcd(self.order, j) for j in s)) for s in self.sets}
         if len(signatures) != 1:
             raise InvalidFamilyParams("gcd signatures differ across members")
-        if self.order % (self.m ** 3) != 0:
-            raise InvalidFamilyParams(f"{self.m}^3 does not divide {self.order}")
         for s in self.sets:
-            if not any(j % self.m == 0 for j in s):
-                raise InvalidFamilyParams(f"{tuple(s)} has no jump divisible by {self.m}")
+            reasons = theta_reasons(self.order, self.m, s)
+            if reasons:
+                raise InvalidFamilyParams(
+                    f"member {s.jumps} of order {self.order} inadmissible for m={self.m}: "
+                    f"{', '.join(reasons)}"
+                )
 
     @property
     def graphs(self) -> tuple[CirculantGraph, ...]:

@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
 
-from .core import CirculantGraph, JumpSet, check_abelian_group, check_equal_or_disjoint
-from .errors import (
-    BudgetExceeded,
-    InvalidThetaParams,
-    OrderMismatch,
-    SubgroupViolation,
-    VerificationFailure,
+from .core import (
+    CirculantGraph,
+    JumpSet,
+    check_abelian_group,
+    check_equal_or_disjoint,
+    check_order,
 )
-from .theta import TClassification, Verdict, _sweep_length, classify_steps, theta_reasons
+from .errors import BudgetExceeded, OrderMismatch, SubgroupViolation, VerificationFailure
+from .theta import TClassification, Verdict, classify_steps, sweep_length, theta_reasons
 from .type1 import units
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
@@ -170,12 +170,7 @@ def v_set(
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
-    reasons = theta_reasons(n, m, g.r)
-    if reasons:
-        raise InvalidThetaParams(
-            f"(n={n}, m={m}) inadmissible for {g}: {', '.join(reasons)}", reasons
-        )
-    steps = n // m
+    steps = sweep_length(n, m, g.r)
     if orbits is None:
         rows = classify_steps(n, m, g, range(steps))
     else:
@@ -210,7 +205,7 @@ def _orbit_rows(
     known = orbits.get(g.jumps)
     if known is None:
         rows = classify_steps(n, m, g, range(n // m))
-        for u in units(n).units:
+        for u in units(n):
             orbits.setdefault(_multiply(n, u, g.jumps), (rows, u))
         return rows
     rows, u = known
@@ -357,8 +352,11 @@ def appended_jump_check(
     """
     if base.n != n:
         return AppendedJumpReport(False, f"base has order {base.n}, not {n}")
-    if m < 2 or n % (m ** 3) != 0:
-        return AppendedJumpReport(False, f"(n={n}, m={m}) fails m > 1 with m^3 | n")
+    reasons = theta_reasons(n, m)
+    if reasons:
+        return AppendedJumpReport(
+            False, f"(n={n}, m={m}) fails m > 1 with m^3 | n: {', '.join(reasons)}"
+        )
     folded = min(jump % n, (n - jump) % n)
     if folded % m != 0 or folded == 0:
         return AppendedJumpReport(False, f"appended jump {jump} is not divisible by {m}")
@@ -404,7 +402,8 @@ def census(
     still gets its own t2_set, with v_set's step-0 and period checks.
     """
     sizes = tuple(sorted(set(sizes)))
-    _sweep_length(n, m)  # raises InvalidThetaParams naming each reason
+    check_order(n)
+    sweep_length(n, m)
     half = n // 2
     space = sum(comb(half, k) for k in sizes if k <= half)
     if space > budget:

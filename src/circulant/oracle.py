@@ -61,7 +61,7 @@ def spectral_fingerprint(g: CirculantGraph, digits: int = SPECTRAL_DIGITS) -> tu
     isomorphic graphs agree, so a mismatch refutes isomorphism while a
     match proves nothing.
     """
-    closure = np.array(sorted(symmetric_closure(g).values))
+    closure = np.array(sorted(symmetric_closure(g)))
     j = np.arange(g.n).reshape(-1, 1)
     eigs = np.cos(2.0 * np.pi * j * closure / g.n).sum(axis=1)
     return tuple(sorted(round(float(v), digits) + 0.0 for v in eigs))

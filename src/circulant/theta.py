@@ -13,6 +13,10 @@ theta_image and detect_circulant build the whole image edge set.  No
 library module calls them: they are the reference the tests compare
 classify_steps against.  The library's one edge-level check of a rotation
 is oracle.verify_theta_witness.
+
+The Type-2 admissibility rule lives here alone: theta_reasons states it,
+sweep_length raises InvalidThetaParams on it, and admissible_m lists the
+m that pass it for a jump set.
 """
 
 from __future__ import annotations
@@ -42,18 +46,7 @@ class ThetaParams:
     t: int
 
     def __post_init__(self):
-        _check_step(self.t, _sweep_length(self.n, self.m))
-
-
-@dataclass(frozen=True)
-class ThetaValidity:
-    """Report on whether (n, m) admits Type-2 analysis of a jump set."""
-
-    n: int
-    m: int
-    valid: bool
-    reasons: tuple[str, ...]
-    admissible_m: tuple[int, ...]
+        _check_step(self.t, sweep_length(self.n, self.m))
 
 
 @dataclass(frozen=True)
@@ -97,58 +90,50 @@ class TableRow:
     classification: TClassification
 
 
-def _transform_reasons(n: int, m: int) -> tuple[str, ...]:
-    reasons = []
+def theta_reasons(n: int, m: int, r: JumpSet | None = None) -> tuple[str, ...]:
+    """Why (n, m) is inadmissible for Type-2 analysis; () when it is not.
+
+    The one statement of the rule: m > 1, m^3 divides n, and, when r is
+    given, some jump of r is divisible by m.
+    """
     if m < 2:
-        reasons.append(M_TOO_SMALL)
-    elif n % (m ** 3) != 0:
-        reasons.append(NO_DIVISOR_CUBED)
-    return tuple(reasons)
+        return (M_TOO_SMALL,)
+    reasons = () if n % (m ** 3) == 0 else (NO_DIVISOR_CUBED,)
+    if r is not None and not any(j % m == 0 for j in r.jumps):
+        reasons += (NO_ANCHOR_JUMP,)
+    return reasons
 
 
-def _sweep_length(n: int, m: int) -> int:
-    """n/m for a valid (n, m); raises InvalidThetaParams otherwise."""
-    reasons = _transform_reasons(n, m)
+def sweep_length(n: int, m: int, r: JumpSet | None = None) -> int:
+    """n/m, the number of rotation steps, for an admissible (n, m, r).
+
+    Otherwise raises InvalidThetaParams naming each of theta_reasons(n, m, r).
+    """
+    reasons = theta_reasons(n, m, r)
     if reasons:
+        jumps = "" if r is None else f", jumps {r.jumps}"
         raise InvalidThetaParams(
-            f"invalid rotation parameters n={n}, m={m}: {', '.join(reasons)}",
+            f"invalid rotation parameters n={n}, m={m}{jumps}: {', '.join(reasons)}",
             reasons,
         )
     return n // m
 
 
+def admissible_m(r: JumpSet) -> tuple[int, ...]:
+    """Every m admissible for Type-2 analysis of r, ascending.
+
+    m^3 | n bounds the candidates by the cube root of n.
+    """
+    return tuple(
+        c
+        for c in itertools.takewhile(lambda c: c ** 3 <= r.n, itertools.count(2))
+        if not theta_reasons(r.n, c, r)
+    )
+
+
 def _check_step(t: int, steps: int) -> None:
     if not 0 <= t < steps:
         raise InvalidThetaParams(f"step t={t} outside [0, {steps - 1}]", ())
-
-
-def theta_reasons(n: int, m: int, r: JumpSet) -> tuple[str, ...]:
-    """Why (n, m) is inadmissible for Type-2 analysis of r; () when valid.
-
-    Valid means m > 1, m^3 divides n, and some jump of r is divisible by m.
-    """
-    reasons = _transform_reasons(n, m)
-    if m >= 2 and not any(j % m == 0 for j in r.jumps):
-        reasons += (NO_ANCHOR_JUMP,)
-    return reasons
-
-
-def check_theta_params(n: int, m: int, r: JumpSet) -> ThetaValidity:
-    """Full admissibility of (n, m) for Type-2 analysis of r.
-
-    The reasons are those of theta_reasons.  admissible_m lists every m
-    that passes all three tests for this r; m^3 | n bounds the candidates
-    by the cube root of n.
-    """
-    if r.n != n:
-        raise OrderMismatch(f"jump set is for order {r.n}, not {n}")
-    reasons = theta_reasons(n, m, r)
-    admissible = tuple(
-        c
-        for c in itertools.takewhile(lambda c: c ** 3 <= n, itertools.count(2))
-        if n % (c ** 3) == 0 and any(j % c == 0 for j in r.jumps)
-    )
-    return ThetaValidity(n, m, not reasons, reasons, admissible)
 
 
 def theta_vertex(p: ThetaParams, x: int) -> int:
@@ -233,9 +218,9 @@ def classify_steps(
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
-    steps = _sweep_length(n, m)
+    steps = sweep_length(n, m)
     # (v, v's shift per unit step) for each v of the closure
-    closure = tuple((v, v % m * m) for v in symmetric_closure(g).values)
+    closure = tuple((v, v % m * m) for v in symmetric_closure(g))
     anchored = len(g.r) >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in g.jumps)
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[JumpSet, tuple[int, ...]]] = {}
@@ -289,9 +274,9 @@ def classification_table(
     Transformed values are listed in the order of the sorted base closure,
     so columns line up across rows.
     """
-    closure = sorted(symmetric_closure(g).values)
+    closure = sorted(symmetric_closure(g))
     if t_values is None:
-        t_values = range(_sweep_length(n, m))
+        t_values = range(sweep_length(n, m))
     rows = classify_steps(n, m, g, t_values)
     table = []
     for row in rows:

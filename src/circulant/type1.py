@@ -30,17 +30,6 @@ from .core import (
 from .errors import NotAUnit, OrderMismatch, VerificationFailure
 
 
-@dataclass(frozen=True)
-class UnitGroup:
-    """The multiplicative group of units of Z_n."""
-
-    n: int
-    units: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.units)
-
-
 @dataclass
 class Type1Set:
     """All multiplier images of a base graph, with their witnesses.
@@ -72,11 +61,11 @@ class Type1Group:
         return len(self.carrier.members)
 
 
-def units(n: int) -> UnitGroup:
+def units(n: int) -> tuple[int, ...]:
     """Units of Z_n, ascending."""
     if n < 2:
         raise ValueError(f"unit group needs n >= 2, got {n}")
-    return UnitGroup(n, tuple(x for x in range(1, n) if gcd(n, x) == 1))
+    return tuple(x for x in range(1, n) if gcd(n, x) == 1)
 
 
 def phi_apply(n: int, x: int, r: JumpSet) -> JumpSet:
@@ -95,7 +84,7 @@ def type1_set(g: CirculantGraph) -> Type1Set:
     """Sweep every unit and collect the distinct multiplier images."""
     group = units(g.n)
     buckets: dict[JumpSet, list[int]] = {}
-    for x in group.units:
+    for x in group:
         buckets.setdefault(phi_apply(g.n, x, g.r), []).append(x)
     members = tuple(CirculantGraph(g.n, js) for js in sorted(buckets))
     witness = {m: tuple(buckets[m.r]) for m in members}

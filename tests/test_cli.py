@@ -253,13 +253,19 @@ def test_exit_code_for_inadmissible_parameters(capsys):
     code, _, err = run(capsys, ["t2set", "--n", "12", "--m", "2", "--set", "1,2,7"])
     assert code == 3
     assert "NoDivisorCubed" in err
-    # an explicit --m is checked, 0 included, before any rotation step
-    for m, reason in (("4", "NoDivisorCubed"), ("0", "MTooSmall")):
+    # an explicit --m is checked, 0 included, before any answer: a rotation
+    # pair, an equal pair and a multiplier pair alike
+    for b, m, reason in (
+        ("2,3,5", "4", "NoDivisorCubed"),
+        ("2,3,5", "0", "MTooSmall"),
+        ("1,2,7", "0", "MTooSmall"),
+        ("3,5,6", "4", "NoDivisorCubed"),
+    ):
         code, out, err = run(
-            capsys, ["iso", "--n", "16", "--a", "1,2,7", "--b", "2,3,5", "--m", m]
+            capsys, ["iso", "--n", "16", "--a", "1,2,7", "--b", b, "--m", m]
         )
-        assert (code, out) == (3, ""), m
-        assert reason in err, m
+        assert (code, out) == (3, ""), (b, m)
+        assert reason in err, (b, m)
     code, out, err = run(capsys, ["census", "--n", "16", "--m", "3", "--sizes", "3"])
     assert (code, out) == (3, "")
     assert "NoDivisorCubed" in err
@@ -280,31 +286,33 @@ def test_exit_code_for_degenerate_families(capsys):
     assert "makes both sets equal" in err
 
 
-def test_exit_code_for_budget_flag_and_env(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--kind", "m2", "--n", "3"], "--s"),
+        (["--kind", "m2-general", "--n", "3", "--s", "1", "--p-list", "3"], "--y"),
+        (["--kind", "general-p", "--n", "1", "--p", "7", "--x", "3"], "--y"),
+    ],
+)
+def test_exit_code_for_a_missing_family_flag(capsys, argv, flag):
+    code, out, err = run(capsys, ["family"] + argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.rstrip().endswith(flag), err
+
+
+@pytest.mark.parametrize("n", ["0", "-8"])
+def test_exit_code_for_a_census_order_below_three(capsys, n):
+    code, out, err = run(capsys, ["census", "--n", n, "--m", "2", "--sizes", "3"])
+    assert (code, out) == (2, "")
+    assert "graph order must be at least 3" in err
+
+
+def test_exit_code_for_budget_flag(capsys):
     code, _, err = run(
         capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3", "--budget", "5"]
     )
     assert code == 6
     assert "budget" in err
-    monkeypatch.setenv("CIRCULANT_CENSUS_BUDGET", "5")
-    code, _, err = run(capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3"])
-    assert code == 6
-
-
-def test_malformed_budget_env_fails_only_census(capsys, monkeypatch):
-    monkeypatch.setenv("CIRCULANT_CENSUS_BUDGET", "abc")
-    code, out, _ = run(capsys, ["reduce", "--n", "8", "--set", "1"])
-    assert code == 0
-    assert json.loads(out)["result"] == {"n": 8, "jumps": [1]}
-    code, out, err = run(capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: CIRCULANT_CENSUS_BUDGET='abc'")
-    # the flag still takes precedence over the variable
-    code, _, _ = run(
-        capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3", "--budget", "1000"]
-    )
-    assert code == 0
 
 
 def test_out_flag_writes_the_envelope_to_a_file(capsys, tmp_path):

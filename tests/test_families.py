@@ -197,6 +197,14 @@ def test_instance_rejects_mismatched_gcd_signatures():
         FamilyInstance(16, 2, (r1, r2), (ThetaRelation(2, 0, 1),), FamilyClaim.TYPE2)
 
 
+def test_instance_rejects_an_unanchored_member():
+    # equal gcd signatures make members anchored alike, so both lack one
+    r1 = make_circulant(16, [1, 3, 7]).r
+    r2 = make_circulant(16, [3, 5, 7]).r
+    with pytest.raises(InvalidFamilyParams, match=r"\(1, 3, 7\).*: NoAnchorJump$"):
+        FamilyInstance(16, 2, (r1, r2), (ThetaRelation(2, 0, 1),), FamilyClaim.TYPE2)
+
+
 def test_verify_catches_a_tampered_relation():
     p7 = family_general_p(7, 2, 3, 2)
     step = classify_t(ThetaParams(p7.order, p7.m, 1), p7.graphs[0])

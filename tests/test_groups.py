@@ -161,7 +161,7 @@ def test_appended_jump_applicable_cases_pass():
 def test_appended_jump_inapplicability_gates():
     cases = [
         (16, 2, 2, make_circulant(8, [1, 3]), "order"),
-        (16, 4, 4, make_circulant(16, [1, 7]), "m > 1"),
+        (16, 4, 4, make_circulant(16, [1, 7]), "m > 1 with m^3 | n: NoDivisorCubed"),
         (16, 2, 3, make_circulant(16, [1, 7]), "not divisible"),
         (16, 2, 2, make_circulant(16, [1, 2, 7]), "already present"),
         (16, 2, 4, make_circulant(16, [1, 2, 7]), "jump divisible by 2"),
@@ -271,7 +271,7 @@ def test_relabelled_sweeps_equal_fresh_sweeps():
                 orbits = {}
                 base = t2_set(n, m, g, orbits=orbits)
                 fresh = {}
-                for u in units(n).units:
+                for u in units(n):
                     h = CirculantGraph(n, phi_apply(n, u, g.r))
                     assert h.jumps in orbits
                     s = t2_set(n, m, h, orbits=orbits)

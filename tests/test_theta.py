@@ -19,46 +19,51 @@ from circulant.theta import (
     TClassification,
     ThetaParams,
     Verdict,
-    check_theta_params,
+    admissible_m,
     classification_table,
     classify_steps,
     classify_t,
     detect_circulant,
+    sweep_length,
     theta_image,
+    theta_reasons,
     theta_vertex,
 )
 from circulant.type1 import type1_witnesses
 
 
 def test_params_accept_the_reference_regime():
-    v = check_theta_params(16, 2, make_circulant(16, [1, 2, 7]).r)
-    assert v.valid
-    assert v.reasons == ()
-    assert v.admissible_m == (2,)
+    r = make_circulant(16, [1, 2, 7]).r
+    assert theta_reasons(16, 2, r) == ()
+    assert sweep_length(16, 2, r) == 8
+    assert admissible_m(r) == (2,)
 
 
 def test_admissible_m_reaches_the_cube_root():
     # 6^3 = 216: the scan must include c with c^3 = n
-    assert check_theta_params(216, 2, make_circulant(216, [6]).r).admissible_m == (2, 3, 6)
-    assert check_theta_params(216, 2, make_circulant(216, [4, 9]).r).admissible_m == (2, 3)
+    assert admissible_m(make_circulant(216, [6]).r) == (2, 3, 6)
+    assert admissible_m(make_circulant(216, [4, 9]).r) == (2, 3)
 
 
 def test_params_require_cube_divisor():
-    v = check_theta_params(16, 4, make_circulant(16, [1, 2, 7]).r)
-    assert not v.valid
-    assert NO_DIVISOR_CUBED in v.reasons
+    r = make_circulant(16, [1, 2, 7]).r
+    assert theta_reasons(16, 4, r) == (NO_DIVISOR_CUBED, NO_ANCHOR_JUMP)
+    assert theta_reasons(16, 4) == (NO_DIVISOR_CUBED,)
 
 
 def test_params_require_an_anchor_jump():
-    v = check_theta_params(16, 2, make_circulant(16, [1, 3, 7]).r)
-    assert not v.valid
-    assert v.reasons == (NO_ANCHOR_JUMP,)
+    r = make_circulant(16, [1, 3, 7]).r
+    assert theta_reasons(16, 2, r) == (NO_ANCHOR_JUMP,)
+    # without a jump set only (n, m) is judged
+    assert theta_reasons(16, 2) == ()
+    with pytest.raises(InvalidThetaParams, match=r"jumps \(1, 3, 7\): NoAnchorJump") as exc:
+        sweep_length(16, 2, r)
+    assert exc.value.reasons == (NO_ANCHOR_JUMP,)
 
 
 def test_params_reject_m_one():
-    v = check_theta_params(16, 1, make_circulant(16, [1, 2, 7]).r)
-    assert not v.valid
-    assert M_TOO_SMALL in v.reasons
+    assert theta_reasons(16, 1, make_circulant(16, [1, 2, 7]).r) == (M_TOO_SMALL,)
+    assert theta_reasons(16, 0) == (M_TOO_SMALL,)
 
 
 def test_params_reason_propagates_to_the_exception():
