@@ -7,10 +7,12 @@ which is always empty: each check either passes or fails with an exit
 code, and errors go to stderr as "error: ...".
 
 Exit codes: 0 success, 2 invalid input, 3 invalid rotation parameters,
-4 invalid family parameters, 5 verification failure, 6 budget exceeded.
-Each subcommand checks its parameters before it answers: iso checks an
-explicit --m before comparing the graphs, family names a flag its kind
-needs and lacks, and census checks n and (n, m) before its budget.
+4 invalid family parameters, 5 verification failure, 6 budget exceeded,
+7 stdout closed before the output was written (as by `| head`), which
+ends quietly, with nothing on stderr.  Each subcommand checks its
+parameters before it answers: iso checks an explicit --m before comparing
+the graphs, family names a flag its kind needs and lacks, or one it does
+not take, and census checks n and (n, m) before its budget.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from .core import CirculantGraph, make_circulant, symmetric_closure
@@ -288,11 +291,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_family(args) -> int:
-    instance = _build_family(args)
+    generator, flags = _FAMILY_KINDS[args.kind]
+    values = _family_values(args, flags)
+    instance = generator(*(values[flag] for flag in flags))
     verification = family_verify(instance)
     envelope = {
         "command": "family",
-        "inputs": _family_inputs(args),
+        "inputs": {"kind": args.kind, **{flag.replace("-", "_"): v for flag, v in values.items()}},
         "result": _family_json(instance, verification),
         "findings": [],
     }
@@ -300,9 +305,9 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _build_family(args) -> FamilyInstance:
-    generator, flags = _FAMILY_KINDS[args.kind]
-    values = {
+def _family_values(args, flags) -> dict:
+    """The values of the kind's flags, in echo order; a missing or stray flag raises."""
+    given = {
         "n": args.family_n,
         "s": args.s,
         "p": args.p,
@@ -310,21 +315,13 @@ def _build_family(args) -> FamilyInstance:
         "y": args.y,
         "p-list": None if args.p_list is None else tuple(_parse_jumps(args.p_list)),
     }
-    missing = [f"--{flag}" for flag in flags if values[flag] is None]
+    missing = [f"--{flag}" for flag in flags if given[flag] is None]
     if missing:
         raise InvalidFamilyParams(f"family kind {args.kind} needs {', '.join(missing)}")
-    return generator(*(values[flag] for flag in flags))
-
-
-def _family_inputs(args) -> dict:
-    inputs = {"kind": args.kind, "n": args.family_n}
-    for name in ("s", "p", "x", "y"):
-        value = getattr(args, name)
-        if value is not None:
-            inputs[name] = value
-    if args.p_list:
-        inputs["p_list"] = _parse_jumps(args.p_list)
-    return inputs
+    stray = [f"--{flag}" for flag, v in given.items() if v is not None and flag not in flags]
+    if stray:
+        raise InvalidFamilyParams(f"family kind {args.kind} does not take {', '.join(stray)}")
+    return {flag: v for flag, v in given.items() if flag in flags}
 
 
 def _family_json(instance: FamilyInstance, verification: FamilyVerification) -> dict:
@@ -534,7 +531,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the interpreter's final flush of stdout cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 7
     except InvalidThetaParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

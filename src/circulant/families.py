@@ -3,8 +3,8 @@
 Each generator emits a family instance: an ordered list of jump sets on a
 common order n = (something) * m^3, together with the rotation steps that
 are claimed to map each set onto the next.  family_verify re-derives every
-claimed relation via the verifier (oracle.verify_theta_witness, edge by
-edge) and computes the Type-2 set and group of the family, so generator
+claimed relation via the verifier (oracle.verify_theta_witness, jump by
+jump) and computes the Type-2 set and group of the family, so generator
 bugs cannot slip through as silent claims.
 """
 
@@ -251,7 +251,7 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
     """Re-derive every claim of a family instance from scratch.
 
     Checks, in order: every declared rotation relation maps its source
-    onto its target exactly, confirmed edge by edge by
+    onto its target exactly, confirmed jump by jump by
     oracle.verify_theta_witness, whose failure names t and both graphs;
     pairwise multiplier witnesses decide the type1/type2 resolution; for a
     type2 resolution, the Type-2 set of the first member is exactly the

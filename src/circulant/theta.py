@@ -11,8 +11,9 @@ graph is classified per step t.  classify_steps does this for a whole
 sweep from vertex 0's image neighbourhood alone, O(|R|) per step.
 theta_image and detect_circulant build the whole image edge set.  No
 library module calls them: they are the reference the tests compare
-classify_steps against.  The library's one edge-level check of a rotation
-is oracle.verify_theta_witness.
+classify_steps against.  The library's one certificate of a rotation is
+oracle.verify_theta_witness, which checks the vertex map jump by jump and
+builds no edge set.
 
 The Type-2 admissibility rule lives here alone: theta_reasons states it,
 sweep_length raises InvalidThetaParams on it, and admissible_m lists the

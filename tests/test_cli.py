@@ -300,6 +300,31 @@ def test_exit_code_for_a_missing_family_flag(capsys, argv, flag):
     assert err.startswith("error: ") and err.rstrip().endswith(flag), err
 
 
+def test_exit_code_for_a_stray_family_flag(capsys):
+    code, out, err = run(capsys, ["family", "--kind", "m3", "--n", "1", "--s", "4", "--p", "5"])
+    assert (code, out) == (4, "")
+    assert err == "error: family kind m3 does not take --s, --p\n"
+
+
+@pytest.mark.parametrize(
+    "argv, echoed",
+    [
+        (["--kind", "m3", "--n", "1"], [("n", 1)]),
+        (["--kind", "m2", "--n", "2", "--s", "1"], [("n", 2), ("s", 1)]),
+        (
+            ["--kind", "general-p", "--p", "7", "--n", "1", "--x", "3", "--y", "2"],
+            [("n", 1), ("p", 7), ("x", 3), ("y", 2)],
+        ),
+    ],
+)
+def test_family_inputs_echo_the_flags_of_the_kind(capsys, argv, echoed):
+    d = run_json(capsys, ["family"] + argv)
+    kind = argv[1]
+    assert list(d["inputs"].items()) == [("kind", kind)] + echoed
+    flags = cli._FAMILY_KINDS[kind][1]
+    assert sorted(d["inputs"]) == sorted(["kind", *(f.replace("-", "_") for f in flags)])
+
+
 @pytest.mark.parametrize("n", ["0", "-8"])
 def test_exit_code_for_a_census_order_below_three(capsys, n):
     code, out, err = run(capsys, ["census", "--n", n, "--m", "2", "--sizes", "3"])
@@ -333,3 +358,20 @@ def test_module_entry_point_runs_as_a_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["jumps"] == [7]
+
+
+def test_a_closed_stdout_ends_quietly():
+    # about 336 kB of table, far more than a pipe holds, so the writer is
+    # still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circulant.cli", "table", "--n", "8000", "--m", "2",
+         "--set", "1,2,3,4,5,6", "--format", "table"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert len(head) == 200
+    assert proc.returncode == 7
+    assert err == b""

@@ -235,11 +235,13 @@ def test_no_module_relies_on_assert():
 
 def test_edge_set_reference_stays_out_of_the_library():
     # theta_image, detect_circulant and LabeledGraph are the tests' slow
-    # reference; the library's one edge-level check is verify_theta_witness
-    reference = {"theta_image", "detect_circulant", "LabeledGraph"}
+    # reference, and edge_set serves them alone: the library's rotation
+    # certificate is verify_theta_witness, which checks jumps, not edges
+    reference = {"theta_image", "detect_circulant", "LabeledGraph", "edge_set"}
     package = Path(__file__).resolve().parent.parent / "src" / "circulant"
+    checked = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("theta.py", "__init__.py"):
+        if path.name in ("core.py", "theta.py", "__init__.py"):
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         named = set()
@@ -251,3 +253,5 @@ def test_edge_set_reference_stays_out_of_the_library():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
         assert not named & reference, (path.name, sorted(named & reference))
+        checked.append(path.name)
+    assert {"oracle.py", "families.py", "groups.py", "type1.py", "cli.py"} <= set(checked)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from circulant import make_circulant
-from circulant.core import CirculantGraph, JumpSet
+from circulant.core import CirculantGraph, JumpSet, edge_set, symmetric_closure
 from circulant.errors import BudgetExceeded, OrderMismatch, VerificationFailure
 from circulant.oracle import (
     BRUTE_FORCE_CAP,
+    _maps_jumps,
     brute_force_isomorphic,
     gcd_signature,
     gcd_signature_check,
@@ -20,7 +21,8 @@ from circulant.oracle import (
     spectral_fingerprint,
     verify_theta_witness,
 )
-from circulant.theta import ThetaParams
+from circulant.theta import LabeledGraph, ThetaParams, detect_circulant
+from circulant.type1 import units
 
 
 def test_gcd_signature_counts_jumps_per_divisor():
@@ -143,7 +145,7 @@ def test_witness_check_survives_optimized_mode():
         import sys
         from circulant import make_circulant, oracle
         from circulant.errors import VerificationFailure
-        oracle._maps_edges = lambda *args: False
+        oracle._maps_jumps = lambda *args: False
         g, h = make_circulant(16, [1, 2, 7]), make_circulant(16, [2, 3, 5])
         try:
             oracle.brute_force_isomorphic(g, h)
@@ -180,3 +182,108 @@ def test_witness_replay_rejects_the_wrong_target():
 def test_witness_replay_at_step_zero():
     g = make_circulant(54, [2, 3, 16, 20])
     assert verify_theta_witness(ThetaParams(54, 3, 0), g, g).verified
+
+
+def mapped_edges(mapping, g):
+    """The edge set of g pushed through the vertex map; the slow reference."""
+    return frozenset(
+        (u, v) if u < v else (v, u) for u, v in ((mapping[a], mapping[b]) for a, b in edge_set(g))
+    )
+
+
+def maps_edge_sets(mapping, g, h):
+    """Whether mapping takes the edge set of g exactly onto that of h.
+
+    Equality also forces a bijection: no vertex of a circulant is
+    isolated, so every vertex of h is the image of an edge end.
+    """
+    return mapped_edges(mapping, g) == edge_set(h)
+
+
+def test_jump_certificate_agrees_with_the_edge_sets_on_rotations():
+    # every admissible (n, m) with n <= 32, every R with |R| <= 3, every
+    # step; targets: the true image when circulant, R itself, and another
+    # set with as many directed jumps
+    verdicts = []
+    for n, m in ((8, 2), (16, 2), (24, 2), (27, 3), (32, 2)):
+        graphs = [
+            CirculantGraph(n, JumpSet(n, combo))
+            for k in (1, 2, 3)
+            for combo in itertools.combinations(range(1, n // 2 + 1), k)
+        ]
+        by_degree: dict[int, list] = {}
+        for g in graphs:
+            by_degree.setdefault(len(symmetric_closure(g)), []).append(g)
+        edges = {g: edge_set(g) for g in graphs}
+        for g in graphs:
+            peers = by_degree[len(symmetric_closure(g))]
+            other = peers[(peers.index(g) + 1) % len(peers)]
+            for t in range(n // m):
+                mapping = [(x + (x % m) * t * m) % n for x in range(n)]
+                image = mapped_edges(mapping, g)
+                targets = [g, other]
+                s = detect_circulant(LabeledGraph(n, image))
+                if s is not None:
+                    targets.append(CirculantGraph(n, s))
+                for h in targets:
+                    verdict = image == edges[h]
+                    assert _maps_jumps(n, mapping, g, h) is verdict, (g, h, t)
+                    verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_jump_certificate_agrees_with_the_edge_sets_on_multipliers():
+    verdicts = []
+    for n in (16, 24, 27):
+        graphs = [
+            CirculantGraph(n, JumpSet(n, combo))
+            for k in (1, 2, 3)
+            for combo in itertools.combinations(range(1, n // 2 + 1), k)
+        ]
+        edges = {g: edge_set(g) for g in graphs}
+        for i, g in enumerate(graphs):
+            other = graphs[(i + 1) % len(graphs)]
+            for u in units(n):
+                mapping = [u * x % n for x in range(n)]
+                image = mapped_edges(mapping, g)
+                for h in (make_circulant(n, [u * j for j in g.jumps]), g, other):
+                    verdict = image == edges[h]
+                    assert _maps_jumps(n, mapping, g, h) is verdict, (g, h, u)
+                    verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_jump_certificate_rejects_maps_that_are_not_bijections():
+    cycle = make_circulant(6, [1])
+    g, h = make_circulant(16, [1, 2, 7]), make_circulant(16, [2, 3, 5])
+    collapsed = list(brute_force_isomorphic(g, h).mapping)
+    collapsed[5] = collapsed[4]
+    cases = [
+        # a homomorphism onto the one edge {0, 1}: every edge lands on an
+        # edge, and the edge counts agree, yet vertices 2..5 are never hit
+        (6, [x % 2 for x in range(6)], cycle, cycle),
+        (16, [0] * 16, g, g),
+        (16, [2 * x % 16 for x in range(16)], g, h),
+        (16, collapsed, g, h),
+    ]
+    for n, mapping, a, b in cases:
+        assert not maps_edge_sets(mapping, a, b)
+        assert not _maps_jumps(n, mapping, a, b), mapping
+
+
+def test_jump_certificate_counts_the_half_jump_once():
+    # |R| = |S| = 3, and every jump of R lands in +-S, but 8 = 16/2 is its
+    # own negative: C_16(1,7,8) has 40 edges and C_16(1,2,3) has 48
+    g, h = make_circulant(16, [1, 7, 8]), make_circulant(16, [1, 2, 3])
+    mapping = [0, 1, 3, 5, 7, 9, 11, 13, 15, 2, 4, 6, 8, 10, 12, 14]
+    closure = symmetric_closure(h)
+    assert all((mapping[(x + r) % 16] - mapping[x]) % 16 in closure for x in range(16) for r in g.jumps)
+    assert (len(edge_set(g)), len(edge_set(h))) == (40, 48)
+    assert not maps_edge_sets(mapping, g, h)
+    assert not _maps_jumps(16, mapping, g, h)
+    # the identity sends every edge of C_16(1,8) into C_16(1,2,8), which has more
+    g, h = make_circulant(16, [1, 8]), make_circulant(16, [1, 2, 8])
+    identity = list(range(16))
+    assert edge_set(g) < edge_set(h)
+    assert not maps_edge_sets(identity, g, h)
+    assert not _maps_jumps(16, identity, g, h)
