@@ -191,6 +191,15 @@ def mapped_edges(mapping, g):
     )
 
 
+def small_circulants(n):
+    """Every C_n(R) with |R| <= 3."""
+    return [
+        CirculantGraph(n, JumpSet(n, combo))
+        for k in (1, 2, 3)
+        for combo in itertools.combinations(range(1, n // 2 + 1), k)
+    ]
+
+
 def maps_edge_sets(mapping, g, h):
     """Whether mapping takes the edge set of g exactly onto that of h.
 
@@ -206,11 +215,7 @@ def test_jump_certificate_agrees_with_the_edge_sets_on_rotations():
     # set with as many directed jumps
     verdicts = []
     for n, m in ((8, 2), (16, 2), (24, 2), (27, 3), (32, 2)):
-        graphs = [
-            CirculantGraph(n, JumpSet(n, combo))
-            for k in (1, 2, 3)
-            for combo in itertools.combinations(range(1, n // 2 + 1), k)
-        ]
+        graphs = small_circulants(n)
         by_degree: dict[int, list] = {}
         for g in graphs:
             by_degree.setdefault(len(symmetric_closure(g)), []).append(g)
@@ -235,11 +240,7 @@ def test_jump_certificate_agrees_with_the_edge_sets_on_rotations():
 def test_jump_certificate_agrees_with_the_edge_sets_on_multipliers():
     verdicts = []
     for n in (16, 24, 27):
-        graphs = [
-            CirculantGraph(n, JumpSet(n, combo))
-            for k in (1, 2, 3)
-            for combo in itertools.combinations(range(1, n // 2 + 1), k)
-        ]
+        graphs = small_circulants(n)
         edges = {g: edge_set(g) for g in graphs}
         for i, g in enumerate(graphs):
             other = graphs[(i + 1) % len(graphs)]
