@@ -120,6 +120,11 @@ def _emit(args, envelope: dict, rows=None) -> None:
         text = _render_csv(rows if rows is not None else envelope)
     else:
         text = _render_table(rows if rows is not None else envelope)
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """text and a newline to --out when given, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -433,11 +438,7 @@ def cmd_census(args) -> int:
     else:
         rows = rows or [{"base": "(none)", "members": 0, "group_order": "-", "t2_equals_v": "-"}]
         text = _render_table(rows) + f"\nexamined={summary['examined']} classes={summary['classes']} t2_equals_v={summary['t2_equals_v']}"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, text)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import (
     CirculantGraph,
@@ -258,20 +258,16 @@ def t2_set(
 def t2_group(s: Type2Set) -> OrbitGroup:
     """Group structure on the Type-2 step indices, quotiented by the period.
 
-    Raises SubgroupViolation when the indices fail to be a subgroup of
-    Z_{n/m}: that would falsify the structure this library is built on, so
-    it is reported rather than repaired.
+    Raises SubgroupViolation when step 0 is missing, and VerificationFailure
+    (from _orbit_group) when the indices are not the multiples of their
+    least positive element, i.e. not a subgroup of Z_{n/m}: either would
+    falsify the structure this library is built on, so it is reported
+    rather than repaired.
     """
     modulus = s.base.n // s.m
     idx = set(s.t2_indices)
     if 0 not in idx:
         raise SubgroupViolation("step 0 missing from Type-2 indices")
-    for a in idx:
-        if (modulus - a) % modulus not in idx:
-            raise SubgroupViolation(f"negation of {a} missing from Type-2 indices")
-        for b in idx:
-            if (a + b) % modulus not in idx:
-                raise SubgroupViolation(f"{a}+{b} escapes the Type-2 indices")
     labels = {
         row.t: row.image
         for row in s.vset.rows
@@ -291,15 +287,15 @@ def _orbit_group(
     period: int,
     labels: dict[int, JumpSet | None],
 ) -> OrbitGroup:
+    # a set equal to <generator> is a subgroup of Z_modulus
     generator = indices[1] if len(indices) > 1 else 0
-    if generator:
-        generated = set()
-        k = 0
-        while k not in generated:
-            generated.add(k)
-            k = (k + generator) % modulus
-        if generated != set(indices):
-            raise VerificationFailure(f"{generator} does not generate the indices mod {modulus}")
+    generated = set()
+    k = 0
+    while k not in generated:
+        generated.add(k)
+        k = (k + generator) % modulus
+    if generated != set(indices):
+        raise VerificationFailure(f"{generator} does not generate the indices mod {modulus}")
     reps = tuple(i for i in indices if i < period)
     table = []
     rep_pos = {r: i for i, r in enumerate(reps)}
@@ -387,7 +383,6 @@ def census(
     n: int,
     m: int,
     sizes: Iterable[int],
-    jump_predicate: Callable[[tuple[int, ...]], bool] | None = None,
     budget: int = DEFAULT_CENSUS_BUDGET,
 ) -> CensusResult:
     """Enumerate canonical jump sets and collect their Type-2 classes.
@@ -418,8 +413,6 @@ def census(
     for k in sizes:
         for combo in itertools.combinations(range(1, half + 1), k):
             if not any(j % m == 0 for j in combo):
-                continue
-            if jump_predicate is not None and not jump_predicate(combo):
                 continue
             g = CirculantGraph(n, JumpSet(n, combo))
             s = t2_set(n, m, g, orbits=orbits)

@@ -11,9 +11,8 @@ refutation, not a timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-
-import numpy as np
+from math import cos, gcd, pi
+from operator import sub
 
 from .core import CirculantGraph, symmetric_closure
 from .errors import BudgetExceeded, OrderMismatch, VerificationFailure
@@ -60,12 +59,17 @@ def spectral_fingerprint(g: CirculantGraph, digits: int = SPECTRAL_DIGITS) -> tu
 
     Eigenvalue j is the sum of cos(2*pi*j*s/n) over the symmetric closure;
     isomorphic graphs agree, so a mismatch refutes isomorphism while a
-    match proves nothing.
+    match proves nothing.  Each term is the expression the package's
+    earlier array code evaluated, left to right in doubles, so it has the
+    same bits; terms are added in order of s, as that code did for
+    closures below 8.  For larger ones it kept 8 partial sums, so an
+    eigenvalue may differ by an ulp and, at a rounding boundary, in its
+    last digit; same_spectrum's tolerance absorbs both.
     """
-    closure = np.array(sorted(symmetric_closure(g)))
-    j = np.arange(g.n).reshape(-1, 1)
-    eigs = np.cos(2.0 * np.pi * j * closure / g.n).sum(axis=1)
-    return tuple(sorted(round(float(v), digits) + 0.0 for v in eigs))
+    n = g.n
+    closure = sorted(symmetric_closure(g))
+    eigs = (sum(cos(2.0 * pi * j * s / n) for s in closure) for j in range(n))
+    return tuple(sorted(round(v, digits) + 0.0 for v in eigs))
 
 
 def same_spectrum(g: CirculantGraph, h: CirculantGraph) -> bool:
@@ -203,10 +207,10 @@ def _maps_jumps(n: int, mapping, g: CirculantGraph, h: CirculantGraph) -> bool:
     closure_h = symmetric_closure(h)
     if len(symmetric_closure(g)) != len(closure_h) or not _is_bijection(n, mapping):
         return False
-    allowed = np.zeros(n, dtype=bool)
-    allowed[list(closure_h)] = True
-    images = np.asarray(mapping)
-    return all(allowed[(np.roll(images, -r) - images) % n].all() for r in g.jumps)
+    # a difference of two vertices lies in (-n, n): it is in ±S mod n
+    # exactly when it is in ±S or in ±S - n
+    allowed = closure_h | {s - n for s in closure_h}
+    return all(set(map(sub, mapping[r:] + mapping[:r], mapping)) <= allowed for r in g.jumps)
 
 
 def _is_bijection(n: int, mapping) -> bool:

@@ -347,6 +347,11 @@ def test_out_flag_writes_the_envelope_to_a_file(capsys, tmp_path):
     assert out == ""
     d = json.loads(path.read_text())
     assert d["result"] == {"n": 16, "jumps": [7]}
+    census_argv = ["census", "--n", "16", "--m", "2", "--sizes", "3", "--format", "table"]
+    _, printed, _ = run(capsys, census_argv)
+    code, out, _ = run(capsys, census_argv + ["--out", str(path)])
+    assert (code, out) == (0, "")
+    assert path.read_text() == printed
 
 
 def test_module_entry_point_runs_as_a_subprocess():

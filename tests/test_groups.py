@@ -1,5 +1,6 @@
 """Rotation sweeps, Type-2 partner sets, their index groups, and the census."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -121,6 +122,15 @@ def test_t2_group_of_16():
     assert gr.labels[2].jumps == (2, 3, 5)
 
 
+@pytest.mark.parametrize("indices", [(0, 2, 3), (3, 0)])
+def test_t2_group_rejects_indices_that_are_not_a_subgroup(indices):
+    # 0 is there, but neither set is closed under addition mod 8
+    s = t2_set(16, 2, make_circulant(16, [1, 2, 7]))
+    broken = dataclasses.replace(s, t2_indices=indices)
+    with pytest.raises(VerificationFailure, match="does not generate the indices mod 8"):
+        t2_group(broken)
+
+
 def test_t2_group_quotient_order_counts_the_members():
     gr54 = t2_group(t2_set(54, 3, make_circulant(54, [2, 3, 16, 20])))
     assert (gr54.order, gr54.quotient_order, gr54.generator) == (9, 3, 2)
@@ -213,12 +223,6 @@ def test_census_of_order_27():
 def test_census_enforces_the_budget():
     with pytest.raises(BudgetExceeded):
         census(16, 2, [3], budget=10)
-
-
-def test_census_jump_predicate_prunes_the_space():
-    res = census(16, 2, [3], jump_predicate=lambda jumps: 1 in jumps)
-    assert res.summary.examined == 18
-    assert len(res.records) == 2
 
 
 def test_census_rejects_inadmissible_parameters():

@@ -1,11 +1,11 @@
 """Independent isomorphism checks: invariants, brute force, witness replay."""
 
 import itertools
+import random
 import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 from circulant import make_circulant
@@ -77,6 +77,36 @@ def test_spectra_agree_across_a_rounding_boundary():
     assert same_spectrum(g, h)
 
 
+def test_spectrum_matches_the_numpy_expression():
+    np = pytest.importorskip("numpy")
+
+    def numpy_fingerprint(g):
+        closure = np.array(sorted(symmetric_closure(g)))
+        j = np.arange(g.n).reshape(-1, 1)
+        eigs = np.cos(2.0 * np.pi * j * closure / g.n).sum(axis=1)
+        return tuple(sorted(round(float(v), 9) + 0.0 for v in eigs))
+
+    graphs = [g for n in (16, 24, 27, 32, 54) for g in small_circulants(n)]
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(20, 343)
+        combo = rng.sample(range(1, n // 2 + 1), rng.randint(4, 10))
+        graphs.append(make_circulant(n, combo))
+    for g in graphs:
+        assert spectral_fingerprint(g) == numpy_fingerprint(g), g
+
+
+def test_the_cli_imports_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, circulant.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_brute_force_finds_a_witness_for_the_known_pair():
     g = make_circulant(16, [1, 2, 7])
     h = make_circulant(16, [2, 3, 5])
@@ -89,6 +119,7 @@ def test_brute_force_finds_a_witness_for_the_known_pair():
 
 def test_brute_force_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
+    np = pytest.importorskip("numpy")
     for n in range(9, 15):
         by_degree = {}
         for k in range(1, n // 2 + 1):
