@@ -6,13 +6,14 @@ projections of the same data.  Every envelope keeps its "findings" key,
 which is always empty: each check either passes or fails with an exit
 code, and errors go to stderr as "error: ...".
 
-Exit codes: 0 success, 2 invalid input, 3 invalid rotation parameters,
-4 invalid family parameters, 5 verification failure, 6 budget exceeded,
-7 stdout closed before the output was written (as by `| head`), which
-ends quietly, with nothing on stderr.  Each subcommand checks its
-parameters before it answers: iso checks an explicit --m before comparing
-the graphs, family names a flag its kind needs and lacks, or one it does
-not take, and census checks n and (n, m) before its budget.
+Exit codes: 0 success, 2 invalid input or an --out path that cannot be
+written, 3 invalid rotation parameters, 4 invalid family parameters,
+5 verification failure, 6 budget exceeded, 7 stdout closed before the
+output was written (as by `| head`), which ends quietly, with nothing on
+stderr.  Each subcommand checks its parameters before it answers: iso
+checks an explicit --m before comparing the graphs, family names a flag
+its kind needs and lacks, or one it does not take, and census checks n
+and (n, m) before its budget.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ def _emit(args, envelope: dict, rows=None) -> None:
 def _write(args, text: str) -> None:
     """text and a newline to --out when given, else to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CirculantError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -287,7 +291,7 @@ def cmd_table(args) -> int:
         "result": {"columns": closure, "rows": rows},
         "findings": [],
     }
-    flat = [
+    flat = None if args.format == "json" else [
         {"t": r["t"], **{str(c): v for c, v in zip(closure, r["values"])}, "circulant?": r["display"]}
         for r in rows
     ]

@@ -4,7 +4,7 @@ Each generator emits a family instance: an ordered list of jump sets on a
 common order n = (something) * m^3, together with the rotation steps that
 are claimed to map each set onto the next.  family_verify re-derives every
 claimed relation via the verifier (oracle.verify_theta_witness, jump by
-jump) and computes the Type-2 set and group of the family, so generator
+jump on the m residue classes) and computes the Type-2 set and group of the family, so generator
 bugs cannot slip through as silent claims.
 """
 

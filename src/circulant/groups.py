@@ -22,7 +22,14 @@ from .core import (
     check_order,
 )
 from .errors import BudgetExceeded, OrderMismatch, SubgroupViolation, VerificationFailure
-from .theta import TClassification, Verdict, classify_steps, sweep_length, theta_reasons
+from .theta import (
+    NO_ANCHOR_JUMP,
+    TClassification,
+    Verdict,
+    classify_steps,
+    sweep_length,
+    theta_reasons,
+)
 from .type1 import units
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
@@ -358,7 +365,7 @@ def appended_jump_check(
         return AppendedJumpReport(False, f"appended jump {jump} is not divisible by {m}")
     if folded in base.jumps:
         return AppendedJumpReport(False, f"jump {jump} already present in {base}")
-    if any(j % m == 0 for j in base.jumps):
+    if NO_ANCHOR_JUMP not in theta_reasons(n, m, base.r):
         return AppendedJumpReport(False, f"base {base} already has a jump divisible by {m}")
     augmented = CirculantGraph(n, JumpSet(n, tuple(sorted(base.jumps + (folded,)))))
     aug_t2 = t2_set(n, m, augmented)
@@ -412,6 +419,7 @@ def census(
     coincidences = 0
     for k in sizes:
         for combo in itertools.combinations(range(1, half + 1), k):
+            # the anchor half of theta_reasons, inline: this runs once per combination
             if not any(j % m == 0 for j in combo):
                 continue
             g = CirculantGraph(n, JumpSet(n, combo))

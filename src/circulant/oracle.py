@@ -3,9 +3,10 @@
 Everything here depends only on the core graph representation, never on
 the transform or group machinery, so it can serve as trusted evidence
 against those modules.  The brute-force search is exact: a returned
-witness is re-verified jump by jump (_maps_jumps, the same certificate
-verify_theta_witness gives a rotation), and a None is a definitive
-refutation, not a timeout.
+witness is re-verified jump by jump at every vertex (_maps_jumps, the
+certificate verify_theta_witness gives a rotation on its m residue
+classes once it has checked the map's period m), and a None is a
+definitive refutation, not a timeout.
 """
 
 from __future__ import annotations
@@ -171,29 +172,35 @@ def verify_theta_witness(
 ) -> IsoWitness:
     """Check the rotation map as an explicit isomorphism g -> h.
 
-    The permutation is rebuilt from the definition here (x gains
-    (x mod m)*t*m) and confirmed jump by jump at any order by _maps_jumps;
-    failure raises VerificationFailure rather than returning a wrong
-    witness.
+    The permutation is rebuilt from the definition here (x = q*m + j
+    gains j*t*m, so residue class j shifts j*t places along itself) and
+    confirmed at any order by _maps_jumps with period m; failure raises
+    VerificationFailure rather than returning a wrong witness.
     """
     if g.n != h.n or g.n != p.n:
         raise OrderMismatch(f"orders differ: {g.n}, {h.n}, params {p.n}")
-    n = p.n
-    mapping = [(x + (x % p.m) * p.t * p.m) % n for x in range(n)]
-    if not _maps_jumps(n, mapping, g, h):
+    n, m = p.n, p.m
+    mapping = [0] * n
+    for j in range(m):
+        cls = range(j, n, m)
+        k = j * p.t % len(cls)
+        mapping[j::m] = [*cls[k:], *cls[:k]]
+    if not _maps_jumps(n, mapping, g, h, m):
         if not _is_bijection(n, mapping):
             raise VerificationFailure(f"rotation map is not a bijection for {p}")
         raise VerificationFailure(f"{p} does not map {g} onto {h}")
     return IsoWitness(tuple(mapping), True)
 
 
-def _maps_jumps(n: int, mapping, g: CirculantGraph, h: CirculantGraph) -> bool:
+def _maps_jumps(
+    n: int, mapping, g: CirculantGraph, h: CirculantGraph, period: int | None = None
+) -> bool:
     """Whether the vertex map x -> mapping[x] is an isomorphism g -> h.
 
     Write g = C_n(R) and h = C_n(S).  The map is one exactly when three
     checks hold: it is a bijection of Z_n; |±R| = |±S|, so the half jump
     n/2 counts once on either side; and for every x in Z_n and every jump
-    r of R, (mapping[x + r] - mapping[x]) mod n lies in ±S.
+    r of R, d_r(x) = (mapping[x + r] - mapping[x]) mod n lies in ±S.
 
     Why that is enough: the edges of g are the pairs {x, x + r} for x in
     Z_n and r in R, and the last check puts the image of each into h.  A
@@ -201,16 +208,29 @@ def _maps_jumps(n: int, mapping, g: CirculantGraph, h: CirculantGraph) -> bool:
     the n·|±R|/2 edges of g land injectively in the n·|±S|/2 edges of h.
     The counts are equal, so the image is all of h, and the inverse map
     sends edges to edges too.  Conversely an isomorphism passes all
-    three.  The certificate costs O(n·|R|), builds no edge set, and uses
-    neither lemma A nor the rotation kernel.
+    three.
+
+    The last check runs on x < period alone, after a fourth: mapping[x +
+    period] ≡ mapping[x] + period (mod n) for every x in Z_n.  By induction
+    mapping[y + k·period] ≡ mapping[y] + k·period, so d_r(x + k·period) =
+    d_r(x), and every x in [0, n) is its residue mod period plus a multiple
+    of period.  A rotation map passes with period m; period n, the
+    default, checks every x.  So the cost is O(n) list operations plus
+    O(period·|R|) differences, on the concrete mapping whatever built it,
+    with no edge set, lemma A or rotation kernel.
     """
+    period = n if period is None else period
     closure_h = symmetric_closure(h)
     if len(symmetric_closure(g)) != len(closure_h) or not _is_bijection(n, mapping):
         return False
-    # a difference of two vertices lies in (-n, n): it is in ±S mod n
-    # exactly when it is in ±S or in ±S - n
+    # a difference of two vertices lies in (-n, n): it is c mod n exactly
+    # when it is c or c - n, for 0 < c <= n
+    if not set(map(sub, mapping[period:] + mapping[:period], mapping)) <= {period, period - n}:
+        return False
     allowed = closure_h | {s - n for s in closure_h}
-    return all(set(map(sub, mapping[r:] + mapping[:r], mapping)) <= allowed for r in g.jumps)
+    return all(
+        mapping[(x + r) % n] - mapping[x] in allowed for r in g.jumps for x in range(period)
+    )
 
 
 def _is_bijection(n: int, mapping) -> bool:

@@ -11,9 +11,12 @@ graph is classified per step t.  classify_steps does this for a whole
 sweep from vertex 0's image neighbourhood alone, O(|R|) per step.
 theta_image and detect_circulant build the whole image edge set.  No
 library module calls them: they are the reference the tests compare
-classify_steps against.  The library's one certificate of a rotation is
-oracle.verify_theta_witness, which checks the vertex map jump by jump and
-builds no edge set.
+classify_steps against.  classification_table renders each step's row
+with the kernel's per-step shifts; theta_vertex, the vertex map, is the
+tests' reference for those rows and theta_image's map.  The library's
+one certificate of a rotation is oracle.verify_theta_witness, which
+checks the vertex map's period m and then its jumps on the m residue
+classes, and builds no edge set.
 
 The Type-2 admissibility rule lives here alone: theta_reasons states it,
 sweep_length raises InvalidThetaParams on it, and admissible_m lists the
@@ -138,7 +141,7 @@ def _check_step(t: int, steps: int) -> None:
 
 
 def theta_vertex(p: ThetaParams, x: int) -> int:
-    """Image of vertex x under the rotation map."""
+    """Image of vertex x under the rotation map; the tests' reference."""
     x %= p.n
     return (x + (x % p.m) * p.t * p.m) % p.n
 
@@ -222,7 +225,7 @@ def classify_steps(
     steps = sweep_length(n, m)
     # (v, v's shift per unit step) for each v of the closure
     closure = tuple((v, v % m * m) for v in symmetric_closure(g))
-    anchored = len(g.r) >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in g.jumps)
+    anchored = len(g.r) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g.r)
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[JumpSet, tuple[int, ...]]] = {}
     lookup = None
@@ -275,12 +278,11 @@ def classification_table(
     Transformed values are listed in the order of the sorted base closure,
     so columns line up across rows.
     """
-    closure = sorted(symmetric_closure(g))
     if t_values is None:
         t_values = range(sweep_length(n, m))
     rows = classify_steps(n, m, g, t_values)
-    table = []
-    for row in rows:
-        p = ThetaParams(n, m, row.t)
-        table.append(TableRow(row.t, tuple(theta_vertex(p, v) for v in closure), row))
-    return tuple(table)
+    # (v, v's shift per unit step), as in classify_steps
+    columns = [(v, v % m * m) for v in sorted(symmetric_closure(g))]
+    return tuple(
+        TableRow(row.t, tuple([(v + s * row.t) % n for v, s in columns]), row) for row in rows
+    )

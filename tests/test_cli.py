@@ -1,9 +1,11 @@
 """Command line interface: envelopes, renderings, exit codes."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,21 @@ def test_table_rendering_shows_display_strings(capsys):
     assert "Yes (Type-2)" in out
     assert "Yes (Identity)" in out
     assert "NS" in out
+
+
+def test_table_csv_has_a_header_and_one_line_per_step(capsys):
+    code, out, err = run(
+        capsys,
+        ["table", "--n", "54", "--m", "3", "--set", "2,3,16,20", "--t", "0..3", "--format", "csv"],
+    )
+    assert code == 0 and err == ""
+    lines = list(csv.reader(out.splitlines()))
+    assert lines[0] == ["t"] + [str(c) for c in SWEEP_54_COLUMNS] + ["circulant?"]
+    expected = {t: (values, display) for t, values, display in SWEEP_54_ROWS}
+    assert [int(line[0]) for line in lines[1:]] == [0, 1, 2, 3]
+    for line in lines[1:]:
+        values, display = expected[int(line[0])]
+        assert line[1:] == [str(v) for v in values] + [display], line[0]
 
 
 def test_table_honours_step_selection(capsys):
@@ -352,6 +369,34 @@ def test_out_flag_writes_the_envelope_to_a_file(capsys, tmp_path):
     code, out, _ = run(capsys, census_argv + ["--out", str(path)])
     assert (code, out) == (0, "")
     assert path.read_text() == printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--n", "16", "--set", "1,2"],
+        ["census", "--n", "16", "--m", "2", "--sizes", "3"],
+    ],
+)
+def test_an_unwritable_out_path_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, argv + ["--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
+def test_sweep_jobs_reproduce_their_recorded_digests(capsys):
+    # the benchmark's sweep jobs (table, vset, t2set, family) must print
+    # byte for byte what perfbench/jobs.json recorded for them
+    jobs_file = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.json"
+    jobs = json.loads(jobs_file.read_text())["sweep"]["jobs"]
+    assert len(jobs) == 66
+    for job in jobs:
+        code, out, err = run(capsys, job["argv"])
+        assert (code, err) == (0, ""), job["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == job["digest"], job["argv"]
 
 
 def test_module_entry_point_runs_as_a_subprocess():

@@ -264,8 +264,30 @@ def test_jump_certificate_agrees_with_the_edge_sets_on_rotations():
                 for h in targets:
                     verdict = image == edges[h]
                     assert _maps_jumps(n, mapping, g, h) is verdict, (g, h, t)
+                    assert _maps_jumps(n, mapping, g, h, m) is verdict, (g, h, t, m)
                     verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_residue_certificate_checks_the_period_of_the_map():
+    # theta_2 takes C_54(2,3,16,20) onto C_54(3,4,14,22); swapping the
+    # images of 50 and 52 keeps a bijection and leaves every difference
+    # from the residues 0..2 as it was (their jumps reach only 22), so
+    # only the period check can see the swap
+    n, m = 54, 3
+    g, h = make_circulant(n, [2, 3, 16, 20]), make_circulant(n, [3, 4, 14, 22])
+    mapping = [(x + (x % m) * 2 * m) % n for x in range(n)]
+    assert _maps_jumps(n, mapping, g, h, m)
+    tampered = list(mapping)
+    tampered[50], tampered[52] = mapping[52], mapping[50]
+    assert sorted(tampered) == list(range(n))
+    closure = symmetric_closure(h)
+    assert all(
+        (tampered[x + r] - tampered[x]) % n in closure for x in range(m) for r in g.jumps
+    )
+    assert not maps_edge_sets(tampered, g, h)
+    assert not _maps_jumps(n, tampered, g, h, m)
+    assert not _maps_jumps(n, tampered, g, h)
 
 
 def test_jump_certificate_agrees_with_the_edge_sets_on_multipliers():

@@ -7,7 +7,7 @@ import pytest
 
 import circulant.type1
 from circulant import edge_set, make_circulant
-from circulant.core import CirculantGraph, JumpSet
+from circulant.core import CirculantGraph, JumpSet, symmetric_closure
 from circulant.errors import InvalidThetaParams
 from circulant.groups import v_set
 from circulant.theta import (
@@ -197,6 +197,24 @@ def test_table_honours_requested_steps():
     g = make_circulant(54, [2, 3, 16, 20])
     table = classification_table(54, 3, g, t_values=range(0, 18, 2))
     assert [row.t for row in table] == [0, 2, 4, 6, 8, 10, 12, 14, 16]
+
+
+@pytest.mark.parametrize(
+    "n, m, jumps, steps",
+    [
+        (54, 3, (2, 3, 16, 20), None),
+        (343, 7, (1, 7, 48, 50, 97, 99, 146, 148), None),
+        (1715, 7, (7, 17, 228, 262, 473, 507, 718, 752), range(35)),
+    ],
+)
+def test_table_values_are_the_vertex_map_of_the_closure(n, m, jumps, steps):
+    g = make_circulant(n, jumps)
+    closure = sorted(symmetric_closure(g))
+    table = classification_table(n, m, g, steps)
+    assert [row.t for row in table] == list(steps or range(n // m))
+    for row in table:
+        p = ThetaParams(n, m, row.t)
+        assert row.transformed == tuple(theta_vertex(p, v) for v in closure), row.t
 
 
 def _reference_step(p, g):
