@@ -1,10 +1,11 @@
 """Command line interface.
 
 JSON envelopes on stdout are the contract: fixed key order, sorted sets,
-byte-identical across runs for the same inputs.  Table and csv formats are
-projections of the same data.  Every envelope keeps its "findings" key,
-which is always empty: each check either passes or fails with an exit
-code, and errors go to stderr as "error: ...".
+byte-identical across runs for the same inputs.  One writer, _emit, builds
+every envelope; census alone writes its own ndjson lines instead.  Table
+and csv formats are projections of the same data.  Every envelope keeps
+its "findings" key, which is always empty: each check either passes or
+fails with an exit code, and errors go to stderr as "error: ...".
 
 Exit codes: 0 success, 2 invalid input or an --out path that cannot be
 written, 3 invalid rotation parameters, 4 invalid family parameters,
@@ -114,14 +115,17 @@ def _parse_t_range(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _emit(args, envelope: dict, rows=None) -> None:
+def _emit(args, inputs: dict, result: dict, rows) -> int:
+    """The subcommand's envelope as json, or its rows as a table or csv."""
     if args.format == "json":
+        envelope = {"command": args.command, "inputs": inputs, "result": result, "findings": []}
         text = json.dumps(envelope, indent=2)
     elif args.format == "csv":
-        text = _render_csv(rows if rows is not None else envelope)
+        text = _render_csv(rows)
     else:
-        text = _render_table(rows if rows is not None else envelope)
+        text = _render_table(rows)
     _write(args, text)
+    return 0
 
 
 def _write(args, text: str) -> None:
@@ -137,8 +141,6 @@ def _write(args, text: str) -> None:
 
 
 def _render_table(rows) -> str:
-    if isinstance(rows, dict):
-        rows = [rows]
     if not rows:
         return "(empty)"
     headers = list(rows[0])
@@ -152,8 +154,6 @@ def _render_table(rows) -> str:
 
 def _render_csv(rows, fieldnames=None) -> str:
     """rows as csv; with fieldnames given, an empty table keeps its header."""
-    if isinstance(rows, dict):
-        rows = [rows]
     if fieldnames is None:
         if not rows:
             return ""
@@ -175,15 +175,9 @@ def _cell(v) -> str:
 
 
 def cmd_reduce(args) -> int:
-    g = make_circulant(args.n, _parse_jumps(args.set))
-    envelope = {
-        "command": "reduce",
-        "inputs": {"n": args.n, "values": _parse_jumps(args.set)},
-        "result": _graph_json(g),
-        "findings": [],
-    }
-    _emit(args, envelope, [_graph_json(g)])
-    return 0
+    values = _parse_jumps(args.set)
+    reduced = _graph_json(make_circulant(args.n, values))
+    return _emit(args, {"n": args.n, "values": values}, reduced, [reduced])
 
 
 def cmd_t1set(args) -> int:
@@ -193,43 +187,31 @@ def cmd_t1set(args) -> int:
     members = [
         {"jumps": list(m.jumps), "multipliers": list(ts.witness[m])} for m in ts.members
     ]
-    envelope = {
-        "command": "t1set",
-        "inputs": {"n": args.n, "set": list(g.jumps)},
-        "result": {
-            "base": _graph_json(g),
-            "members": members,
-            "group": {
-                "order": group.order,
-                "stabilizer": list(group.stabilizer),
-                "representatives": list(group.representatives),
-                "table": [list(row) for row in group.table],
-            },
+    result = {
+        "base": _graph_json(g),
+        "members": members,
+        "group": {
+            "order": group.order,
+            "stabilizer": list(group.stabilizer),
+            "representatives": list(group.representatives),
+            "table": [list(row) for row in group.table],
         },
-        "findings": [],
     }
-    _emit(args, envelope, members)
-    return 0
+    return _emit(args, {"n": args.n, "set": list(g.jumps)}, result, members)
 
 
 def cmd_t2set(args) -> int:
     g = make_circulant(args.n, _parse_jumps(args.set))
     s = t2_set(args.n, args.m, g)
-    group = t2_group(s)
-    envelope = {
-        "command": "t2set",
-        "inputs": {"n": args.n, "m": args.m, "set": list(g.jumps)},
-        "result": {
-            "base": _graph_json(g),
-            "members": [_graph_json(x) for x in s.members],
-            "t2_indices": list(s.t2_indices),
-            "graph_period": s.vset.graph_period,
-            "group": _orbit_group_json(group),
-        },
-        "findings": [],
+    members = [_graph_json(x) for x in s.members]
+    result = {
+        "base": _graph_json(g),
+        "members": members,
+        "t2_indices": list(s.t2_indices),
+        "graph_period": s.vset.graph_period,
+        "group": _orbit_group_json(t2_group(s)),
     }
-    _emit(args, envelope, [_graph_json(x) for x in s.members])
-    return 0
+    return _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, members)
 
 
 def cmd_vset(args) -> int:
@@ -244,24 +226,14 @@ def cmd_vset(args) -> int:
         }
         for row in v.rows
     ]
-    envelope = {
-        "command": "vset",
-        "inputs": {"n": args.n, "m": args.m, "set": list(g.jumps)},
-        "result": {
-            "base": _graph_json(g),
-            "rows": rows,
-            "distinct": [_graph_json(x) for x in v.distinct],
-            "graph_period": v.graph_period,
-            "group": {
-                "modulus": group.modulus,
-                "generator": group.generator,
-                "order": group.order,
-            },
-        },
-        "findings": [],
+    result = {
+        "base": _graph_json(g),
+        "rows": rows,
+        "distinct": [_graph_json(x) for x in v.distinct],
+        "graph_period": v.graph_period,
+        "group": {"modulus": group.modulus, "generator": group.generator, "order": group.order},
     }
-    _emit(args, envelope, rows)
-    return 0
+    return _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, rows)
 
 
 def cmd_table(args) -> int:
@@ -285,33 +257,22 @@ def cmd_table(args) -> int:
                 "witnesses": list(cls.witnesses),
             }
         )
-    envelope = {
-        "command": "table",
-        "inputs": {"n": args.n, "m": args.m, "set": list(g.jumps), "t": t_values},
-        "result": {"columns": closure, "rows": rows},
-        "findings": [],
-    }
     flat = None if args.format == "json" else [
         {"t": r["t"], **{str(c): v for c, v in zip(closure, r["values"])}, "circulant?": r["display"]}
         for r in rows
     ]
-    _emit(args, envelope, flat)
-    return 0
+    inputs = {"n": args.n, "m": args.m, "set": list(g.jumps), "t": t_values}
+    return _emit(args, inputs, {"columns": closure, "rows": rows}, flat)
 
 
 def cmd_family(args) -> int:
     generator, flags = _FAMILY_KINDS[args.kind]
     values = _family_values(args, flags)
     instance = generator(*(values[flag] for flag in flags))
-    verification = family_verify(instance)
-    envelope = {
-        "command": "family",
-        "inputs": {"kind": args.kind, **{flag.replace("-", "_"): v for flag, v in values.items()}},
-        "result": _family_json(instance, verification),
-        "findings": [],
-    }
-    _emit(args, envelope, [{"member": i, "jumps": list(s)} for i, s in enumerate(instance.sets)])
-    return 0
+    inputs = {"kind": args.kind, **{flag.replace("-", "_"): v for flag, v in values.items()}}
+    result = _family_json(instance, family_verify(instance))
+    rows = [{"member": i, "jumps": list(s)} for i, s in enumerate(instance.sets)]
+    return _emit(args, inputs, result, rows)
 
 
 def _family_values(args, flags) -> dict:
@@ -353,15 +314,19 @@ def cmd_iso(args) -> int:
     h = make_circulant(args.n, _parse_jumps(args.b))
     if args.m is not None:
         sweep_length(args.n, args.m, g.r)
-    result: dict = {"a": _graph_json(g), "b": _graph_json(h)}
+    relation = _iso_relation(args, g, h)
+    inputs = {"n": args.n, "a": list(g.jumps), "b": list(h.jumps)}
+    result = {"a": _graph_json(g), "b": _graph_json(h), **relation}
+    return _emit(args, inputs, result, [{"relation": relation["relation"]}])
+
+
+def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
+    """The first relation that explains or refutes g ~ h, with its evidence."""
     if g == h:
-        result["relation"] = "equal"
-        return _finish_iso(args, result)
+        return {"relation": "equal"}
     wits = sorted(type1_witnesses(g, h))
     if wits:
-        result["relation"] = "type1"
-        result["multipliers"] = wits
-        return _finish_iso(args, result)
+        return {"relation": "type1", "multipliers": wits}
     for m in admissible_m(g.r) if args.m is None else (args.m,):
         steps = [
             row.t
@@ -369,37 +334,15 @@ def cmd_iso(args) -> int:
             if row.verdict == Verdict.TYPE2 and row.image == h.r
         ]
         if steps:
-            result["relation"] = "type2"
-            result["m"] = m
-            result["t"] = steps
-            return _finish_iso(args, result)
+            return {"relation": "type2", "m": m, "t": steps}
     if not gcd_signature_check(g, h) or not same_spectrum(g, h):
-        result["relation"] = "not-isomorphic"
-        result["evidence"] = "invariant mismatch"
-        return _finish_iso(args, result)
+        return {"relation": "not-isomorphic", "evidence": "invariant mismatch"}
     if args.n > args.cap:
-        result["relation"] = "inconclusive"
-        result["evidence"] = f"order above brute-force cap {args.cap}"
-        return _finish_iso(args, result)
+        return {"relation": "inconclusive", "evidence": f"order above brute-force cap {args.cap}"}
     witness = brute_force_isomorphic(g, h, cap=args.cap)
     if witness is None:
-        result["relation"] = "not-isomorphic"
-        result["evidence"] = "exhaustive search refutation"
-    else:
-        result["relation"] = "isomorphic-unclassified"
-        result["mapping"] = list(witness.mapping)
-    return _finish_iso(args, result)
-
-
-def _finish_iso(args, result: dict) -> int:
-    envelope = {
-        "command": "iso",
-        "inputs": {"n": args.n, "a": result["a"]["jumps"], "b": result["b"]["jumps"]},
-        "result": result,
-        "findings": [],
-    }
-    _emit(args, envelope, [{"relation": result["relation"]}])
-    return 0
+        return {"relation": "not-isomorphic", "evidence": "exhaustive search refutation"}
+    return {"relation": "isomorphic-unclassified", "mapping": list(witness.mapping)}
 
 
 def cmd_census(args) -> int:

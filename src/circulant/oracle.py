@@ -55,7 +55,7 @@ def gcd_signature_check(g: CirculantGraph, h: CirculantGraph) -> bool:
     return gcd_signature(g) == gcd_signature(h)
 
 
-def spectral_fingerprint(g: CirculantGraph, digits: int = SPECTRAL_DIGITS) -> tuple[float, ...]:
+def spectral_fingerprint(g: CirculantGraph) -> tuple[float, ...]:
     """Sorted adjacency eigenvalues, rounded for stable comparison.
 
     Eigenvalue j is the sum of cos(2*pi*j*s/n) over the symmetric closure;
@@ -70,7 +70,7 @@ def spectral_fingerprint(g: CirculantGraph, digits: int = SPECTRAL_DIGITS) -> tu
     n = g.n
     closure = sorted(symmetric_closure(g))
     eigs = (sum(cos(2.0 * pi * j * s / n) for s in closure) for j in range(n))
-    return tuple(sorted(round(v, digits) + 0.0 for v in eigs))
+    return tuple(sorted(round(v, SPECTRAL_DIGITS) + 0.0 for v in eigs))
 
 
 def same_spectrum(g: CirculantGraph, h: CirculantGraph) -> bool:
@@ -234,8 +234,17 @@ def _maps_jumps(
 
 
 def _is_bijection(n: int, mapping) -> bool:
-    """Whether mapping takes every vertex of Z_n to a distinct vertex of Z_n."""
+    """Whether mapping takes every vertex of Z_n to a distinct vertex of Z_n.
+
+    A negative label would index the hit table from its end, so it is
+    refused before the pass; a label of n or more stops the pass.
+    """
+    if len(mapping) != n or min(mapping, default=0) < 0:
+        return False
     hit = bytearray(n)
-    for y in mapping:
-        hit[y] = 1
-    return len(mapping) == n and 0 not in hit
+    try:
+        for y in mapping:
+            hit[y] = 1
+    except IndexError:
+        return False
+    return 0 not in hit

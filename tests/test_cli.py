@@ -1,7 +1,9 @@
 """Command line interface: envelopes, renderings, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -387,16 +389,70 @@ def test_an_unwritable_out_path_exits_2(capsys, tmp_path, argv):
     assert not path.parent.exists()
 
 
-def test_sweep_jobs_reproduce_their_recorded_digests(capsys):
-    # the benchmark's sweep jobs (table, vset, t2set, family) must print
-    # byte for byte what perfbench/jobs.json recorded for them
-    jobs_file = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.json"
-    jobs = json.loads(jobs_file.read_text())["sweep"]["jobs"]
-    assert len(jobs) == 66
+JOBS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.json"
+
+
+def digest_mismatches() -> list:
+    """The argv of every benchmark job whose stdout, exit code or stderr
+    differs from what perfbench/jobs.json recorded for it."""
+    jobs = [job for workload in json.loads(JOBS_FILE.read_text()).values() for job in workload["jobs"]]
+    assert len(jobs) == 438
+    mismatched = []
     for job in jobs:
-        code, out, err = run(capsys, job["argv"])
-        assert (code, err) == (0, ""), job["argv"]
-        assert hashlib.sha256(out.encode()).hexdigest() == job["digest"], job["argv"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(job["argv"])
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (code, err.getvalue(), digest) != (0, "", job["digest"]):
+            mismatched.append(job["argv"])
+    return mismatched
+
+
+def test_every_benchmark_job_reproduces_its_recorded_digest():
+    # the benchmark's sweep, census and query jobs cover every subcommand;
+    # each must print byte for byte what perfbench/jobs.json recorded
+    assert digest_mismatches() == []
+
+
+def test_every_benchmark_job_reproduces_its_recorded_digest_under_python_O():
+    script = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+        "import test_cli; print(sys.flags.optimize, test_cli.digest_mismatches())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 []"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize(
+    "argv, table_header, csv_header",
+    [
+        (["reduce", "--n", "16", "--set", "1,2"], "n   jumps", "n,jumps"),
+        (["t1set", "--n", "16", "--set", "1,2,7"], "jumps  multipliers", "jumps,multipliers"),
+        (["t2set", "--n", "16", "--m", "2", "--set", "1,2,7"], "n   jumps", "n,jumps"),
+        (["vset", "--n", "16", "--m", "2", "--set", "1,2,7"], "t  verdict   jumps", "t,verdict,jumps"),
+        (
+            ["table", "--n", "16", "--m", "2", "--set", "1,2,7", "--t", "0..3"],
+            "t  1  2  7   9   14  15  circulant?",
+            "t,1,2,7,9,14,15,circulant?",
+        ),
+        (["family", "--kind", "m3", "--n", "1"], "member  jumps", "member,jumps"),
+        (["iso", "--n", "16", "--a", "1,2,7", "--b", "2,3,5"], "relation", "relation"),
+    ],
+)
+def test_every_envelope_subcommand_renders_its_rows(capsys, argv, table_header, csv_header, fmt):
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (table_header if fmt == "table" else csv_header)
+
+
+def test_an_empty_table_renders_as_empty(capsys):
+    argv = ["table", "--n", "54", "--m", "3", "--set", "2,3,16,20", "--t", "5..3", "--format"]
+    assert run(capsys, argv + ["table"]) == (0, "(empty)\n", "")
+    assert run(capsys, argv + ["csv"]) == (0, "\n", "")
 
 
 def test_module_entry_point_runs_as_a_subprocess():

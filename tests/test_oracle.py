@@ -13,6 +13,7 @@ from circulant.core import CirculantGraph, JumpSet, edge_set, symmetric_closure
 from circulant.errors import BudgetExceeded, OrderMismatch, VerificationFailure
 from circulant.oracle import (
     BRUTE_FORCE_CAP,
+    _is_bijection,
     _maps_jumps,
     brute_force_isomorphic,
     gcd_signature,
@@ -324,6 +325,18 @@ def test_jump_certificate_rejects_maps_that_are_not_bijections():
         assert not maps_edge_sets(mapping, a, b)
         assert not _maps_jumps(n, mapping, a, b), mapping
 
+
+
+@pytest.mark.parametrize("last", [-1, 8])
+def test_jump_certificate_rejects_labels_outside_the_vertex_range(last):
+    # vertex 7 labelled -1 or 8, not 7: -1 is 7 mod 8, so every difference
+    # of C_8(1) still lands in +-1, but no vertex of Z_8 is called -1 or 8
+    mapping = [0, 1, 2, 3, 4, 5, 6, last]
+    cycle = make_circulant(8, [1])
+    assert _is_bijection(8, mapping) is False
+    for period in (None, 1, 2, 4, 8):
+        assert _maps_jumps(8, mapping, cycle, cycle, period) is False, period
+    assert _maps_jumps(8, list(range(8)), cycle, cycle, 4)
 
 def test_jump_certificate_counts_the_half_jump_once():
     # |R| = |S| = 3, and every jump of R lands in +-S, but 8 = 16/2 is its
