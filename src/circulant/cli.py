@@ -93,7 +93,7 @@ def _orbit_group_json(group: OrbitGroup) -> dict:
         "labels": [
             {
                 "t": t,
-                "jumps": list(group.labels[t]) if group.labels[t] is not None else None,
+                "jumps": list(group.labels[t].jumps) if group.labels[t] is not None else None,
             }
             for t in group.indices
         ],
@@ -107,11 +107,12 @@ def _parse_jumps(text: str) -> list[int]:
         raise CirculantError(f"cannot parse jump list {text!r}") from exc
 
 
-def _parse_t_range(text: str) -> list[int]:
+def _parse_t_range(text: str) -> range | list[int]:
+    """Steps given as "a..b", a lazy range with b included, or as "a,b,c"."""
     text = text.replace(" ", "")
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(v) for v in text.split(",")]
 
 
@@ -222,7 +223,7 @@ def cmd_vset(args) -> int:
         {
             "t": row.t,
             "verdict": row.verdict.value,
-            "jumps": list(row.image) if row.image is not None else None,
+            "jumps": list(row.image.jumps) if row.image is not None else None,
         }
         for row in v.rows
     ]
@@ -253,7 +254,7 @@ def cmd_table(args) -> int:
                 "values": list(entry.transformed),
                 "verdict": cls.verdict.value,
                 "display": _DISPLAY[cls.verdict],
-                "image": list(cls.image) if cls.image is not None else None,
+                "image": list(cls.image.jumps) if cls.image is not None else None,
                 "witnesses": list(cls.witnesses),
             }
         )
@@ -271,7 +272,7 @@ def cmd_family(args) -> int:
     instance = generator(*(values[flag] for flag in flags))
     inputs = {"kind": args.kind, **{flag.replace("-", "_"): v for flag, v in values.items()}}
     result = _family_json(instance, family_verify(instance))
-    rows = [{"member": i, "jumps": list(s)} for i, s in enumerate(instance.sets)]
+    rows = [{"member": i, "jumps": list(s.jumps)} for i, s in enumerate(instance.sets)]
     return _emit(args, inputs, result, rows)
 
 
@@ -298,7 +299,7 @@ def _family_json(instance: FamilyInstance, verification: FamilyVerification) -> 
     return {
         "order": instance.order,
         "m": instance.m,
-        "sets": [list(s) for s in instance.sets],
+        "sets": [list(s.jumps) for s in instance.sets],
         "relations": [[r.t, r.source, r.target] for r in instance.relations],
         "claim": instance.claim.value,
         "verification": {
@@ -313,7 +314,7 @@ def cmd_iso(args) -> int:
     g = make_circulant(args.n, _parse_jumps(args.a))
     h = make_circulant(args.n, _parse_jumps(args.b))
     if args.m is not None:
-        sweep_length(args.n, args.m, g.r)
+        sweep_length(args.n, args.m, g)
     relation = _iso_relation(args, g, h)
     inputs = {"n": args.n, "a": list(g.jumps), "b": list(h.jumps)}
     result = {"a": _graph_json(g), "b": _graph_json(h), **relation}
@@ -327,11 +328,11 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     wits = sorted(type1_witnesses(g, h))
     if wits:
         return {"relation": "type1", "multipliers": wits}
-    for m in admissible_m(g.r) if args.m is None else (args.m,):
+    for m in admissible_m(g) if args.m is None else (args.m,):
         steps = [
             row.t
             for row in t2_set(args.n, m, g).vset.rows
-            if row.verdict == Verdict.TYPE2 and row.image == h.r
+            if row.verdict == Verdict.TYPE2 and row.image == h
         ]
         if steps:
             return {"relation": "type2", "m": m, "t": steps}

@@ -22,8 +22,12 @@ def check_order(n: int) -> None:
 
 
 @dataclass(frozen=True, order=True)
-class JumpSet:
-    """Canonical connection set: sorted, distinct, folded into [1, n//2]."""
+class CirculantGraph:
+    """A circulant graph C_n(R) with its canonical jumps R.
+
+    R is sorted, distinct and folded into [1, n//2]; make_circulant folds
+    raw values into that form, and any other jumps are refused here.
+    """
 
     n: int
     jumps: tuple[int, ...]
@@ -40,28 +44,6 @@ class JumpSet:
                 raise InvalidJump(f"jumps must be strictly increasing, got {self.jumps}")
             prev = j
 
-    def __len__(self):
-        return len(self.jumps)
-
-    def __iter__(self):
-        return iter(self.jumps)
-
-
-@dataclass(frozen=True, order=True)
-class CirculantGraph:
-    """A circulant graph C_n(R) identified by its canonical jump set."""
-
-    n: int
-    r: JumpSet
-
-    def __post_init__(self):
-        if self.r.n != self.n:
-            raise InvalidJump(f"jump set is for order {self.r.n}, graph has order {self.n}")
-
-    @property
-    def jumps(self) -> tuple[int, ...]:
-        return self.r.jumps
-
     def __str__(self):
         return f"C_{self.n}({','.join(map(str, self.jumps))})"
 
@@ -76,8 +58,8 @@ class CycleStats:
     cycle_count: int
 
 
-def reflexive_reduce(n: int, raw: Iterable[int]) -> JumpSet:
-    """Fold raw jump values into canonical form.
+def reflexive_reduce(n: int, raw: Iterable[int]) -> tuple[int, ...]:
+    """Fold raw jump values into canonical jumps.
 
     Each value is reduced mod n; values above n/2 are replaced by their
     negation n - v, duplicates collapse, and the result is sorted.  A value
@@ -95,7 +77,7 @@ def reflexive_reduce(n: int, raw: Iterable[int]) -> JumpSet:
         if 2 * r > n:
             r = n - r
         folded.add(r)
-    return JumpSet(n, tuple(sorted(folded)))
+    return tuple(sorted(folded))
 
 
 def make_circulant(n: int, raw: Iterable[int]) -> CirculantGraph:
@@ -140,7 +122,7 @@ def scale(k: int, g: CirculantGraph) -> CirculantGraph:
     """C_n(R) -> C_{kn}(kR); jumps stay canonical without refolding."""
     if k < 1:
         raise InvalidJump(f"scale factor must be positive, got {k}")
-    return CirculantGraph(k * g.n, JumpSet(k * g.n, tuple(k * j for j in g.jumps)))
+    return CirculantGraph(k * g.n, tuple(k * j for j in g.jumps))
 
 
 def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> None:

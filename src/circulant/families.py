@@ -1,11 +1,11 @@
 """Parametric families of Type-2 isomorphic circulant graphs.
 
-Each generator emits a family instance: an ordered list of jump sets on a
+Each generator emits a family instance: an ordered list of graphs of a
 common order n = (something) * m^3, together with the rotation steps that
 are claimed to map each set onto the next.  family_verify re-derives every
 claimed relation via the verifier (oracle.verify_theta_witness, jump by
-jump on the m residue classes) and computes the Type-2 set and group of the family, so generator
-bugs cannot slip through as silent claims.
+jump on the m residue classes) and computes the Type-2 set and group of
+the family, so generator bugs cannot slip through as silent claims.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .core import CirculantGraph, JumpSet, reflexive_reduce
+from .core import CirculantGraph, make_circulant
 from .errors import (
     DegenerateFamily,
     InvalidFamilyParams,
@@ -45,15 +45,15 @@ class ThetaRelation:
 class FamilyInstance:
     order: int
     m: int
-    sets: tuple[JumpSet, ...]
+    sets: tuple[CirculantGraph, ...]
     relations: tuple[ThetaRelation, ...]
     claim: FamilyClaim
 
     def __post_init__(self):
-        sizes = {len(s) for s in self.sets}
+        sizes = {len(s.jumps) for s in self.sets}
         if len(sizes) != 1:
             raise InvalidFamilyParams(f"member sizes differ: {sorted(sizes)}")
-        signatures = {tuple(sorted(gcd(self.order, j) for j in s)) for s in self.sets}
+        signatures = {tuple(sorted(gcd(self.order, j) for j in s.jumps)) for s in self.sets}
         if len(signatures) != 1:
             raise InvalidFamilyParams("gcd signatures differ across members")
         for s in self.sets:
@@ -63,10 +63,6 @@ class FamilyInstance:
                     f"member {s.jumps} of order {self.order} inadmissible for m={self.m}: "
                     f"{', '.join(reasons)}"
                 )
-
-    @property
-    def graphs(self) -> tuple[CirculantGraph, ...]:
-        return tuple(CirculantGraph(self.order, s) for s in self.sets)
 
 
 @dataclass
@@ -85,9 +81,9 @@ class FamilyVerification:
     group_order: int | None
 
 
-def _fold(order: int, values) -> JumpSet:
+def _fold(order: int, values) -> CirculantGraph:
     try:
-        return reflexive_reduce(order, values)
+        return make_circulant(order, values)
     except InvalidJump as exc:
         raise InvalidFamilyParams(str(exc)) from exc
 
@@ -258,7 +254,7 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
     family and its group order is the family size.  Any failed check
     raises VerificationFailure.
     """
-    graphs = instance.graphs
+    graphs = instance.sets
     for rel in instance.relations:
         params = ThetaParams(instance.order, instance.m, rel.t % (instance.order // instance.m))
         verify_theta_witness(params, graphs[rel.source], graphs[rel.target])

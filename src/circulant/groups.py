@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .core import (
-    CirculantGraph,
-    JumpSet,
-    check_abelian_group,
-    check_equal_or_disjoint,
-    check_order,
-)
+from .core import CirculantGraph, check_abelian_group, check_equal_or_disjoint, check_order
 from .errors import BudgetExceeded, OrderMismatch, SubgroupViolation, VerificationFailure
 from .theta import (
     NO_ANCHOR_JUMP,
@@ -82,7 +76,7 @@ class OrbitGroup:
     """Additive group on sweep indices with graph-valued labels.
 
     indices form a subgroup of Z_modulus generated by generator; labels
-    give the image jump set at each index (None when not circulant).
+    give the image graph at each index (None when not circulant).
     Quotienting the indices by the label period yields quotient_table over
     the representatives below the period; quotient_order is its size.
     """
@@ -91,7 +85,7 @@ class OrbitGroup:
     generator: int
     indices: tuple[int, ...]
     period: int
-    labels: dict[int, JumpSet | None]
+    labels: dict[int, CirculantGraph | None]
     quotient_reps: tuple[int, ...]
     quotient_table: tuple[tuple[int, ...], ...]
 
@@ -177,7 +171,7 @@ def v_set(
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
-    steps = sweep_length(n, m, g.r)
+    steps = sweep_length(n, m, g)
     if orbits is None:
         rows = classify_steps(n, m, g, range(steps))
     else:
@@ -185,8 +179,7 @@ def v_set(
     if rows[0].verdict != Verdict.IDENTITY:
         raise VerificationFailure(f"step 0 of {g} is {rows[0].verdict.value}, not Identity")
 
-    images = dict.fromkeys(row.image for row in rows if row.image is not None)
-    distinct = tuple(CirculantGraph(n, image) for image in images)
+    distinct = tuple(dict.fromkeys(row.image for row in rows if row.image is not None))
 
     period = next((t for t in range(1, steps) if rows[t].verdict == Verdict.IDENTITY), steps)
     # theta composes additively in t, so the steps fixing g are a subgroup
@@ -216,7 +209,7 @@ def _orbit_rows(
             orbits.setdefault(_multiply(n, u, g.jumps), (rows, u))
         return rows
     rows, u = known
-    images: dict[JumpSet, JumpSet] = {}
+    images: dict[CirculantGraph, CirculantGraph] = {}
     relabelled = []
     for row in rows:
         if row.image is None:
@@ -224,8 +217,8 @@ def _orbit_rows(
             continue
         image = images.get(row.image)
         if image is None:
-            image = images[row.image] = JumpSet(n, _multiply(n, u, row.image.jumps))
-        if row.verdict is Verdict.IDENTITY and image != g.r:
+            image = images[row.image] = CirculantGraph(n, _multiply(n, u, row.image.jumps))
+        if row.verdict is Verdict.IDENTITY and image != g:
             raise VerificationFailure(
                 f"{u} * {row.image.jumps} is {image.jumps}, not the jumps of {g}"
             )
@@ -252,10 +245,8 @@ def t2_set(
     v = v_set(n, m, g, orbits=orbits)
     members = [g]
     for row in v.rows:
-        if row.verdict == Verdict.TYPE2:
-            img = CirculantGraph(n, row.image)
-            if img not in members:
-                members.append(img)
+        if row.verdict == Verdict.TYPE2 and row.image not in members:
+            members.append(row.image)
     indices = tuple(
         row.t for row in v.rows if row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)
     )
@@ -292,7 +283,7 @@ def _orbit_group(
     modulus: int,
     indices: tuple[int, ...],
     period: int,
-    labels: dict[int, JumpSet | None],
+    labels: dict[int, CirculantGraph | None],
 ) -> OrbitGroup:
     # a set equal to <generator> is a subgroup of Z_modulus
     generator = indices[1] if len(indices) > 1 else 0
@@ -365,9 +356,9 @@ def appended_jump_check(
         return AppendedJumpReport(False, f"appended jump {jump} is not divisible by {m}")
     if folded in base.jumps:
         return AppendedJumpReport(False, f"jump {jump} already present in {base}")
-    if NO_ANCHOR_JUMP not in theta_reasons(n, m, base.r):
+    if NO_ANCHOR_JUMP not in theta_reasons(n, m, base):
         return AppendedJumpReport(False, f"base {base} already has a jump divisible by {m}")
-    augmented = CirculantGraph(n, JumpSet(n, tuple(sorted(base.jumps + (folded,)))))
+    augmented = CirculantGraph(n, tuple(sorted(base.jumps + (folded,))))
     aug_t2 = t2_set(n, m, augmented)
     if len(aug_t2.members) < 2:
         return AppendedJumpReport(
@@ -392,7 +383,7 @@ def census(
     sizes: Iterable[int],
     budget: int = DEFAULT_CENSUS_BUDGET,
 ) -> CensusResult:
-    """Enumerate canonical jump sets and collect their Type-2 classes.
+    """Enumerate canonical graphs and collect their Type-2 classes.
 
     Only sets holding a jump divisible by m are swept.  Classes with more
     than one member are reported once each, keyed by the lexicographically
@@ -414,7 +405,7 @@ def census(
         )
     orbits: SweepOrbits = {}
     records: list[CensusRecord] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    seen: set[tuple[CirculantGraph, ...]] = set()
     examined = 0
     coincidences = 0
     for k in sizes:
@@ -422,7 +413,7 @@ def census(
             # the anchor half of theta_reasons, inline: this runs once per combination
             if not any(j % m == 0 for j in combo):
                 continue
-            g = CirculantGraph(n, JumpSet(n, combo))
+            g = CirculantGraph(n, combo)
             s = t2_set(n, m, g, orbits=orbits)
             examined += 1
             all_partner = all(
@@ -433,11 +424,10 @@ def census(
                 coincidences += 1
             if len(s.members) < 2:
                 continue
-            key = tuple(sorted(x.jumps for x in s.members))
-            if key in seen:
+            ordered = tuple(sorted(s.members))
+            if ordered in seen:
                 continue
-            seen.add(key)
-            ordered = tuple(CirculantGraph(n, JumpSet(n, js)) for js in key)
+            seen.add(ordered)
             group = t2_group(s)
             records.append(
                 CensusRecord(

@@ -132,35 +132,46 @@ def brute_force_isomorphic(
     mapping = [-1] * n
     mapping[0] = 0
     used = 1 << 0
+    full = (1 << n) - 1
 
-    def extend(depth: int) -> bool:
-        nonlocal used
-        if depth == n:
-            return True
-        v = order[depth]
-        required = 0
-        forbidden = 0
-        mask = adj_g[v]
+    def candidates(depth: int) -> int:
+        """The free images for order[depth] that keep every placed adjacency
+        and non-adjacency, as a bitmask.
+
+        The neighbours of y in h are the w with adj_h[w] >> y & 1, and h is
+        undirected, so they are the bits of adj_h[y].
+        """
+        cand = full & ~used
+        mask = adj_g[order[depth]]
         for u in order[:depth]:
             if mask >> u & 1:
-                required |= 1 << mapping[u]
+                cand &= adj_h[mapping[u]]
             else:
-                forbidden |= 1 << mapping[u]
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            aw = adj_h[w]
-            if aw & required != required or aw & forbidden:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            if extend(depth + 1):
-                return True
-            used &= ~(1 << w)
-            mapping[v] = -1
-        return False
+                cand &= ~adj_h[mapping[u]]
+        return cand
 
-    if not extend(1):
+    # depth-first with an explicit stack, so the order is not bounded by the
+    # recursion limit: frames[d - 1] holds the images left for order[d],
+    # tried lowest first, and order[d] keeps its current image until the
+    # next is tried
+    frames = [candidates(1)]
+    while frames:
+        v = order[len(frames)]
+        if mapping[v] != -1:
+            used &= ~(1 << mapping[v])
+            mapping[v] = -1
+        cand = frames[-1]
+        if not cand:
+            frames.pop()
+            continue
+        low = cand & -cand
+        frames[-1] = cand ^ low
+        mapping[v] = low.bit_length() - 1
+        used |= low
+        if len(frames) == n - 1:
+            break
+        frames.append(candidates(len(frames) + 1))
+    else:
         return None
     if not _maps_jumps(n, mapping, g, h):
         raise VerificationFailure(f"search returned a mapping that does not take {g} onto {h}")

@@ -20,7 +20,7 @@ classes, and builds no edge set.
 
 The Type-2 admissibility rule lives here alone: theta_reasons states it,
 sweep_length raises InvalidThetaParams on it, and admissible_m lists the
-m that pass it for a jump set.
+m that pass it for a graph.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import CirculantGraph, JumpSet, edge_set, symmetric_closure
+from .core import CirculantGraph, edge_set, symmetric_closure
 from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
 from .type1 import witness_lookup
 
@@ -75,13 +75,13 @@ class Verdict(Enum):
 class TClassification:
     """Outcome of one rotation step.
 
-    image is the canonical jump set of the image when circulant; witnesses
-    are the multiplier units when the image is a Type-1 partner.
+    image is the image graph when circulant; witnesses are the multiplier
+    units when the image is a Type-1 partner.
     """
 
     t: int
     verdict: Verdict
-    image: JumpSet | None = None
+    image: CirculantGraph | None = None
     witnesses: tuple[int, ...] = ()
 
 
@@ -94,28 +94,28 @@ class TableRow:
     classification: TClassification
 
 
-def theta_reasons(n: int, m: int, r: JumpSet | None = None) -> tuple[str, ...]:
+def theta_reasons(n: int, m: int, g: CirculantGraph | None = None) -> tuple[str, ...]:
     """Why (n, m) is inadmissible for Type-2 analysis; () when it is not.
 
-    The one statement of the rule: m > 1, m^3 divides n, and, when r is
-    given, some jump of r is divisible by m.
+    The one statement of the rule: m > 1, m^3 divides n, and, when g is
+    given, some jump of g is divisible by m.
     """
     if m < 2:
         return (M_TOO_SMALL,)
     reasons = () if n % (m ** 3) == 0 else (NO_DIVISOR_CUBED,)
-    if r is not None and not any(j % m == 0 for j in r.jumps):
+    if g is not None and not any(j % m == 0 for j in g.jumps):
         reasons += (NO_ANCHOR_JUMP,)
     return reasons
 
 
-def sweep_length(n: int, m: int, r: JumpSet | None = None) -> int:
-    """n/m, the number of rotation steps, for an admissible (n, m, r).
+def sweep_length(n: int, m: int, g: CirculantGraph | None = None) -> int:
+    """n/m, the number of rotation steps, for an admissible (n, m, g).
 
-    Otherwise raises InvalidThetaParams naming each of theta_reasons(n, m, r).
+    Otherwise raises InvalidThetaParams naming each of theta_reasons(n, m, g).
     """
-    reasons = theta_reasons(n, m, r)
+    reasons = theta_reasons(n, m, g)
     if reasons:
-        jumps = "" if r is None else f", jumps {r.jumps}"
+        jumps = "" if g is None else f", jumps {g.jumps}"
         raise InvalidThetaParams(
             f"invalid rotation parameters n={n}, m={m}{jumps}: {', '.join(reasons)}",
             reasons,
@@ -123,15 +123,15 @@ def sweep_length(n: int, m: int, r: JumpSet | None = None) -> int:
     return n // m
 
 
-def admissible_m(r: JumpSet) -> tuple[int, ...]:
-    """Every m admissible for Type-2 analysis of r, ascending.
+def admissible_m(g: CirculantGraph) -> tuple[int, ...]:
+    """Every m admissible for Type-2 analysis of g, ascending.
 
     m^3 | n bounds the candidates by the cube root of n.
     """
     return tuple(
         c
-        for c in itertools.takewhile(lambda c: c ** 3 <= r.n, itertools.count(2))
-        if not theta_reasons(r.n, c, r)
+        for c in itertools.takewhile(lambda c: c ** 3 <= g.n, itertools.count(2))
+        if not theta_reasons(g.n, c, g)
     )
 
 
@@ -167,8 +167,8 @@ def theta_image(p: ThetaParams, g: CirculantGraph) -> LabeledGraph:
     return LabeledGraph(p.n, frozenset(edges))
 
 
-def detect_circulant(h: LabeledGraph) -> JumpSet | None:
-    """Recover the jump set of h if h is circulant, else None.
+def detect_circulant(h: LabeledGraph) -> CirculantGraph | None:
+    """h as a circulant graph if it is one, else None.
 
     The candidate directed set is vertex 0's neighborhood.  If it is not
     closed under v -> n - v the graph cannot be circulant; otherwise the
@@ -181,8 +181,8 @@ def detect_circulant(h: LabeledGraph) -> JumpSet | None:
     nbrs = {b for a, b in h.edges if a == 0} | {a for a, b in h.edges if b == 0}
     if not nbrs or any((n - v) % n not in nbrs for v in nbrs):
         return None
-    candidate = JumpSet(n, tuple(sorted({min(v, n - v) for v in nbrs})))
-    if edge_set(CirculantGraph(n, candidate)) != h.edges:
+    candidate = CirculantGraph(n, tuple(sorted({min(v, n - v) for v in nbrs})))
+    if edge_set(candidate) != h.edges:
         return None
     return candidate
 
@@ -216,18 +216,18 @@ def classify_steps(
 
     A step therefore costs O(|R|).  A sweep revisits each image once per
     period of the image sequence, so each distinct image is built and
-    validated as a JumpSet once, and its multiplier witnesses are looked
-    up once, from type1.witness_lookup(g), which pins one jump of g and
-    tries at most 2*|S|*gcd(r0, n) units.
+    validated as a CirculantGraph once, and its multiplier witnesses are
+    looked up once, from type1.witness_lookup(g), which pins one jump of g
+    and tries at most 2*|S|*gcd(r0, n) units.
     """
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
     steps = sweep_length(n, m)
     # (v, v's shift per unit step) for each v of the closure
     closure = tuple((v, v % m * m) for v in symmetric_closure(g))
-    anchored = len(g.r) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g.r)
+    anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
     # folded jumps of each distinct non-identity image -> (image, witnesses)
-    images: dict[tuple[int, ...], tuple[JumpSet, tuple[int, ...]]] = {}
+    images: dict[tuple[int, ...], tuple[CirculantGraph, tuple[int, ...]]] = {}
     lookup = None
     rows = []
     for t in t_values:
@@ -243,13 +243,13 @@ def classify_steps(
             continue
         key = tuple(sorted(v for v in nbrs if 2 * v <= n))
         if key == g.jumps:
-            rows.append(TClassification(t, Verdict.IDENTITY, image=g.r))
+            rows.append(TClassification(t, Verdict.IDENTITY, image=g))
             continue
         known = images.get(key)
         if known is None:
             if lookup is None:
                 lookup = witness_lookup(g)
-            image = JumpSet(n, key)
+            image = CirculantGraph(n, key)
             known = images[key] = (image, lookup(image))
         image, witnesses = known
         if witnesses:

@@ -22,10 +22,9 @@ from typing import Callable
 
 from .core import (
     CirculantGraph,
-    JumpSet,
     check_abelian_group,
     check_equal_or_disjoint,
-    reflexive_reduce,
+    make_circulant,
 )
 from .errors import NotAUnit, OrderMismatch, VerificationFailure
 
@@ -68,33 +67,33 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, n) if gcd(n, x) == 1)
 
 
-def phi_apply(n: int, x: int, r: JumpSet) -> JumpSet:
-    """Image of a jump set under multiplication by the unit x."""
-    if r.n != n:
-        raise OrderMismatch(f"jump set is for order {r.n}, not {n}")
+def phi_apply(n: int, x: int, g: CirculantGraph) -> CirculantGraph:
+    """Image of g under multiplication by the unit x."""
+    if g.n != n:
+        raise OrderMismatch(f"graph has order {g.n}, not {n}")
     if gcd(n, x % n) != 1:
         raise NotAUnit(f"{x} is not a unit mod {n}")
-    image = reflexive_reduce(n, (x * j % n for j in r.jumps))
-    if len(image) != len(r):
-        raise VerificationFailure(f"unit {x} collapsed jumps of {r.jumps} mod {n}")
+    image = make_circulant(n, (x * j % n for j in g.jumps))
+    if len(image.jumps) != len(g.jumps):
+        raise VerificationFailure(f"unit {x} collapsed jumps of {g.jumps} mod {n}")
     return image
 
 
 def type1_set(g: CirculantGraph) -> Type1Set:
     """Sweep every unit and collect the distinct multiplier images."""
     group = units(g.n)
-    buckets: dict[JumpSet, list[int]] = {}
+    buckets: dict[CirculantGraph, list[int]] = {}
     for x in group:
-        buckets.setdefault(phi_apply(g.n, x, g.r), []).append(x)
-    members = tuple(CirculantGraph(g.n, js) for js in sorted(buckets))
-    witness = {m: tuple(buckets[m.r]) for m in members}
+        buckets.setdefault(phi_apply(g.n, x, g), []).append(x)
+    members = tuple(sorted(buckets))
+    witness = {m: tuple(buckets[m]) for m in members}
     if sum(len(w) for w in witness.values()) != len(group):
         raise VerificationFailure(f"witness sets of {g} do not partition the units")
     return Type1Set(base=g, members=members, witness=witness)
 
 
-def witness_lookup(g: CirculantGraph) -> Callable[[JumpSet], tuple[int, ...]]:
-    """Lookup S -> the ascending units x with xR = S, for R the jumps of g.
+def witness_lookup(g: CirculantGraph) -> Callable[[CirculantGraph], tuple[int, ...]]:
+    """Lookup C_n(S) -> the ascending units x with xR = S, for R the jumps of g.
 
     It pins the jump r0 of R with the least d = gcd(r0, n) (the smallest
     such jump) instead of applying all phi(n) units, and returns the same
@@ -120,16 +119,16 @@ def witness_lookup(g: CirculantGraph) -> Callable[[JumpSet], tuple[int, ...]]:
     other jumps are tested.  Each candidate that passes is confirmed with
     phi_apply, and a disagreement raises VerificationFailure.
     """
-    n, r = g.n, g.r
-    d, r0 = min((gcd(j, n), j) for j in r.jumps)
+    n = g.n
+    d, r0 = min((gcd(j, n), j) for j in g.jumps)
     q = n // d
     inverse = pow(r0 // d, -1, q)
-    profile = sorted(gcd(j, n) for j in r.jumps)
-    others = tuple(j for j in r.jumps if j != r0)
+    profile = sorted(gcd(j, n) for j in g.jumps)
+    others = tuple(j for j in g.jumps if j != r0)
 
-    def lookup(s: JumpSet) -> tuple[int, ...]:
+    def lookup(s: CirculantGraph) -> tuple[int, ...]:
         if s.n != n:
-            raise OrderMismatch(f"jump set is for order {s.n}, not {n}")
+            raise OrderMismatch(f"graph has order {s.n}, not {n}")
         gcds = [gcd(j, n) for j in s.jumps]
         if sorted(gcds) != profile:
             return ()
@@ -142,7 +141,7 @@ def witness_lookup(g: CirculantGraph) -> Callable[[JumpSet], tuple[int, ...]]:
             if gcd(x, n) == 1 and all(x * j % n in closure for j in others)
         ]
         for x in found:
-            image = phi_apply(n, x, r)
+            image = phi_apply(n, x, g)
             if image != s:
                 raise VerificationFailure(
                     f"unit {x} passed the pinned-jump test for {g} -> {s.jumps} "
@@ -157,7 +156,7 @@ def type1_witnesses(g: CirculantGraph, h: CirculantGraph) -> frozenset[int]:
     """Units x with xR = S, i.e. witnesses that h is a multiplier image of g."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return frozenset(witness_lookup(g)(h.r))
+    return frozenset(witness_lookup(g)(h))
 
 
 def type1_group(g: CirculantGraph) -> Type1Group:
@@ -168,8 +167,7 @@ def type1_group(g: CirculantGraph) -> Type1Group:
     """
     ts = type1_set(g)
     n = g.n
-    base = CirculantGraph(n, g.r)
-    stabilizer = ts.witness[base]
+    stabilizer = ts.witness[g]
     stab_set = set(stabilizer)
     # the stabilizer must be a subgroup of the units ...
     if 1 not in stab_set:
@@ -188,7 +186,7 @@ def type1_group(g: CirculantGraph) -> Type1Group:
     # a*b is the image of the base under a*b
     member_of = {x: i for i, m in enumerate(ts.members) for x in ts.witness[m]}
     table = tuple(tuple(member_of[a * b % n] for b in reps) for a in reps)
-    check_abelian_group(table, ts.members.index(base))
+    check_abelian_group(table, ts.members.index(g))
     return Type1Group(carrier=ts, representatives=reps, stabilizer=stabilizer, table=table)
 
 

@@ -110,7 +110,7 @@ def test_criterion_03_worked_case_partner_sets():
         if got_t1 != expected_t1:
             problems.append(f"T1 mismatch at ({label})")
         t2 = t2_set(n, m, g)
-        got_t2 = {mem.r.jumps for mem in t2.members}
+        got_t2 = {mem.jumps for mem in t2.members}
         if got_t2 != expected_t2:
             missing = sorted(expected_t2 - got_t2)
             extra = sorted(got_t2 - expected_t2)
@@ -128,7 +128,7 @@ def test_criterion_03_worked_case_partner_sets():
             if unit not in t1.witness.get(disputed, ()):
                 problems.append(f"({label}) {jumps} lost multiplier witness {unit}")
             reached = {
-                row.t: row.verdict for row in t2.vset.rows if row.image == disputed.r
+                row.t: row.verdict for row in t2.vset.rows if row.image == disputed
             }
             if reached != {t: Verdict.TYPE1 for t in steps}:
                 problems.append(f"({label}) sweep reaches {jumps} as {reached}")
@@ -223,7 +223,7 @@ def test_criterion_06_m2_family_sweep():
             if verification.resolved == "type1":
                 flagged.append((n, s, verification.t1_witness_pairs))
                 continue
-            members = {mem.r.jumps for mem in verification.t2_members}
+            members = {mem.jumps for mem in verification.t2_members}
             if members != {fam.sets[0].jumps, fam.sets[1].jumps}:
                 problems.append(f"(n={n}, s={s}) partner set {sorted(members)}")
             if verification.group_order != 2:

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,20 @@ def test_table_honours_step_selection(capsys):
     assert d["inputs"]["t"] == [] and d["result"]["rows"] == []
 
 
+def test_a_long_step_range_stops_at_its_first_bad_step(capsys):
+    # a..b is walked lazily, so the step past n/m - 1 ends the command
+    # before the rest of the range is ever built
+    argv = ["table", "--n", "16", "--m", "2", "--set", "1,2,7", "--t", "0..2000000"]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (3, "", "error: step t=8 outside [0, 7]\n")
+    assert peak < 5_000_000
+
+
 def test_family_envelope_includes_verification(capsys):
     d = run_json(capsys, ["family", "--kind", "m3", "--n", "1"])
     r = d["result"]
@@ -205,6 +220,19 @@ def test_iso_above_cap_is_inconclusive(capsys):
     # no single rotation, and the order is above the brute-force cap
     d = run_json(capsys, ["iso", "--n", "32", "--a", "2,4,14", "--b", "2,12,14"])
     assert d["result"]["relation"] == "inconclusive"
+
+
+def test_iso_brute_force_searches_deeper_than_the_recursion_limit():
+    # the composite pair scaled by 75: the search places 1,199 vertices,
+    # more than the interpreter's default recursion limit of 1,000
+    argv = ["iso", "--n", "1200", "--a", "75,150,525", "--b", "75,450,525", "--cap", "2000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "circulant.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    assert result["relation"] == "isomorphic-unclassified"
+    assert sorted(result["mapping"]) == list(range(1200))
 
 
 def test_iso_spectra_split_by_rounding_do_not_refute(capsys):
@@ -390,20 +418,32 @@ def test_an_unwritable_out_path_exits_2(capsys, tmp_path, argv):
 
 
 JOBS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.json"
+# sha256 over the table and csv renderings of every benchmark job, in job
+# order, each rendering fed in as "<exit code>\0<stdout>\0<stderr>\0"
+RENDERINGS_SHA256 = "08a37326ebeac76c172bcc4f0bc17d698275e0c0ee26785c5c973e3c87bc871a"
+
+
+def benchmark_jobs() -> list:
+    jobs = [job for workload in json.loads(JOBS_FILE.read_text()).values() for job in workload["jobs"]]
+    assert len(jobs) == 438
+    return jobs
+
+
+def run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def digest_mismatches() -> list:
     """The argv of every benchmark job whose stdout, exit code or stderr
     differs from what perfbench/jobs.json recorded for it."""
-    jobs = [job for workload in json.loads(JOBS_FILE.read_text()).values() for job in workload["jobs"]]
-    assert len(jobs) == 438
     mismatched = []
-    for job in jobs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(job["argv"])
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        if (code, err.getvalue(), digest) != (0, "", job["digest"]):
+    for job in benchmark_jobs():
+        code, out, err = run_captured(job["argv"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, err, digest) != (0, "", job["digest"]):
             mismatched.append(job["argv"])
     return mismatched
 
@@ -424,6 +464,16 @@ def test_every_benchmark_job_reproduces_its_recorded_digest_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1 []"
+
+
+def test_every_benchmark_job_renders_its_pinned_table_and_csv():
+    # the recorded digests cover json alone; this pins the other two formats
+    digest = hashlib.sha256()
+    for job in benchmark_jobs():
+        for fmt in ("table", "csv"):
+            code, out, err = run_captured(job["argv"] + ["--format", fmt])
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == RENDERINGS_SHA256
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])

@@ -1,4 +1,4 @@
-"""Canonical jump sets, closures, edge sets, and per-jump cycle structure."""
+"""Canonical graphs, closures, edge sets, and per-jump cycle structure."""
 
 import ast
 import itertools
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from circulant import (
-    JumpSet,
+    CirculantGraph,
     check_abelian_group,
     edge_set,
     make_circulant,
@@ -20,20 +20,20 @@ from circulant.errors import EmptyConnectionSet, InvalidJump, VerificationFailur
 
 
 def test_reduce_keeps_canonical_values():
-    assert reflexive_reduce(54, [2, 3, 16, 20, 34, 38, 51, 52]).jumps == (2, 3, 16, 20)
+    assert reflexive_reduce(54, [2, 3, 16, 20, 34, 38, 51, 52]) == (2, 3, 16, 20)
 
 
 def test_reduce_folds_values_above_half():
-    assert reflexive_reduce(16, [9]).jumps == (7,)
+    assert reflexive_reduce(16, [9]) == (7,)
 
 
 def test_reduce_takes_residues_first():
     # 85 mod 54 = 31, then folded to 54 - 31
-    assert reflexive_reduce(54, [85]).jumps == (23,)
+    assert reflexive_reduce(54, [85]) == (23,)
 
 
 def test_reduce_collapses_duplicates_and_sorts():
-    assert reflexive_reduce(16, [15, 14, 9, 1]).jumps == (1, 2, 7)
+    assert reflexive_reduce(16, [15, 14, 9, 1]) == (1, 2, 7)
 
 
 def test_reduce_rejects_loops():
@@ -53,13 +53,13 @@ def test_reduce_rejects_tiny_orders():
         reflexive_reduce(2, [1])
 
 
-def test_jumpset_validates_bounds_and_order():
+def test_graph_validates_bounds_and_order():
     with pytest.raises(InvalidJump):
-        JumpSet(16, (2, 1))
+        CirculantGraph(16, (2, 1))
     with pytest.raises(InvalidJump):
-        JumpSet(16, (1, 1))
+        CirculantGraph(16, (1, 1))
     with pytest.raises(InvalidJump):
-        JumpSet(16, (9,))
+        CirculantGraph(16, (9,))
 
 
 def test_make_circulant_is_canonical():

@@ -133,7 +133,7 @@ def test_general_variants_reduce_to_their_bases():
     for general, base, p_list in cases:
         extra = [base.m * p for p in p_list]
         sets = tuple(
-            make_circulant(base.order, [j for j in s if j % base.m] + extra).r
+            make_circulant(base.order, [j for j in s.jumps if j % base.m] + extra)
             for s in base.sets
         )
         assert general == FamilyInstance(
@@ -184,30 +184,30 @@ def test_multiplier_lists_are_validated():
 
 
 def test_instance_rejects_mismatched_member_sizes():
-    r1 = make_circulant(16, [1, 2, 7]).r
-    r2 = make_circulant(16, [2, 3]).r
+    r1 = make_circulant(16, [1, 2, 7])
+    r2 = make_circulant(16, [2, 3])
     with pytest.raises(InvalidFamilyParams, match="sizes differ"):
         FamilyInstance(16, 2, (r1, r2), (ThetaRelation(2, 0, 1),), FamilyClaim.TYPE2)
 
 
 def test_instance_rejects_mismatched_gcd_signatures():
-    r1 = make_circulant(16, [1, 2, 7]).r
-    r2 = make_circulant(16, [1, 3, 5]).r
+    r1 = make_circulant(16, [1, 2, 7])
+    r2 = make_circulant(16, [1, 3, 5])
     with pytest.raises(InvalidFamilyParams, match="gcd signatures"):
         FamilyInstance(16, 2, (r1, r2), (ThetaRelation(2, 0, 1),), FamilyClaim.TYPE2)
 
 
 def test_instance_rejects_an_unanchored_member():
     # equal gcd signatures make members anchored alike, so both lack one
-    r1 = make_circulant(16, [1, 3, 7]).r
-    r2 = make_circulant(16, [3, 5, 7]).r
+    r1 = make_circulant(16, [1, 3, 7])
+    r2 = make_circulant(16, [3, 5, 7])
     with pytest.raises(InvalidFamilyParams, match=r"\(1, 3, 7\).*: NoAnchorJump$"):
         FamilyInstance(16, 2, (r1, r2), (ThetaRelation(2, 0, 1),), FamilyClaim.TYPE2)
 
 
 def test_verify_catches_a_tampered_relation():
     p7 = family_general_p(7, 2, 3, 2)
-    step = classify_t(ThetaParams(p7.order, p7.m, 1), p7.graphs[0])
+    step = classify_t(ThetaParams(p7.order, p7.m, 1), p7.sets[0])
     assert step.verdict is Verdict.NON_CIRCULANT
     cases = [
         # member 0's image at t = 1 is member 1, not member 2

@@ -7,7 +7,7 @@ import pytest
 
 import circulant.groups
 from circulant import make_circulant
-from circulant.core import CirculantGraph, JumpSet
+from circulant.core import CirculantGraph
 from circulant.errors import BudgetExceeded, InvalidThetaParams, VerificationFailure
 from circulant.groups import (
     appended_jump_check,
@@ -41,7 +41,7 @@ def test_vset_rejects_identity_steps_off_the_period(monkeypatch):
 
     def stray(n, m, g, t_values):
         rows = list(original(n, m, g, t_values))
-        rows[7] = TClassification(7, Verdict.IDENTITY, image=g.r)
+        rows[7] = TClassification(7, Verdict.IDENTITY, image=g)
         return tuple(rows)
 
     monkeypatch.setattr(circulant.groups, "classify_steps", stray)
@@ -154,7 +154,7 @@ def test_t2_equality_goldens():
 def test_appended_jump_applicable_cases_pass():
     rep = appended_jump_check(16, 2, 2, make_circulant(16, [1, 7]))
     assert rep.applicable
-    assert rep.appended.r.jumps == (1, 2, 7)
+    assert rep.appended.jumps == (1, 2, 7)
     assert rep.passed
     assert {row.verdict for row in rep.verdicts} == {
         Verdict.IDENTITY,
@@ -164,7 +164,7 @@ def test_appended_jump_applicable_cases_pass():
 
     rep2 = appended_jump_check(54, 3, 3, make_circulant(54, [1, 17, 19]))
     assert rep2.applicable
-    assert rep2.appended.r.jumps == (1, 3, 17, 19)
+    assert rep2.appended.jumps == (1, 3, 17, 19)
     assert rep2.passed
 
 
@@ -186,7 +186,7 @@ def test_appended_jump_inapplicability_gates():
 def test_census_of_order_16():
     res = census(16, 2, [3])
     assert [
-        (r.base.r.jumps, [m.r.jumps for m in r.members], r.group_order, r.t2_equals_v)
+        (r.base.jumps, [m.jumps for m in r.members], r.group_order, r.t2_equals_v)
         for r in res.records
     ] == [
         ((1, 2, 7), [(1, 2, 7), (2, 3, 5)], 2, False),
@@ -208,11 +208,11 @@ def test_census_of_order_8_finds_nothing():
 
 def test_census_of_order_27():
     res = census(27, 3, [4])
-    bases = [r.base.r.jumps for r in res.records]
+    bases = [r.base.jumps for r in res.records]
     assert bases == [(1, 3, 8, 10), (1, 6, 8, 10), (1, 8, 10, 12)]
     assert all(r.group_order == 3 and r.t2_equals_v for r in res.records)
     first = res.records[0]
-    assert sorted(m.r.jumps for m in first.members) == [
+    assert sorted(m.jumps for m in first.members) == [
         (1, 3, 8, 10),
         (2, 3, 7, 11),
         (3, 4, 5, 13),
@@ -251,7 +251,7 @@ def test_census_builds_each_multiplier_orbit_once(monkeypatch):
     # no orbit is swept twice and every candidate's orbit is swept: one
     # sweep per orbit
     candidates = {
-        CirculantGraph(54, JumpSet(54, combo))
+        CirculantGraph(54, combo)
         for combo in itertools.combinations(range(1, 28), 3)
         if any(j % 3 == 0 for j in combo)
     }
@@ -271,19 +271,19 @@ def test_relabelled_sweeps_equal_fresh_sweeps():
             for combo in itertools.combinations(range(1, n // 2 + 1), k):
                 if not any(j % m == 0 for j in combo):
                     continue
-                g = CirculantGraph(n, JumpSet(n, combo))
+                g = CirculantGraph(n, combo)
                 orbits = {}
                 base = t2_set(n, m, g, orbits=orbits)
                 fresh = {}
                 for u in units(n):
-                    h = CirculantGraph(n, phi_apply(n, u, g.r))
+                    h = phi_apply(n, u, g)
                     assert h.jumps in orbits
                     s = t2_set(n, m, h, orbits=orbits)
                     if h not in fresh:
                         fresh[h] = classify_steps(n, m, h, range(n // m))
                     assert s.vset.rows == fresh[h], (n, m, combo, u)
                     assert s.members == tuple(
-                        CirculantGraph(n, phi_apply(n, u, x.r)) for x in base.members
+                        phi_apply(n, u, x) for x in base.members
                     ), (n, m, combo, u)
 
 

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 from circulant import make_circulant
-from circulant.core import CirculantGraph, JumpSet, edge_set, symmetric_closure
+from circulant.core import CirculantGraph, edge_set, symmetric_closure
 from circulant.errors import BudgetExceeded, OrderMismatch, VerificationFailure
 from circulant.oracle import (
     BRUTE_FORCE_CAP,
@@ -129,7 +129,7 @@ def test_brute_force_agrees_with_networkx():
                 spectrum = np.sort(nx.adjacency_spectrum(graph).real)
                 degree = 2 * k - (2 * combo[-1] == n)
                 by_degree.setdefault(degree, []).append(
-                    (CirculantGraph(n, JumpSet(n, combo)), graph, spectrum)
+                    (CirculantGraph(n, combo), graph, spectrum)
                 )
         for graphs in by_degree.values():
             for (g, gx, gs), (h, hx, hs) in itertools.combinations(graphs, 2):
@@ -226,7 +226,7 @@ def mapped_edges(mapping, g):
 def small_circulants(n):
     """Every C_n(R) with |R| <= 3."""
     return [
-        CirculantGraph(n, JumpSet(n, combo))
+        CirculantGraph(n, combo)
         for k in (1, 2, 3)
         for combo in itertools.combinations(range(1, n // 2 + 1), k)
     ]
@@ -259,9 +259,9 @@ def test_jump_certificate_agrees_with_the_edge_sets_on_rotations():
                 mapping = [(x + (x % m) * t * m) % n for x in range(n)]
                 image = mapped_edges(mapping, g)
                 targets = [g, other]
-                s = detect_circulant(LabeledGraph(n, image))
-                if s is not None:
-                    targets.append(CirculantGraph(n, s))
+                found = detect_circulant(LabeledGraph(n, image))
+                if found is not None:
+                    targets.append(found)
                 for h in targets:
                     verdict = image == edges[h]
                     assert _maps_jumps(n, mapping, g, h) is verdict, (g, h, t)

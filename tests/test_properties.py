@@ -9,7 +9,8 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circulant import make_circulant, reflexive_reduce
+from circulant import CirculantGraph, make_circulant, reflexive_reduce
+from circulant.errors import InvalidJump
 from circulant.groups import census, t2_set
 from circulant.oracle import (
     brute_force_isomorphic,
@@ -125,10 +126,28 @@ def test_reduce_is_canonical_idempotent_and_negation_blind(n, data):
         )
     )
     r = reflexive_reduce(n, values)
-    assert all(1 <= j <= n // 2 for j in r.jumps)
-    assert list(r.jumps) == sorted(set(r.jumps))
-    assert reflexive_reduce(n, r.jumps) == r
+    assert all(1 <= j <= n // 2 for j in r)
+    assert list(r) == sorted(set(r))
+    assert reflexive_reduce(n, r) == r
     assert reflexive_reduce(n, [n - (v % n) for v in values]) == r
+    # the validator accepts the fold's output, and exactly the canonical tuples
+    assert CirculantGraph(n, reflexive_reduce(n, values)) == make_circulant(n, values)
+    drawn = tuple(
+        data.draw(
+            st.one_of(
+                st.sets(st.integers(1, n // 2), min_size=1, max_size=6).map(sorted),
+                st.lists(st.integers(-1, n), min_size=1, max_size=6),
+            )
+        )
+    )
+    canonical = all(1 <= j <= n // 2 for j in drawn) and list(drawn) == sorted(set(drawn))
+    try:
+        CirculantGraph(n, drawn)
+    except InvalidJump:
+        assert not canonical, drawn
+    else:
+        assert canonical, drawn
+        assert reflexive_reduce(n, drawn) == drawn
 
 
 @SETTINGS
@@ -173,7 +192,7 @@ def test_certified_pairs_pass_the_invariants(params, data):
     n, m, g = params
     if data.draw(st.booleans()):
         x = data.draw(st.sampled_from(units(n)))
-        h = make_circulant(n, phi_apply(n, x, g.r).jumps)
+        h = make_circulant(n, phi_apply(n, x, g).jumps)
     else:
         members = t2_set(n, m, g).members
         h = data.draw(st.sampled_from(members))
@@ -188,18 +207,18 @@ def test_census_classes_are_equal_or_disjoint():
     for n, m, size in ((16, 2, 3), (24, 2, 3), (27, 3, 4), (54, 3, 4)):
         owner = {}
         for record in census(n, m, [size]).records:
-            key = record.base.r.jumps
+            key = record.base.jumps
             for member in record.members:
-                assert owner.setdefault(member.r.jumps, key) == key, (
+                assert owner.setdefault(member.jumps, key) == key, (
                     n,
                     m,
-                    member.r.jumps,
+                    member.jumps,
                 )
             # recomputing from any member must reproduce the class
             for member in record.members:
                 again = t2_set(n, m, member)
-                assert {x.r.jumps for x in again.members} == {
-                    x.r.jumps for x in record.members
+                assert {x.jumps for x in again.members} == {
+                    x.jumps for x in record.members
                 }
 
 
@@ -221,11 +240,11 @@ def test_multiplier_composition_is_multiplication():
         sets = [(1,), tuple(range(1, min(4, half) + 1)), (half,)]
         ring = units(n)
         for jumps in sets:
-            r = make_circulant(n, jumps).r
+            g = make_circulant(n, jumps)
             for x in ring:
-                inner = phi_apply(n, x, r)
+                inner = phi_apply(n, x, g)
                 for y in ring:
-                    assert phi_apply(n, y, inner) == phi_apply(n, (x * y) % n, r)
+                    assert phi_apply(n, y, inner) == phi_apply(n, (x * y) % n, g)
 
 
 def test_unit_counts_match_the_totient():

@@ -7,7 +7,7 @@ import pytest
 
 import circulant.type1
 from circulant import edge_set, make_circulant
-from circulant.core import CirculantGraph, JumpSet, symmetric_closure
+from circulant.core import CirculantGraph, symmetric_closure
 from circulant.errors import InvalidThetaParams
 from circulant.groups import v_set
 from circulant.theta import (
@@ -33,36 +33,36 @@ from circulant.type1 import type1_witnesses
 
 
 def test_params_accept_the_reference_regime():
-    r = make_circulant(16, [1, 2, 7]).r
-    assert theta_reasons(16, 2, r) == ()
-    assert sweep_length(16, 2, r) == 8
-    assert admissible_m(r) == (2,)
+    g = make_circulant(16, [1, 2, 7])
+    assert theta_reasons(16, 2, g) == ()
+    assert sweep_length(16, 2, g) == 8
+    assert admissible_m(g) == (2,)
 
 
 def test_admissible_m_reaches_the_cube_root():
     # 6^3 = 216: the scan must include c with c^3 = n
-    assert admissible_m(make_circulant(216, [6]).r) == (2, 3, 6)
-    assert admissible_m(make_circulant(216, [4, 9]).r) == (2, 3)
+    assert admissible_m(make_circulant(216, [6])) == (2, 3, 6)
+    assert admissible_m(make_circulant(216, [4, 9])) == (2, 3)
 
 
 def test_params_require_cube_divisor():
-    r = make_circulant(16, [1, 2, 7]).r
-    assert theta_reasons(16, 4, r) == (NO_DIVISOR_CUBED, NO_ANCHOR_JUMP)
+    g = make_circulant(16, [1, 2, 7])
+    assert theta_reasons(16, 4, g) == (NO_DIVISOR_CUBED, NO_ANCHOR_JUMP)
     assert theta_reasons(16, 4) == (NO_DIVISOR_CUBED,)
 
 
 def test_params_require_an_anchor_jump():
-    r = make_circulant(16, [1, 3, 7]).r
-    assert theta_reasons(16, 2, r) == (NO_ANCHOR_JUMP,)
-    # without a jump set only (n, m) is judged
+    g = make_circulant(16, [1, 3, 7])
+    assert theta_reasons(16, 2, g) == (NO_ANCHOR_JUMP,)
+    # without a graph only (n, m) is judged
     assert theta_reasons(16, 2) == ()
     with pytest.raises(InvalidThetaParams, match=r"jumps \(1, 3, 7\): NoAnchorJump") as exc:
-        sweep_length(16, 2, r)
+        sweep_length(16, 2, g)
     assert exc.value.reasons == (NO_ANCHOR_JUMP,)
 
 
 def test_params_reject_m_one():
-    assert theta_reasons(16, 1, make_circulant(16, [1, 2, 7]).r) == (M_TOO_SMALL,)
+    assert theta_reasons(16, 1, make_circulant(16, [1, 2, 7])) == (M_TOO_SMALL,)
     assert theta_reasons(16, 0) == (M_TOO_SMALL,)
 
 
@@ -131,7 +131,7 @@ def test_detect_circulant_goldens():
 
 def test_detect_circulant_recovers_any_circulant():
     h = make_circulant(16, [1, 2, 7])
-    assert detect_circulant(LabeledGraph(16, edge_set(h))) == h.r
+    assert detect_circulant(LabeledGraph(16, edge_set(h))) == h
 
 
 def test_detect_circulant_needs_translation_invariance():
@@ -222,21 +222,21 @@ def _reference_step(p, g):
     n = p.n
     image = theta_image(p, g)
     nbrs = {b for a, b in image.edges if a == 0} | {a for a, b in image.edges if b == 0}
-    jumps = detect_circulant(image)
-    if jumps is None:
+    found = detect_circulant(image)
+    if found is None:
         # lemma A: a non-circulant image never has a symmetric 0-neighbourhood
         assert any((n - v) % n not in nbrs for v in nbrs), (p, g)
         return TClassification(p.t, Verdict.NON_CIRCULANT)
-    if jumps == g.r:
-        return TClassification(p.t, Verdict.IDENTITY, image=jumps)
-    wits = tuple(sorted(type1_witnesses(g, CirculantGraph(n, jumps))))
+    if found == g:
+        return TClassification(p.t, Verdict.IDENTITY, image=found)
+    wits = tuple(sorted(type1_witnesses(g, found)))
     if wits:
         verdict = Verdict.TYPE1
-    elif len(g.r) >= MIN_TYPE2_JUMPS and any(j % p.m == 0 for j in g.jumps):
+    elif len(g.jumps) >= MIN_TYPE2_JUMPS and any(j % p.m == 0 for j in g.jumps):
         verdict = Verdict.TYPE2
     else:
         verdict = Verdict.UNCLASSIFIED
-    return TClassification(p.t, verdict, image=jumps, witnesses=wits)
+    return TClassification(p.t, verdict, image=found, witnesses=wits)
 
 
 def _anchored_base(rng, n, m, coset):
@@ -266,7 +266,7 @@ def _reference_bases():
     for n, m in ((16, 2), (24, 2), (27, 3), (32, 2)):
         for k in (1, 2, 3):
             for combo in itertools.combinations(range(1, n // 2 + 1), k):
-                yield n, m, CirculantGraph(n, JumpSet(n, combo))
+                yield n, m, CirculantGraph(n, combo)
     rng = random.Random(20261018)
     for n, m in ((250, 5), (343, 7), (686, 7)):
         for coset in (False, False, True, True):
@@ -310,7 +310,7 @@ def test_single_sweep_looks_up_each_image_once(monkeypatch):
     rows = v_set(48, 2, g).rows
     assert sum(row.verdict is Verdict.TYPE1 for row in rows) >= 2
     assert orbit_builds == []
-    revisited = [row.image for row in rows if row.image not in (None, g.r)]
+    revisited = [row.image for row in rows if row.image not in (None, g)]
     # the sweep meets each image more than once, and looks each up once
     assert len(revisited) > len(set(revisited))
     assert len(looked_up) == len(set(looked_up))

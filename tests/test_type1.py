@@ -6,7 +6,7 @@ import math
 import pytest
 
 from circulant import make_circulant
-from circulant.core import CirculantGraph, JumpSet
+from circulant.core import CirculantGraph
 from circulant.errors import NotAUnit, OrderMismatch
 from circulant.type1 import (
     phi_apply,
@@ -42,23 +42,23 @@ def test_units_rejects_tiny_orders():
 
 def test_phi_apply_folds_products():
     g = make_circulant(54, [1, 17, 18, 19])
-    assert phi_apply(54, 5, g.r).jumps == (5, 13, 18, 23)
-    assert phi_apply(16, 3, make_circulant(16, [1, 2, 7]).r).jumps == (3, 5, 6)
+    assert phi_apply(54, 5, g).jumps == (5, 13, 18, 23)
+    assert phi_apply(16, 3, make_circulant(16, [1, 2, 7])).jumps == (3, 5, 6)
 
 
 def test_phi_apply_by_one_is_identity():
-    r = make_circulant(16, [1, 2, 7]).r
-    assert phi_apply(16, 1, r) == r
+    g = make_circulant(16, [1, 2, 7])
+    assert phi_apply(16, 1, g) == g
 
 
 def test_phi_apply_rejects_non_units():
     with pytest.raises(NotAUnit):
-        phi_apply(16, 4, make_circulant(16, [1, 2, 7]).r)
+        phi_apply(16, 4, make_circulant(16, [1, 2, 7]))
 
 
 def test_phi_apply_rejects_mismatched_orders():
     with pytest.raises(OrderMismatch):
-        phi_apply(54, 5, make_circulant(16, [1, 2, 7]).r)
+        phi_apply(54, 5, make_circulant(16, [1, 2, 7]))
 
 
 def test_orbit_of_16_127_has_two_members():
@@ -98,7 +98,7 @@ def test_witnesses_between_two_graphs():
     h = make_circulant(16, [3, 5, 6])
     w = type1_witnesses(g, h)
     assert 3 in w
-    assert all(phi_apply(16, x, g.r) == h.r for x in w)
+    assert all(phi_apply(16, x, g) == h for x in w)
 
 
 def test_no_witness_for_a_theta_partner():
@@ -149,33 +149,32 @@ def test_pinned_lookup_equals_the_full_scan():
     # different sizes per base
     for n in (16, 18, 24, 27, 32):
         by_size = [
-            [JumpSet(n, combo) for combo in itertools.combinations(range(1, n // 2 + 1), k)]
+            [CirculantGraph(n, combo) for combo in itertools.combinations(range(1, n // 2 + 1), k)]
             for k in (1, 2, 3)
         ]
-        for k, sets in enumerate(by_size):
+        for k, graphs in enumerate(by_size):
             other = by_size[k - 1][0]
-            for r in sets:
-                g = CirculantGraph(n, r)
-                fresh = {h.r: w for h, w in type1_set(g).witness.items()}
+            for g in graphs:
+                fresh = type1_set(g).witness
                 lookup = witness_lookup(g)
                 assert lookup(other) == (), (g, other)
-                for s in sets:
+                for s in graphs:
                     assert lookup(s) == fresh.get(s, ()), (g, s)
     # every jump of C_16(2, 4, 6) shares a factor with 16, and all eight
     # units fix it: 9 is found only as the lift 1 + 16/2
     g = make_circulant(16, [2, 4, 6])
-    assert witness_lookup(g)(g.r) == units(16)
+    assert witness_lookup(g)(g) == units(16)
 
 
 def test_group_table_matches_the_multiplier_action():
     for n in (16, 24, 27):
         for k in (1, 2, 3):
             for combo in itertools.combinations(range(1, n // 2 + 1), k):
-                g = CirculantGraph(n, JumpSet(n, combo))
+                g = CirculantGraph(n, combo)
                 group = type1_group(g)
-                index = {m.r: i for i, m in enumerate(group.carrier.members)}
+                index = {m: i for i, m in enumerate(group.carrier.members)}
                 reps = group.representatives
                 expected = tuple(
-                    tuple(index[phi_apply(n, a * b % n, g.r)] for b in reps) for a in reps
+                    tuple(index[phi_apply(n, a * b % n, g)] for b in reps) for a in reps
                 )
                 assert group.table == expected, g
