@@ -25,19 +25,16 @@ from .errors import (
     VerificationFailure,
 )
 from .families import (
+    KINDS,
     FamilyClaim,
     FamilyInstance,
     FamilyVerification,
     ThetaRelation,
+    anchor_swapped,
     family_general_p,
     family_m2,
     family_m2_general,
     family_m3,
-    family_m3_general,
-    family_m5,
-    family_m5_general,
-    family_m7,
-    family_m7_general,
     family_verify,
 )
 from .groups import (

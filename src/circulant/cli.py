@@ -7,14 +7,16 @@ and csv formats are projections of the same data.  Every envelope keeps
 its "findings" key, which is always empty: each check either passes or
 fails with an exit code, and errors go to stderr as "error: ...".
 
-Exit codes: 0 success, 2 invalid input or an --out path that cannot be
-written, 3 invalid rotation parameters, 4 invalid family parameters,
-5 verification failure, 6 budget exceeded, 7 stdout closed before the
-output was written (as by `| head`), which ends quietly, with nothing on
-stderr.  Each subcommand checks its parameters before it answers: iso
-checks an explicit --m before comparing the graphs, family names a flag
-its kind needs and lacks, or one it does not take, and census checks n
-and (n, m) before its budget.
+Exit codes: 0 success, 7 stdout closed before the output was written
+(as by `| head`), which ends quietly, with nothing on stderr, and for a
+library error the exit_code of its class in errors.py: 2 invalid input
+(a ValueError too) or an --out path that cannot be written, 3 invalid
+rotation parameters, 4 invalid family parameters, 5 verification
+failure, 6 budget exceeded.  Each subcommand checks its parameters
+before it answers: iso checks an explicit --m before comparing the
+graphs, family names a flag its kind (families.KINDS) needs and lacks,
+or one it does not take, and census checks n and (n, m) before its
+budget.
 """
 
 from __future__ import annotations
@@ -28,27 +30,8 @@ import os
 import sys
 
 from .core import CirculantGraph, make_circulant, symmetric_closure
-from .errors import (
-    BudgetExceeded,
-    CirculantError,
-    InvalidFamilyParams,
-    InvalidThetaParams,
-    VerificationFailure,
-)
-from .families import (
-    FamilyInstance,
-    FamilyVerification,
-    family_general_p,
-    family_m2,
-    family_m2_general,
-    family_m3,
-    family_m3_general,
-    family_m5,
-    family_m5_general,
-    family_m7,
-    family_m7_general,
-    family_verify,
-)
+from .errors import CirculantError, InvalidFamilyParams
+from .families import KINDS, FamilyInstance, FamilyVerification, family_verify
 from .groups import DEFAULT_CENSUS_BUDGET, OrbitGroup, census, t2_group, t2_set, v_group, v_set
 from .oracle import (
     BRUTE_FORCE_CAP,
@@ -58,19 +41,6 @@ from .oracle import (
 )
 from .theta import Verdict, admissible_m, classification_table, sweep_length
 from .type1 import type1_group, type1_set, type1_witnesses
-
-# family kind -> (generator, the flags it needs, in its argument order)
-_FAMILY_KINDS = {
-    "m2": (family_m2, ("n", "s")),
-    "m2-general": (family_m2_general, ("n", "s", "p-list", "y")),
-    "m3": (family_m3, ("n",)),
-    "m3-general": (family_m3_general, ("n", "p-list")),
-    "m5": (family_m5, ("n",)),
-    "m5-general": (family_m5_general, ("n", "p-list")),
-    "m7": (family_m7, ("n",)),
-    "m7-general": (family_m7_general, ("n", "p-list")),
-    "general-p": (family_general_p, ("p", "n", "x", "y")),
-}
 
 _DISPLAY = {
     Verdict.NON_CIRCULANT: "NS",
@@ -116,7 +86,7 @@ def _parse_t_range(text: str) -> range | list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _emit(args, inputs: dict, result: dict, rows) -> int:
+def _emit(args, inputs: dict, result: dict, rows) -> None:
     """The subcommand's envelope as json, or its rows as a table or csv."""
     if args.format == "json":
         envelope = {"command": args.command, "inputs": inputs, "result": result, "findings": []}
@@ -126,7 +96,6 @@ def _emit(args, inputs: dict, result: dict, rows) -> int:
     else:
         text = _render_table(rows)
     _write(args, text)
-    return 0
 
 
 def _write(args, text: str) -> None:
@@ -175,13 +144,13 @@ def _cell(v) -> str:
     return str(v)
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> None:
     values = _parse_jumps(args.set)
     reduced = _graph_json(make_circulant(args.n, values))
-    return _emit(args, {"n": args.n, "values": values}, reduced, [reduced])
+    _emit(args, {"n": args.n, "values": values}, reduced, [reduced])
 
 
-def cmd_t1set(args) -> int:
+def cmd_t1set(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
     group = type1_group(g)
     ts = group.carrier
@@ -198,10 +167,10 @@ def cmd_t1set(args) -> int:
             "table": [list(row) for row in group.table],
         },
     }
-    return _emit(args, {"n": args.n, "set": list(g.jumps)}, result, members)
+    _emit(args, {"n": args.n, "set": list(g.jumps)}, result, members)
 
 
-def cmd_t2set(args) -> int:
+def cmd_t2set(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
     s = t2_set(args.n, args.m, g)
     members = [_graph_json(x) for x in s.members]
@@ -212,10 +181,10 @@ def cmd_t2set(args) -> int:
         "graph_period": s.vset.graph_period,
         "group": _orbit_group_json(t2_group(s)),
     }
-    return _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, members)
+    _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, members)
 
 
-def cmd_vset(args) -> int:
+def cmd_vset(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
     v = v_set(args.n, args.m, g)
     group = v_group(v)
@@ -234,10 +203,10 @@ def cmd_vset(args) -> int:
         "graph_period": v.graph_period,
         "group": {"modulus": group.modulus, "generator": group.generator, "order": group.order},
     }
-    return _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, rows)
+    _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, rows)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
     table = classification_table(
         args.n, args.m, g, _parse_t_range(args.t) if args.t else None
@@ -263,17 +232,17 @@ def cmd_table(args) -> int:
         for r in rows
     ]
     inputs = {"n": args.n, "m": args.m, "set": list(g.jumps), "t": t_values}
-    return _emit(args, inputs, {"columns": closure, "rows": rows}, flat)
+    _emit(args, inputs, {"columns": closure, "rows": rows}, flat)
 
 
-def cmd_family(args) -> int:
-    generator, flags = _FAMILY_KINDS[args.kind]
+def cmd_family(args) -> None:
+    builder, flags = KINDS[args.kind]
     values = _family_values(args, flags)
-    instance = generator(*(values[flag] for flag in flags))
+    instance = builder(*(values[flag] for flag in flags))
     inputs = {"kind": args.kind, **{flag.replace("-", "_"): v for flag, v in values.items()}}
     result = _family_json(instance, family_verify(instance))
     rows = [{"member": i, "jumps": list(s.jumps)} for i, s in enumerate(instance.sets)]
-    return _emit(args, inputs, result, rows)
+    _emit(args, inputs, result, rows)
 
 
 def _family_values(args, flags) -> dict:
@@ -310,7 +279,7 @@ def _family_json(instance: FamilyInstance, verification: FamilyVerification) -> 
     }
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.a))
     h = make_circulant(args.n, _parse_jumps(args.b))
     if args.m is not None:
@@ -318,16 +287,16 @@ def cmd_iso(args) -> int:
     relation = _iso_relation(args, g, h)
     inputs = {"n": args.n, "a": list(g.jumps), "b": list(h.jumps)}
     result = {"a": _graph_json(g), "b": _graph_json(h), **relation}
-    return _emit(args, inputs, result, [{"relation": relation["relation"]}])
+    _emit(args, inputs, result, [{"relation": relation["relation"]}])
 
 
 def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     """The first relation that explains or refutes g ~ h, with its evidence."""
     if g == h:
         return {"relation": "equal"}
-    wits = sorted(type1_witnesses(g, h))
+    wits = type1_witnesses(g, h)
     if wits:
-        return {"relation": "type1", "multipliers": wits}
+        return {"relation": "type1", "multipliers": list(wits)}
     for m in admissible_m(g) if args.m is None else (args.m,):
         steps = [
             row.t
@@ -346,7 +315,7 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     return {"relation": "isomorphic-unclassified", "mapping": list(witness.mapping)}
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> None:
     sizes = _parse_t_range(args.sizes)
     result = census(args.n, args.m, sizes, budget=args.budget)
     lines = []
@@ -387,7 +356,6 @@ def cmd_census(args) -> int:
         rows = rows or [{"base": "(none)", "members": 0, "group_order": "-", "t2_equals_v": "-"}]
         text = _render_table(rows) + f"\nexamined={summary['examined']} classes={summary['classes']} t2_equals_v={summary['t2_equals_v']}"
     _write(args, text)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("family", help="generate and verify a parametric family")
-    p.add_argument("--kind", required=True, choices=tuple(_FAMILY_KINDS))
+    p.add_argument("--kind", required=True, choices=tuple(KINDS))
     p.add_argument("--n", dest="family_n", type=int, required=True, help="family parameter n")
     p.add_argument("--s", type=int, help="odd-jump parameter for m2 kinds")
     p.add_argument("--p", type=int, help="odd prime for general-p")
@@ -480,29 +448,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader has gone: send what is still buffered to devnull, so
         # the interpreter's final flush of stdout cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 7
-    except InvalidThetaParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvalidFamilyParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except VerificationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
     except (CirculantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,14 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each class carries the command line's exit code for it as exit_code; a
+subclass inherits its parent's code unless it sets its own.
+"""
 
 
 class CirculantError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
 
 class InvalidJump(CirculantError):
@@ -24,6 +30,8 @@ class NotAUnit(CirculantError):
 class InvalidThetaParams(CirculantError):
     """Rotation parameters fail validity; carries structured reasons."""
 
+    exit_code = 3
+
     def __init__(self, message, reasons=()):
         super().__init__(message)
         self.reasons = tuple(reasons)
@@ -36,6 +44,8 @@ class SubgroupViolation(CirculantError):
 class InvalidFamilyParams(CirculantError):
     """Family generator parameters are out of range or inconsistent."""
 
+    exit_code = 4
+
 
 class DegenerateFamily(InvalidFamilyParams):
     """Parameters would make the family's member sets coincide."""
@@ -44,6 +54,10 @@ class DegenerateFamily(InvalidFamilyParams):
 class VerificationFailure(CirculantError):
     """A claimed relation failed an exact re-check."""
 
+    exit_code = 5
+
 
 class BudgetExceeded(CirculantError):
     """An enumeration or search exceeds its configured budget."""
+
+    exit_code = 6

@@ -1,11 +1,15 @@
 """Parametric families of Type-2 isomorphic circulant graphs.
 
-Each generator emits a family instance: an ordered list of graphs of a
-common order n = (something) * m^3, together with the rotation steps that
-are claimed to map each set onto the next.  family_verify re-derives every
-claimed relation via the verifier (oracle.verify_theta_witness, jump by
-jump on the m residue classes) and computes the Type-2 set and group of
-the family, so generator bugs cannot slip through as silent claims.
+Three generators emit family instances, each an ordered list of graphs of
+a common order n = (something) * m^3 together with the rotation steps that
+are claimed to map each set onto the next: family_m2 (the m = 2 pair),
+family_m3 (the m = 3 triple) and family_general_p (the p-cycle of order
+n*p^3).  anchor_swapped widens any of them with extra jumps m*p_i, and
+KINDS names the combinations the command line offers.  family_verify
+re-derives every claimed relation via the verifier
+(oracle.verify_theta_witness, jump by jump on the m residue classes) and
+computes the Type-2 set and group of the family, so generator bugs cannot
+slip through as silent claims.
 """
 
 from __future__ import annotations
@@ -88,7 +92,14 @@ def _fold(order: int, values) -> CirculantGraph:
         raise InvalidFamilyParams(str(exc)) from exc
 
 
-def _check_p_list(p_list: tuple[int, ...]) -> None:
+def anchor_swapped(base: FamilyInstance, p_list: tuple[int, ...]) -> FamilyInstance:
+    """base with its anchor jump m replaced by the jumps m*p_i in every member.
+
+    p_list holds at least one positive multiplier, and several must be
+    coprime.  The anchor is the only jump of a base member divisible by m,
+    so the other jumps stay as they are; the extra jumps may make members
+    multiplier-related, so the claim weakens to type1-or-type2.
+    """
     if not p_list:
         raise InvalidFamilyParams("at least one extra jump multiplier is required")
     if any(p < 1 for p in p_list):
@@ -96,15 +107,6 @@ def _check_p_list(p_list: tuple[int, ...]) -> None:
     # a single extra multiplier is unconstrained; several must be coprime
     if len(p_list) > 1 and gcd(*p_list) != 1:
         raise InvalidFamilyParams(f"multipliers {p_list} share a factor {gcd(*p_list)}")
-
-
-def _anchor_swapped(base: FamilyInstance, p_list: tuple[int, ...]) -> FamilyInstance:
-    """base with its anchor jump m replaced by the jumps m*p_i in every member.
-
-    The anchor is the only jump of a base member divisible by m, so the
-    other jumps stay as they are; the extra jumps may make members
-    multiplier-related, so the claim weakens to type1-or-type2.
-    """
     extra = [base.m * p for p in p_list]
     sets = tuple(
         _fold(base.order, [j for j in s.jumps if j != base.m] + extra) for s in base.sets
@@ -144,8 +146,7 @@ def family_m2_general(n: int, s: int, p_list: tuple[int, ...], y: int) -> Family
     family_verify.
     """
     base = family_m2(n, s)
-    _check_p_list(p_list)
-    instance = _anchor_swapped(base, p_list)
+    instance = anchor_swapped(base, p_list)
     r, t = instance.sets
     common = set(r.jumps) & set(t.jumps)
     folded_y = min(2 * y % base.order, (base.order - 2 * y) % base.order)
@@ -172,37 +173,6 @@ def family_m3(n: int) -> FamilyInstance:
     )
     relations = tuple(ThetaRelation(n, i, (i + 1) % 3) for i in range(3))
     return FamilyInstance(order, 3, sets, relations, FamilyClaim.TYPE2)
-
-
-def family_m3_general(n: int, p_list: tuple[int, ...]) -> FamilyInstance:
-    """family_m3 with the anchor jump 3 replaced by extra jumps 3*p_i."""
-    base = family_m3(n)
-    _check_p_list(p_list)
-    return _anchor_swapped(base, p_list)
-
-
-def family_m5(n: int) -> FamilyInstance:
-    """Order 125n five-cycle (m = 5): family_general_p(5, n, 1, 0)."""
-    return family_general_p(5, n, 1, 0)
-
-
-def family_m5_general(n: int, p_list: tuple[int, ...]) -> FamilyInstance:
-    """family_m5 with the anchor jump 5 replaced by extra jumps 5*p_i."""
-    base = family_m5(n)
-    _check_p_list(p_list)
-    return _anchor_swapped(base, p_list)
-
-
-def family_m7(n: int) -> FamilyInstance:
-    """Order 343n seven-cycle (m = 7): family_general_p(7, n, 1, 0)."""
-    return family_general_p(7, n, 1, 0)
-
-
-def family_m7_general(n: int, p_list: tuple[int, ...]) -> FamilyInstance:
-    """family_m7 with the anchor jump 7 replaced by extra jumps 7*p_i."""
-    base = family_m7(n)
-    _check_p_list(p_list)
-    return _anchor_swapped(base, p_list)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -243,6 +213,26 @@ def family_general_p(p: int, n: int, x: int, y: int) -> FamilyInstance:
     return FamilyInstance(order, p, tuple(sets), relations, FamilyClaim.TYPE2)
 
 
+# family kind -> (builder, the flags it takes, in its argument order)
+KINDS = {
+    "m2": (family_m2, ("n", "s")),
+    "m2-general": (family_m2_general, ("n", "s", "p-list", "y")),
+    "m3": (family_m3, ("n",)),
+    "m3-general": (lambda n, p_list: anchor_swapped(family_m3(n), p_list), ("n", "p-list")),
+    "m5": (lambda n: family_general_p(5, n, 1, 0), ("n",)),
+    "m5-general": (
+        lambda n, p_list: anchor_swapped(family_general_p(5, n, 1, 0), p_list),
+        ("n", "p-list"),
+    ),
+    "m7": (lambda n: family_general_p(7, n, 1, 0), ("n",)),
+    "m7-general": (
+        lambda n, p_list: anchor_swapped(family_general_p(7, n, 1, 0), p_list),
+        ("n", "p-list"),
+    ),
+    "general-p": (family_general_p, ("p", "n", "x", "y")),
+}
+
+
 def family_verify(instance: FamilyInstance) -> FamilyVerification:
     """Re-derive every claim of a family instance from scratch.
 
@@ -261,7 +251,7 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
     pairs: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
-            pairs[(i, j)] = tuple(sorted(type1_witnesses(graphs[i], graphs[j])))
+            pairs[(i, j)] = type1_witnesses(graphs[i], graphs[j])
     witnessed = [ij for ij, w in pairs.items() if w]
     if instance.claim == FamilyClaim.TYPE2 and witnessed:
         raise VerificationFailure(

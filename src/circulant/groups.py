@@ -409,6 +409,8 @@ def census(
     examined = 0
     coincidences = 0
     for k in sizes:
+        if k > half:
+            break  # no jump set is larger, and sizes ascend
         for combo in itertools.combinations(range(1, half + 1), k):
             # the anchor half of theta_reasons, inline: this runs once per combination
             if not any(j % m == 0 for j in combo):

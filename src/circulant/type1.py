@@ -152,11 +152,9 @@ def witness_lookup(g: CirculantGraph) -> Callable[[CirculantGraph], tuple[int, .
     return lookup
 
 
-def type1_witnesses(g: CirculantGraph, h: CirculantGraph) -> frozenset[int]:
-    """Units x with xR = S, i.e. witnesses that h is a multiplier image of g."""
-    if g.n != h.n:
-        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return frozenset(witness_lookup(g)(h))
+def type1_witnesses(g: CirculantGraph, h: CirculantGraph) -> tuple[int, ...]:
+    """The ascending units x with xR = S: witnesses that h is a multiplier image of g."""
+    return witness_lookup(g)(h)
 
 
 def type1_group(g: CirculantGraph) -> Type1Group:

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from circulant import cli
+from circulant import cli, errors
+from circulant.families import KINDS
 from golden import SWEEP_54_COLUMNS, SWEEP_54_ROWS
 
 
@@ -368,8 +369,33 @@ def test_family_inputs_echo_the_flags_of_the_kind(capsys, argv, echoed):
     d = run_json(capsys, ["family"] + argv)
     kind = argv[1]
     assert list(d["inputs"].items()) == [("kind", kind)] + echoed
-    flags = cli._FAMILY_KINDS[kind][1]
+    flags = KINDS[kind][1]
     assert sorted(d["inputs"]) == sorted(["kind", *(f.replace("-", "_") for f in flags)])
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.CirculantError, 2),
+        (errors.InvalidJump, 2),
+        (errors.SubgroupViolation, 2),
+        (ValueError, 2),
+        (errors.InvalidThetaParams, 3),
+        (errors.DegenerateFamily, 4),
+        (errors.VerificationFailure, 5),
+        (errors.BudgetExceeded, 6),
+    ],
+)
+def test_one_exit_code_per_error_class(capsys, monkeypatch, error, code):
+    def fail(n, values):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "make_circulant", fail)
+    assert run(capsys, ["reduce", "--n", "16", "--set", "1"]) == (
+        code,
+        "",
+        "error: raised on purpose\n",
+    )
 
 
 @pytest.mark.parametrize("n", ["0", "-8"])

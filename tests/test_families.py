@@ -1,5 +1,7 @@
 """Parametric family generators and their from-scratch verification."""
 
+import inspect
+
 import pytest
 
 from circulant import make_circulant
@@ -9,22 +11,36 @@ from circulant.errors import (
     VerificationFailure,
 )
 from circulant.families import (
+    KINDS,
     FamilyClaim,
     FamilyInstance,
     ThetaRelation,
+    anchor_swapped,
     family_general_p,
     family_m2,
     family_m2_general,
     family_m3,
-    family_m3_general,
-    family_m5,
-    family_m5_general,
-    family_m7,
-    family_m7_general,
     family_verify,
 )
 from circulant.theta import ThetaParams, Verdict, classify_t
 from golden import SEVEN_SETS
+
+# parameters of each kind, in its flags' order, that the tests below use
+KIND_ARGS = {
+    "m2": (3, 1),
+    "m2-general": (5, 2, (3,), 3),
+    "m3": (1,),
+    "m3-general": (2, (2,)),
+    "m5": (1,),
+    "m5-general": (1, (2,)),
+    "m7": (1,),
+    "m7-general": (1, (2, 3)),
+    "general-p": (7, 5, 3, 2),
+}
+
+
+def build(kind, *args):
+    return KINDS[kind][0](*args)
 
 
 def test_m2_smallest_instance():
@@ -70,7 +86,7 @@ def test_m3_instances():
 
 
 def test_m3_general_with_a_coprime_multiplier():
-    f = family_m3_general(2, (2,))
+    f = anchor_swapped(family_m3(2), (2,))
     assert [s.jumps for s in f.sets] == [(1, 6, 17, 19), (6, 7, 11, 25), (5, 6, 13, 23)]
     assert f.claim is FamilyClaim.TYPE1_OR_TYPE2
     v = family_verify(f)
@@ -80,7 +96,7 @@ def test_m3_general_with_a_coprime_multiplier():
 
 
 def test_m3_general_can_collapse_to_multipliers():
-    f = family_m3_general(2, (6,))
+    f = anchor_swapped(family_m3(2), (6,))
     assert [s.jumps for s in f.sets] == [
         (1, 17, 18, 19),
         (7, 11, 18, 25),
@@ -98,7 +114,7 @@ def test_m2_general_reduces_to_m2():
 
 
 def test_m5_smallest_instance_verifies():
-    f = family_m5(1)
+    f = build("m5", 1)
     assert f.order == 125
     assert f.sets[0].jumps == (1, 5, 24, 26, 49, 51)
     v = family_verify(f)
@@ -107,7 +123,7 @@ def test_m5_smallest_instance_verifies():
 
 
 def test_m7_smallest_instance_verifies():
-    f = family_m7(1)
+    f = build("m7", 1)
     assert f.order == 343
     assert len(f.sets) == 7
     v = family_verify(f)
@@ -116,19 +132,16 @@ def test_m7_smallest_instance_verifies():
 
 
 def test_general_variants_reduce_to_their_bases():
-    assert family_m5_general(1, (1,)).sets == family_m5(1).sets
-    assert family_m7_general(1, (1,)).sets == family_m7(1).sets
-    for n in (1, 2, 3):
-        assert family_m5(n) == family_general_p(5, n, 1, 0)
-        assert family_m7(n) == family_general_p(7, n, 1, 0)
-    # each *_general variant is its base with the anchor m swapped for m*p_i
+    assert build("m5-general", 1, (1,)).sets == family_general_p(5, 1, 1, 0).sets
+    assert build("m7-general", 1, (1,)).sets == family_general_p(7, 1, 1, 0).sets
+    # each *-general kind is its base with the anchor m swapped for m*p_i
     cases = [
-        (family_m2_general(5, 2, (3,), 3), family_m2(5, 2), (3,)),
-        (family_m2_general(6, 1, (1, 5), 5), family_m2(6, 1), (1, 5)),
-        (family_m3_general(2, (2,)), family_m3(2), (2,)),
-        (family_m3_general(3, (4, 9)), family_m3(3), (4, 9)),
-        (family_m5_general(2, (3,)), family_m5(2), (3,)),
-        (family_m7_general(1, (2, 3)), family_m7(1), (2, 3)),
+        (build("m2-general", 5, 2, (3,), 3), family_m2(5, 2), (3,)),
+        (build("m2-general", 6, 1, (1, 5), 5), family_m2(6, 1), (1, 5)),
+        (build("m3-general", 2, (2,)), family_m3(2), (2,)),
+        (build("m3-general", 3, (4, 9)), family_m3(3), (4, 9)),
+        (build("m5-general", 2, (3,)), family_general_p(5, 2, 1, 0), (3,)),
+        (build("m7-general", 1, (2, 3)), family_general_p(7, 1, 1, 0), (2, 3)),
     ]
     for general, base, p_list in cases:
         extra = [base.m * p for p in p_list]
@@ -139,10 +152,26 @@ def test_general_variants_reduce_to_their_bases():
         assert general == FamilyInstance(
             base.order, base.m, sets, base.relations, FamilyClaim.TYPE1_OR_TYPE2
         )
-    scaled = family_m5_general(1, (2,))
+    scaled = build("m5-general", 1, (2,))
     assert scaled.sets[0].jumps == (1, 10, 24, 26, 49, 51)
     v = family_verify(scaled)
     assert v.resolved == "type2" and v.group_order == 5
+
+
+def test_m5_and_m7_kinds_are_general_p_cases():
+    for n in (1, 2, 3):
+        assert build("m5", n) == family_general_p(5, n, 1, 0)
+        assert build("m7", n) == family_general_p(7, n, 1, 0)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_builds_and_verifies(kind):
+    builder, flags = KINDS[kind]
+    # the flags name the builder's parameters, in its argument order
+    assert [f.replace("-", "_") for f in flags] == list(inspect.signature(builder).parameters)
+    instance = builder(*KIND_ARGS[kind])
+    v = family_verify(instance)
+    assert v.resolved == "type2" or instance.claim is FamilyClaim.TYPE1_OR_TYPE2
 
 
 def test_general_p_reduces_to_m3():
@@ -174,13 +203,14 @@ def test_general_p_bounds_x_and_y():
 
 
 def test_multiplier_lists_are_validated():
+    base = family_m3(2)
     with pytest.raises(InvalidFamilyParams):
-        family_m3_general(2, ())
+        anchor_swapped(base, ())
     with pytest.raises(InvalidFamilyParams):
-        family_m3_general(2, (0,))
+        anchor_swapped(base, (0,))
     with pytest.raises(InvalidFamilyParams):
-        family_m3_general(2, (2, 4))
-    family_m3_general(2, (6,))  # a single multiplier has no coprimality partner
+        anchor_swapped(base, (2, 4))
+    anchor_swapped(base, (6,))  # a single multiplier has no coprimality partner
 
 
 def test_instance_rejects_mismatched_member_sizes():
@@ -224,7 +254,7 @@ def test_verify_catches_a_tampered_relation():
 
 
 def test_verify_catches_an_overreaching_claim():
-    honest = family_m3_general(2, (6,))
+    honest = anchor_swapped(family_m3(2), (6,))
     wrong = FamilyInstance(
         honest.order, honest.m, honest.sets, honest.relations, FamilyClaim.TYPE2
     )

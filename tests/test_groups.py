@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import time
 
 import pytest
 
@@ -218,6 +219,19 @@ def test_census_of_order_27():
         (3, 4, 5, 13),
     ]
     assert res.summary.examined == 589
+
+
+def test_census_skips_sizes_no_jump_set_reaches():
+    start = time.perf_counter()
+    wide = census(16, 2, range(3, 200001))
+    elapsed = time.perf_counter() - start
+    narrow = census(16, 2, range(3, 9))
+    assert wide.records == narrow.records
+    counts = [(r.summary.examined, r.summary.classes, r.summary.t2_equals_v) for r in (wide, narrow)]
+    assert counts[0] == counts[1]
+    # the echoed sizes stay as asked
+    assert wide.summary.sizes == tuple(range(3, 200001))
+    assert elapsed < 1.0
 
 
 def test_census_enforces_the_budget():
