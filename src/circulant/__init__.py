@@ -5,6 +5,8 @@ from .core import (
     CycleStats,
     check_abelian_group,
     edge_set,
+    fold,
+    gcd_profile,
     make_circulant,
     period_cycle_stats,
     reflexive_reduce,
@@ -54,10 +56,8 @@ from .groups import (
     v_set,
 )
 from .oracle import (
-    GcdSignature,
     IsoWitness,
     brute_force_isomorphic,
-    gcd_signature,
     gcd_signature_check,
     same_spectrum,
     spectral_fingerprint,

@@ -55,18 +55,17 @@ def _graph_json(g: CirculantGraph) -> dict:
     return {"n": g.n, "jumps": list(g.jumps)}
 
 
+def _jumps_json(g: CirculantGraph | None) -> list[int] | None:
+    """g's jumps as a list, or None for a step with no circulant image."""
+    return None if g is None else list(g.jumps)
+
+
 def _orbit_group_json(group: OrbitGroup) -> dict:
     return {
         "modulus": group.modulus,
         "generator": group.generator,
         "order": group.quotient_order,
-        "labels": [
-            {
-                "t": t,
-                "jumps": list(group.labels[t].jumps) if group.labels[t] is not None else None,
-            }
-            for t in group.indices
-        ],
+        "labels": [{"t": t, "jumps": _jumps_json(group.labels[t])} for t in group.indices],
     }
 
 
@@ -77,13 +76,16 @@ def _parse_jumps(text: str) -> list[int]:
         raise CirculantError(f"cannot parse jump list {text!r}") from exc
 
 
-def _parse_t_range(text: str) -> range | list[int]:
-    """Steps given as "a..b", a lazy range with b included, or as "a,b,c"."""
-    text = text.replace(" ", "")
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(v) for v in text.split(",")]
+def _parse_t_range(text: str, what: str) -> range | list[int]:
+    """A "what" list given as "a..b", a lazy range with b included, or as "a,b,c"."""
+    compact = text.replace(" ", "")
+    try:
+        if ".." in compact:
+            lo, hi = compact.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        return [int(v) for v in compact.split(",")]
+    except ValueError as exc:
+        raise CirculantError(f"cannot parse {what} list {text!r}") from exc
 
 
 def _emit(args, inputs: dict, result: dict, rows) -> None:
@@ -189,11 +191,7 @@ def cmd_vset(args) -> None:
     v = v_set(args.n, args.m, g)
     group = v_group(v)
     rows = [
-        {
-            "t": row.t,
-            "verdict": row.verdict.value,
-            "jumps": list(row.image.jumps) if row.image is not None else None,
-        }
+        {"t": row.t, "verdict": row.verdict.value, "jumps": _jumps_json(row.image)}
         for row in v.rows
     ]
     result = {
@@ -209,7 +207,7 @@ def cmd_vset(args) -> None:
 def cmd_table(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
     table = classification_table(
-        args.n, args.m, g, _parse_t_range(args.t) if args.t else None
+        args.n, args.m, g, _parse_t_range(args.t, "step") if args.t else None
     )
     # one row per requested step, in the order asked
     t_values = [entry.t for entry in table]
@@ -223,7 +221,7 @@ def cmd_table(args) -> None:
                 "values": list(entry.transformed),
                 "verdict": cls.verdict.value,
                 "display": _DISPLAY[cls.verdict],
-                "image": list(cls.image.jumps) if cls.image is not None else None,
+                "image": _jumps_json(cls.image),
                 "witnesses": list(cls.witnesses),
             }
         )
@@ -316,7 +314,7 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
 
 
 def cmd_census(args) -> None:
-    sizes = _parse_t_range(args.sizes)
+    sizes = _parse_t_range(args.sizes, "size")
     result = census(args.n, args.m, sizes, budget=args.budget)
     lines = []
     for record in result.records:

@@ -58,12 +58,17 @@ class CycleStats:
     cycle_count: int
 
 
+def fold(n: int, v: int) -> int:
+    """The one fold of a raw value into [0, n//2]: v mod n, or n minus that when smaller."""
+    r = v % n
+    return n - r if 2 * r > n else r
+
+
 def reflexive_reduce(n: int, raw: Iterable[int]) -> tuple[int, ...]:
     """Fold raw jump values into canonical jumps.
 
-    Each value is reduced mod n; values above n/2 are replaced by their
-    negation n - v, duplicates collapse, and the result is sorted.  A value
-    congruent to 0 would be a loop and is rejected.
+    Each value is folded, duplicates collapse, and the result is sorted.
+    A value congruent to 0 would be a loop and is rejected.
     """
     check_order(n)
     values = list(raw)
@@ -71,11 +76,9 @@ def reflexive_reduce(n: int, raw: Iterable[int]) -> tuple[int, ...]:
         raise EmptyConnectionSet("connection set is empty")
     folded = set()
     for v in values:
-        r = v % n
+        r = fold(n, v)
         if r == 0:
             raise InvalidJump(f"jump {v} is 0 mod {n} (a loop)")
-        if 2 * r > n:
-            r = n - r
         folded.add(r)
     return tuple(sorted(folded))
 
@@ -92,6 +95,11 @@ def symmetric_closure(g: CirculantGraph) -> frozenset[int]:
         values.add(j)
         values.add(g.n - j)
     return frozenset(values)
+
+
+def gcd_profile(g: CirculantGraph) -> tuple[int, ...]:
+    """The sorted gcd(j, n) over the jumps j of g, which a multiplier keeps."""
+    return tuple(sorted(gcd(j, g.n) for j in g.jumps))
 
 
 def edge_set(g: CirculantGraph) -> frozenset[tuple[int, int]]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .core import CirculantGraph, make_circulant
+from .core import CirculantGraph, fold, gcd_profile, make_circulant
 from .errors import (
     DegenerateFamily,
     InvalidFamilyParams,
@@ -57,8 +57,7 @@ class FamilyInstance:
         sizes = {len(s.jumps) for s in self.sets}
         if len(sizes) != 1:
             raise InvalidFamilyParams(f"member sizes differ: {sorted(sizes)}")
-        signatures = {tuple(sorted(gcd(self.order, j) for j in s.jumps)) for s in self.sets}
-        if len(signatures) != 1:
+        if len({gcd_profile(s) for s in self.sets}) != 1:
             raise InvalidFamilyParams("gcd signatures differ across members")
         for s in self.sets:
             reasons = theta_reasons(self.order, self.m, s)
@@ -85,7 +84,8 @@ class FamilyVerification:
     group_order: int | None
 
 
-def _fold(order: int, values) -> CirculantGraph:
+def _member(order: int, values) -> CirculantGraph:
+    """The family member C_order(values), its jump errors as family errors."""
     try:
         return make_circulant(order, values)
     except InvalidJump as exc:
@@ -109,7 +109,7 @@ def anchor_swapped(base: FamilyInstance, p_list: tuple[int, ...]) -> FamilyInsta
         raise InvalidFamilyParams(f"multipliers {p_list} share a factor {gcd(*p_list)}")
     extra = [base.m * p for p in p_list]
     sets = tuple(
-        _fold(base.order, [j for j in s.jumps if j != base.m] + extra) for s in base.sets
+        _member(base.order, [j for j in s.jumps if j != base.m] + extra) for s in base.sets
     )
     return FamilyInstance(
         base.order, base.m, sets, base.relations, FamilyClaim.TYPE1_OR_TYPE2
@@ -125,8 +125,8 @@ def family_m2(n: int, s: int) -> FamilyInstance:
     if n == 2 * s - 1:
         raise DegenerateFamily(f"n = 2s-1 = {n} makes both sets equal")
     order = 8 * n
-    r = _fold(order, [2, 2 * s - 1, 4 * n - (2 * s - 1)])
-    t = _fold(order, [2, 2 * n - (2 * s - 1), 2 * n + 2 * s - 1])
+    r = _member(order, [2, 2 * s - 1, 4 * n - (2 * s - 1)])
+    t = _member(order, [2, 2 * n - (2 * s - 1), 2 * n + 2 * s - 1])
     relations = (
         ThetaRelation(n, 0, 1),
         ThetaRelation(3 * n, 0, 1),
@@ -149,8 +149,7 @@ def family_m2_general(n: int, s: int, p_list: tuple[int, ...], y: int) -> Family
     instance = anchor_swapped(base, p_list)
     r, t = instance.sets
     common = set(r.jumps) & set(t.jumps)
-    folded_y = min(2 * y % base.order, (base.order - 2 * y) % base.order)
-    if folded_y not in common or gcd(4 * n, y) != 1:
+    if fold(base.order, 2 * y) not in common or gcd(4 * n, y) != 1:
         raise InvalidFamilyParams(
             f"2y={2 * y} must be a common jump with y a unit mod {4 * n}"
         )
@@ -167,9 +166,9 @@ def family_m3(n: int) -> FamilyInstance:
         raise InvalidFamilyParams(f"n must be positive, got {n}")
     order = 27 * n
     sets = (
-        _fold(order, [1, 3, 9 * n - 1, 9 * n + 1]),
-        _fold(order, [3, 3 * n + 1, 6 * n - 1, 12 * n + 1]),
-        _fold(order, [3, 3 * n - 1, 6 * n + 1, 12 * n - 1]),
+        _member(order, [1, 3, 9 * n - 1, 9 * n + 1]),
+        _member(order, [3, 3 * n + 1, 6 * n - 1, 12 * n + 1]),
+        _member(order, [3, 3 * n - 1, 6 * n + 1, 12 * n - 1]),
     )
     relations = tuple(ThetaRelation(n, i, (i + 1) % 3) for i in range(3))
     return FamilyInstance(order, 3, sets, relations, FamilyClaim.TYPE2)
@@ -206,7 +205,7 @@ def family_general_p(p: int, n: int, x: int, y: int) -> FamilyInstance:
         for j in range(1, p):
             raw += [j * n * p * p - d, j * n * p * p + d]
         raw += [order - d, order - p]
-        sets.append(_fold(order, raw))
+        sets.append(_member(order, raw))
     relations = tuple(
         ThetaRelation(j * n, i, (i + j) % p) for i in range(p) for j in range(1, p)
     )

@@ -14,8 +14,21 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .core import CirculantGraph, check_abelian_group, check_equal_or_disjoint, check_order
-from .errors import BudgetExceeded, OrderMismatch, SubgroupViolation, VerificationFailure
+from .core import (
+    CirculantGraph,
+    check_abelian_group,
+    check_equal_or_disjoint,
+    check_order,
+    fold,
+    make_circulant,
+)
+from .errors import (
+    BudgetExceeded,
+    CirculantError,
+    OrderMismatch,
+    SubgroupViolation,
+    VerificationFailure,
+)
 from .theta import (
     NO_ANCHOR_JUMP,
     TClassification,
@@ -194,8 +207,7 @@ def v_set(
 
 def _multiply(n: int, u: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
     """The folded jumps of u*R for a unit u, which keeps them distinct."""
-    products = [u * j % n for j in jumps]
-    return tuple(sorted([x if 2 * x <= n else n - x for x in products]))
+    return tuple(sorted([fold(n, u * j) for j in jumps]))
 
 
 def _orbit_rows(
@@ -266,11 +278,7 @@ def t2_group(s: Type2Set) -> OrbitGroup:
     idx = set(s.t2_indices)
     if 0 not in idx:
         raise SubgroupViolation("step 0 missing from Type-2 indices")
-    labels = {
-        row.t: row.image
-        for row in s.vset.rows
-        if row.t in idx
-    }
+    labels = {row.t: row.image for row in s.vset.rows if row.t in idx}
     group = _orbit_group(modulus, s.t2_indices, s.vset.graph_period, labels)
     if group.quotient_order != len(s.members):
         raise VerificationFailure(
@@ -351,14 +359,14 @@ def appended_jump_check(
         return AppendedJumpReport(
             False, f"(n={n}, m={m}) fails m > 1 with m^3 | n: {', '.join(reasons)}"
         )
-    folded = min(jump % n, (n - jump) % n)
+    folded = fold(n, jump)
     if folded % m != 0 or folded == 0:
         return AppendedJumpReport(False, f"appended jump {jump} is not divisible by {m}")
     if folded in base.jumps:
         return AppendedJumpReport(False, f"jump {jump} already present in {base}")
     if NO_ANCHOR_JUMP not in theta_reasons(n, m, base):
         return AppendedJumpReport(False, f"base {base} already has a jump divisible by {m}")
-    augmented = CirculantGraph(n, tuple(sorted(base.jumps + (folded,))))
+    augmented = make_circulant(n, base.jumps + (jump,))
     aug_t2 = t2_set(n, m, augmented)
     if len(aug_t2.members) < 2:
         return AppendedJumpReport(
@@ -387,7 +395,8 @@ def census(
 
     Only sets holding a jump divisible by m are swept.  Classes with more
     than one member are reported once each, keyed by the lexicographically
-    least member.  The enumeration space is bounded upfront by budget.
+    least member.  A size below 1 is refused, and the enumeration space is
+    bounded upfront by budget.
     A unit multiple of a candidate keeps its size and its jump divisible
     by m, so candidates come in whole multiplier orbits; one orbits dict,
     alive for this call only, sweeps each orbit once, and every other
@@ -397,12 +406,12 @@ def census(
     sizes = tuple(sorted(set(sizes)))
     check_order(n)
     sweep_length(n, m)
+    if sizes and sizes[0] < 1:
+        raise CirculantError(f"census size {sizes[0]} is below 1")
     half = n // 2
     space = sum(comb(half, k) for k in sizes if k <= half)
     if space > budget:
-        raise BudgetExceeded(
-            f"{space} candidate sets exceed the budget of {budget}"
-        )
+        raise BudgetExceeded(f"{space} candidate sets exceed the budget of {budget}")
     orbits: SweepOrbits = {}
     records: list[CensusRecord] = []
     seen: set[tuple[CirculantGraph, ...]] = set()
@@ -418,10 +427,7 @@ def census(
             g = CirculantGraph(n, combo)
             s = t2_set(n, m, g, orbits=orbits)
             examined += 1
-            all_partner = all(
-                row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)
-                for row in s.vset.rows
-            )
+            all_partner = len(s.t2_indices) == len(s.vset.rows)
             if all_partner:
                 coincidences += 1
             if len(s.members) < 2:
@@ -440,11 +446,6 @@ def census(
                 )
             )
     summary = CensusSummary(
-        n=n,
-        m=m,
-        sizes=sizes,
-        examined=examined,
-        classes=len(records),
-        t2_equals_v=coincidences,
+        n=n, m=m, sizes=sizes, examined=examined, classes=len(records), t2_equals_v=coincidences
     )
     return CensusResult(tuple(records), summary)

@@ -12,24 +12,16 @@ definitive refutation, not a timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, gcd, pi
+from math import cos, pi
 from operator import sub
 
-from .core import CirculantGraph, symmetric_closure
+from .core import CirculantGraph, gcd_profile, symmetric_closure
 from .errors import BudgetExceeded, OrderMismatch, VerificationFailure
 from .theta import ThetaParams
 
 BRUTE_FORCE_CAP = 24
 SPECTRAL_DIGITS = 9
 SPECTRAL_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class GcdSignature:
-    """Multiset of gcd(n, jump) values as sorted (value, multiplicity) pairs."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -40,19 +32,11 @@ class IsoWitness:
     verified: bool
 
 
-def gcd_signature(g: CirculantGraph) -> GcdSignature:
-    counts: dict[int, int] = {}
-    for j in g.jumps:
-        d = gcd(g.n, j)
-        counts[d] = counts.get(d, 0) + 1
-    return GcdSignature(g.n, tuple(sorted(counts.items())))
-
-
 def gcd_signature_check(g: CirculantGraph, h: CirculantGraph) -> bool:
-    """Necessary condition: isomorphic circulants share the gcd multiset."""
+    """Necessary condition: isomorphic circulants share the gcd profile."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return gcd_signature(g) == gcd_signature(h)
+    return gcd_profile(g) == gcd_profile(h)
 
 
 def spectral_fingerprint(g: CirculantGraph) -> tuple[float, ...]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import CirculantGraph, edge_set, symmetric_closure
+from .core import CirculantGraph, edge_set, make_circulant, symmetric_closure
 from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
 from .type1 import witness_lookup
 
@@ -181,7 +181,7 @@ def detect_circulant(h: LabeledGraph) -> CirculantGraph | None:
     nbrs = {b for a, b in h.edges if a == 0} | {a for a, b in h.edges if b == 0}
     if not nbrs or any((n - v) % n not in nbrs for v in nbrs):
         return None
-    candidate = CirculantGraph(n, tuple(sorted({min(v, n - v) for v in nbrs})))
+    candidate = make_circulant(n, nbrs)
     if edge_set(candidate) != h.edges:
         return None
     return candidate
@@ -241,6 +241,7 @@ def classify_steps(
         if any((n - v) % n not in nbrs for v in nbrs):
             rows.append(TClassification(t, Verdict.NON_CIRCULANT))
             continue
+        # nbrs is closed under negation: its lower half is the folded set
         key = tuple(sorted(v for v in nbrs if 2 * v <= n))
         if key == g.jumps:
             rows.append(TClassification(t, Verdict.IDENTITY, image=g))

@@ -24,7 +24,9 @@ from .core import (
     CirculantGraph,
     check_abelian_group,
     check_equal_or_disjoint,
+    gcd_profile,
     make_circulant,
+    symmetric_closure,
 )
 from .errors import NotAUnit, OrderMismatch, VerificationFailure
 
@@ -100,7 +102,7 @@ def witness_lookup(g: CirculantGraph) -> Callable[[CirculantGraph], tuple[int, .
     tuple as type1_set(g).witness for a member, () for any other S.
 
     A unit x keeps gcd(j, n) for every j, so a multiplier image of R has
-    the same multiset of gcds with n as R; an S without it, in particular
+    R's gcd profile (core.gcd_profile); an S without it, in particular
     one with |S| != |R|, gets () at once.
 
     Every witness is a candidate.  A unit x with xR = S maps the closure
@@ -123,17 +125,16 @@ def witness_lookup(g: CirculantGraph) -> Callable[[CirculantGraph], tuple[int, .
     d, r0 = min((gcd(j, n), j) for j in g.jumps)
     q = n // d
     inverse = pow(r0 // d, -1, q)
-    profile = sorted(gcd(j, n) for j in g.jumps)
+    profile = gcd_profile(g)
     others = tuple(j for j in g.jumps if j != r0)
 
     def lookup(s: CirculantGraph) -> tuple[int, ...]:
         if s.n != n:
             raise OrderMismatch(f"graph has order {s.n}, not {n}")
-        gcds = [gcd(j, n) for j in s.jumps]
-        if sorted(gcds) != profile:
+        if gcd_profile(s) != profile:
             return ()
-        pinned = {w for j, c in zip(s.jumps, gcds) if c == d for w in (j, n - j)}
-        closure = {w for j in s.jumps for w in (j, n - j)}
+        pinned = {w for j in s.jumps if gcd(j, n) == d for w in (j, n - j)}
+        closure = symmetric_closure(s)
         found = [
             x
             for w in pinned

@@ -405,6 +405,24 @@ def test_exit_code_for_a_census_order_below_three(capsys, n):
     assert "graph order must be at least 3" in err
 
 
+@pytest.mark.parametrize("sizes, low", [("-1", -1), ("3,-1", -1), ("0", 0)])
+def test_exit_code_for_a_census_size_below_one(capsys, sizes, low):
+    code, out, err = run(capsys, ["census", "--n", "16", "--m", "2", "--sizes", sizes])
+    assert (code, out, err) == (2, "", f"error: census size {low} is below 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--n", "16", "--m", "2", "--set", "1,2", "--t", "x"], "step list 'x'"),
+        (["table", "--n", "16", "--m", "2", "--set", "1,2", "--t", "1..x"], "step list '1..x'"),
+        (["census", "--n", "16", "--m", "2", "--sizes", "x"], "size list 'x'"),
+    ],
+)
+def test_exit_code_for_an_unparsable_range(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: cannot parse {message}\n")
+
+
 def test_exit_code_for_budget_flag(capsys):
     code, _, err = run(
         capsys, ["census", "--n", "16", "--m", "2", "--sizes", "3", "--budget", "5"]

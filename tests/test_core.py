@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from circulant import (
     CirculantGraph,
     check_abelian_group,
     edge_set,
+    fold,
     make_circulant,
     period_cycle_stats,
     reflexive_reduce,
@@ -17,6 +19,34 @@ from circulant import (
     symmetric_closure,
 )
 from circulant.errors import EmptyConnectionSet, InvalidJump, VerificationFailure
+
+
+@pytest.mark.parametrize(
+    "n, v, folded",
+    [
+        (16, 0, 0),
+        (16, 16, 0),
+        (16, 8, 8),
+        (15, 7, 7),
+        (16, -3, 3),
+        (16, -19, 3),
+        (16, 9, 7),
+        (15, 8, 7),
+        (54, 85, 23),
+    ],
+)
+def test_fold_lands_in_the_lower_half(n, v, folded):
+    assert fold(n, v) == folded
+    assert fold(n, -v) == folded
+
+
+def test_reduce_is_the_fold_of_each_value():
+    for n in range(3, 13):
+        nonzero = [v for v in range(-2 * n, 2 * n + 1) if v % n]
+        for k in (1, 2, 3):
+            for raw in itertools.combinations(nonzero[::3], k):
+                folded = tuple(sorted({fold(n, v) for v in raw}))
+                assert reflexive_reduce(n, raw) == folded, (n, raw)
 
 
 def test_reduce_keeps_canonical_values():
@@ -231,6 +261,24 @@ def test_no_module_relies_on_assert():
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def test_every_import_is_the_package_or_the_standard_library():
+    # the package promises no dependency beyond the standard library
+    package = Path(__file__).resolve().parent.parent / "src" / "circulant"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_edge_set_reference_stays_out_of_the_library():

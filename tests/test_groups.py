@@ -9,7 +9,13 @@ import pytest
 import circulant.groups
 from circulant import make_circulant
 from circulant.core import CirculantGraph
-from circulant.errors import BudgetExceeded, InvalidThetaParams, VerificationFailure
+from circulant.errors import (
+    BudgetExceeded,
+    CirculantError,
+    InvalidJump,
+    InvalidThetaParams,
+    VerificationFailure,
+)
 from circulant.groups import (
     appended_jump_check,
     census,
@@ -237,6 +243,24 @@ def test_census_skips_sizes_no_jump_set_reaches():
 def test_census_enforces_the_budget():
     with pytest.raises(BudgetExceeded):
         census(16, 2, [3], budget=10)
+
+
+@pytest.mark.parametrize("sizes, low", [([-1], -1), ([3, -1], -1), ([0], 0), ([0, 3], 0)])
+def test_census_rejects_sizes_below_one(sizes, low):
+    with pytest.raises(CirculantError) as info:
+        census(16, 2, sizes)
+    assert type(info.value) is CirculantError
+    assert str(info.value) == f"census size {low} is below 1"
+    # the order and (n, m) are checked first
+    with pytest.raises(InvalidJump):
+        census(2, 2, sizes)
+    with pytest.raises(InvalidThetaParams):
+        census(16, 3, sizes)
+
+
+def test_census_accepts_an_empty_size_range():
+    summary = census(16, 2, range(3, 3)).summary
+    assert (summary.sizes, summary.examined, summary.classes) == ((), 0, 0)
 
 
 def test_census_rejects_inadmissible_parameters():
