@@ -298,7 +298,7 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     for m in admissible_m(g) if args.m is None else (args.m,):
         steps = [
             row.t
-            for row in t2_set(args.n, m, g).vset.rows
+            for row in v_set(args.n, m, g).rows
             if row.verdict == Verdict.TYPE2 and row.image == h
         ]
         if steps:
@@ -338,7 +338,7 @@ def cmd_census(args) -> None:
     }
     rows = [
         {
-            "base": " ".join(map(str, r["base"]["jumps"])),
+            "base": r["base"]["jumps"],
             "members": len(r["members"]),
             "group_order": r["group_order"],
             "t2_equals_v": r["t2_equals_v"],

@@ -54,6 +54,11 @@ class FamilyInstance:
     claim: FamilyClaim
 
     def __post_init__(self):
+        for i, s in enumerate(self.sets):
+            if s.n != self.order:
+                raise InvalidFamilyParams(f"member {s} has order {s.n}, not {self.order}")
+            if s in self.sets[:i]:
+                raise InvalidFamilyParams(f"member {s} appears more than once")
         sizes = {len(s.jumps) for s in self.sets}
         if len(sizes) != 1:
             raise InvalidFamilyParams(f"member sizes differ: {sorted(sizes)}")
@@ -77,7 +82,6 @@ class FamilyVerification:
     held exactly.
     """
 
-    instance: FamilyInstance
     resolved: str
     t1_witness_pairs: dict[tuple[int, int], tuple[int, ...]]
     t2_members: tuple[CirculantGraph, ...]
@@ -263,9 +267,7 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
         )
     s = t2_set(instance.order, instance.m, graphs[0])
     if witnessed:
-        return FamilyVerification(
-            instance, "type1", pairs, s.members, t2_group(s).quotient_order
-        )
+        return FamilyVerification("type1", pairs, s.members, t2_group(s).quotient_order)
 
     if set(s.members) != set(graphs):
         raise VerificationFailure(
@@ -277,4 +279,4 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
         raise VerificationFailure(
             f"Type-2 group order {group.quotient_order} != family size {len(graphs)}"
         )
-    return FamilyVerification(instance, "type2", pairs, s.members, group.quotient_order)
+    return FamilyVerification("type2", pairs, s.members, group.quotient_order)

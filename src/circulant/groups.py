@@ -37,7 +37,7 @@ from .theta import (
     sweep_length,
     theta_reasons,
 )
-from .type1 import units
+from .type1 import multiply, units
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
 
@@ -188,16 +188,16 @@ def v_set(
     if orbits is None:
         rows = classify_steps(n, m, g, range(steps))
     else:
-        rows = _orbit_rows(n, m, g, orbits)
+        rows = _orbit_rows(n, m, g, orbits, steps)
     if rows[0].verdict != Verdict.IDENTITY:
         raise VerificationFailure(f"step 0 of {g} is {rows[0].verdict.value}, not Identity")
 
     distinct = tuple(dict.fromkeys(row.image for row in rows if row.image is not None))
 
-    period = next((t for t in range(1, steps) if rows[t].verdict == Verdict.IDENTITY), steps)
     # theta composes additively in t, so the steps fixing g are a subgroup
     # of Z_{n/m}: the multiples of its least positive element
     identity_ts = [row.t for row in rows if row.verdict == Verdict.IDENTITY]
+    period = identity_ts[1] if len(identity_ts) > 1 else steps
     if identity_ts != list(range(0, steps, period)):
         raise VerificationFailure(
             f"identity steps {identity_ts} of {g} are not the multiples of {period}"
@@ -205,20 +205,15 @@ def v_set(
     return VSet(g, m, rows, distinct, period)
 
 
-def _multiply(n: int, u: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
-    """The folded jumps of u*R for a unit u, which keeps them distinct."""
-    return tuple(sorted([fold(n, u * j) for j in jumps]))
-
-
 def _orbit_rows(
-    n: int, m: int, g: CirculantGraph, orbits: SweepOrbits
+    n: int, m: int, g: CirculantGraph, orbits: SweepOrbits, steps: int
 ) -> tuple[TClassification, ...]:
-    """g's sweep, swept once per multiplier orbit; see v_set."""
+    """g's sweep of the given length, swept once per multiplier orbit; see v_set."""
     known = orbits.get(g.jumps)
     if known is None:
-        rows = classify_steps(n, m, g, range(n // m))
+        rows = classify_steps(n, m, g, range(steps))
         for u in units(n):
-            orbits.setdefault(_multiply(n, u, g.jumps), (rows, u))
+            orbits.setdefault(multiply(n, u, g.jumps), (rows, u))
         return rows
     rows, u = known
     images: dict[CirculantGraph, CirculantGraph] = {}
@@ -229,7 +224,7 @@ def _orbit_rows(
             continue
         image = images.get(row.image)
         if image is None:
-            image = images[row.image] = CirculantGraph(n, _multiply(n, u, row.image.jumps))
+            image = images[row.image] = CirculantGraph(n, multiply(n, u, row.image.jumps))
         if row.verdict is Verdict.IDENTITY and image != g:
             raise VerificationFailure(
                 f"{u} * {row.image.jumps} is {image.jumps}, not the jumps of {g}"
@@ -240,9 +235,7 @@ def _orbit_rows(
 
 def v_group(v: VSet) -> OrbitGroup:
     """The full sweep as a group on Z_{n/m} with graph labels."""
-    modulus = v.n // v.m
-    labels = {row.t: row.image for row in v.rows}
-    return _orbit_group(modulus, tuple(range(modulus)), v.graph_period, labels)
+    return _orbit_group(v.rows, tuple(row.t for row in v.rows), v.graph_period)
 
 
 def t2_set(
@@ -255,14 +248,10 @@ def t2_set(
     to v_set.
     """
     v = v_set(n, m, g, orbits=orbits)
-    members = [g]
-    for row in v.rows:
-        if row.verdict == Verdict.TYPE2 and row.image not in members:
-            members.append(row.image)
-    indices = tuple(
-        row.t for row in v.rows if row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)
-    )
-    return Type2Set(g, m, tuple(members), indices, v)
+    # an Identity row's image is g and step 0 is one, so the base comes first
+    partners = [row for row in v.rows if row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)]
+    members = tuple(dict.fromkeys(row.image for row in partners))
+    return Type2Set(g, m, members, tuple(row.t for row in partners), v)
 
 
 def t2_group(s: Type2Set) -> OrbitGroup:
@@ -274,12 +263,9 @@ def t2_group(s: Type2Set) -> OrbitGroup:
     falsify the structure this library is built on, so it is reported
     rather than repaired.
     """
-    modulus = s.base.n // s.m
-    idx = set(s.t2_indices)
-    if 0 not in idx:
+    if 0 not in s.t2_indices:
         raise SubgroupViolation("step 0 missing from Type-2 indices")
-    labels = {row.t: row.image for row in s.vset.rows if row.t in idx}
-    group = _orbit_group(modulus, s.t2_indices, s.vset.graph_period, labels)
+    group = _orbit_group(s.vset.rows, s.t2_indices, s.vset.graph_period)
     if group.quotient_order != len(s.members):
         raise VerificationFailure(
             f"quotient of order {group.quotient_order} for {len(s.members)} partners of {s.base}"
@@ -288,11 +274,9 @@ def t2_group(s: Type2Set) -> OrbitGroup:
 
 
 def _orbit_group(
-    modulus: int,
-    indices: tuple[int, ...],
-    period: int,
-    labels: dict[int, CirculantGraph | None],
+    rows: tuple[TClassification, ...], indices: tuple[int, ...], period: int
 ) -> OrbitGroup:
+    modulus = len(rows)
     # a set equal to <generator> is a subgroup of Z_modulus
     generator = indices[1] if len(indices) > 1 else 0
     generated = set()
@@ -302,6 +286,8 @@ def _orbit_group(
         k = (k + generator) % modulus
     if generated != set(indices):
         raise VerificationFailure(f"{generator} does not generate the indices mod {modulus}")
+    # read only now: an index outside Z_modulus has been refused above
+    labels = {i: rows[i].image for i in indices}
     reps = tuple(i for i in indices if i < period)
     table = []
     rep_pos = {r: i for i, r in enumerate(reps)}

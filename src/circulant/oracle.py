@@ -1,12 +1,12 @@
 """Independent certification oracles.
 
-Everything here depends only on the core graph representation, never on
-the transform or group machinery, so it can serve as trusted evidence
-against those modules.  The brute-force search is exact: a returned
-witness is re-verified jump by jump at every vertex (_maps_jumps, the
-certificate verify_theta_witness gives a rotation on its m residue
-classes once it has checked the map's period m), and a None is a
-definitive refutation, not a timeout.
+Everything here uses the core graph representation and theta's validated
+parameter record (ThetaParams), nothing of the rotation kernel or the
+groups, so it can serve as trusted evidence against those modules.  The
+brute-force search is exact: a returned witness is re-verified jump by
+jump at every vertex (_maps_jumps, the certificate verify_theta_witness
+gives a rotation on its m residue classes once it has checked the map's
+period m), and a None is a definitive refutation, not a timeout.
 """
 
 from __future__ import annotations

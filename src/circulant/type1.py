@@ -10,8 +10,9 @@ and serves callers that need the whole orbit (t1set, type1_group,
 type1_set_equality).  witness_lookup pins one jump of R and solves for the
 units that can move it into the target set, at most 2*|S|*gcd(r0, n)
 candidates, for callers that ask about single images (sweeps,
-type1_witnesses).  census sweeps one member of each multiplier orbit and
-relabels that sweep for the others (groups.v_set), so it needs neither.
+type1_witnesses).  multiply, the one multiplier image of a jump tuple and
+phi_apply's core, serves census, which sweeps one member of each
+multiplier orbit and relabels that sweep for the others (groups.v_set).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .core import (
     CirculantGraph,
     check_abelian_group,
     check_equal_or_disjoint,
+    fold,
     gcd_profile,
-    make_circulant,
     symmetric_closure,
 )
 from .errors import NotAUnit, OrderMismatch, VerificationFailure
@@ -69,16 +70,21 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, n) if gcd(n, x) == 1)
 
 
+def multiply(n: int, x: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
+    """The folded products x*j, sorted: the jumps of xR, distinct when x is a unit."""
+    return tuple(sorted([fold(n, x * j) for j in jumps]))
+
+
 def phi_apply(n: int, x: int, g: CirculantGraph) -> CirculantGraph:
     """Image of g under multiplication by the unit x."""
     if g.n != n:
         raise OrderMismatch(f"graph has order {g.n}, not {n}")
     if gcd(n, x % n) != 1:
         raise NotAUnit(f"{x} is not a unit mod {n}")
-    image = make_circulant(n, (x * j % n for j in g.jumps))
-    if len(image.jumps) != len(g.jumps):
+    jumps = multiply(n, x, g.jumps)
+    if len(set(jumps)) != len(g.jumps):
         raise VerificationFailure(f"unit {x} collapsed jumps of {g.jumps} mod {n}")
-    return image
+    return CirculantGraph(n, jumps)
 
 
 def type1_set(g: CirculantGraph) -> Type1Set:

@@ -281,6 +281,36 @@ def test_every_import_is_the_package_or_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_every_package_import_points_down_the_layers():
+    # errors < core < type1 < theta < {groups, oracle} < families < {cli,
+    # __init__}: a module imports only from lower layers, so no cycle can form
+    # and groups and oracle stay independent of each other
+    layer = {
+        "errors": 0,
+        "core": 1,
+        "type1": 2,
+        "theta": 3,
+        "groups": 4,
+        "oracle": 4,
+        "families": 5,
+        "cli": 6,
+        "__init__": 6,
+    }
+    package = Path(__file__).resolve().parent.parent / "src" / "circulant"
+    modules = sorted(package.glob("*.py"))
+    assert {path.stem for path in modules} == set(layer)
+    edges = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                edges.update((path.stem, target) for target in targets)
+    assert edges
+    upward = sorted((a, b) for a, b in edges if layer[b] >= layer[a])
+    assert not upward
+
+
 def test_edge_set_reference_stays_out_of_the_library():
     # theta_image, detect_circulant and LabeledGraph are the tests' slow
     # reference, and edge_set serves them alone: the library's rotation

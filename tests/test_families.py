@@ -235,6 +235,19 @@ def test_instance_rejects_an_unanchored_member():
         FamilyInstance(16, 2, (r1, r2), (ThetaRelation(2, 0, 1),), FamilyClaim.TYPE2)
 
 
+def test_instance_rejects_a_member_of_another_order():
+    g = make_circulant(54, [2, 3, 16, 20])
+    with pytest.raises(InvalidFamilyParams, match=r"^member C_54\(2,3,16,20\) has order 54, not 16$"):
+        FamilyInstance(16, 2, (g, g), (), FamilyClaim.TYPE2)
+
+
+def test_instance_rejects_a_repeated_member():
+    # apart from the repeat, the pair passes every member check
+    g = make_circulant(16, [1, 2, 7])
+    with pytest.raises(InvalidFamilyParams, match=r"^member C_16\(1,2,7\) appears more than once$"):
+        FamilyInstance(16, 2, (g, g), (ThetaRelation(2, 0, 1),), FamilyClaim.TYPE2)
+
+
 def test_verify_catches_a_tampered_relation():
     p7 = family_general_p(7, 2, 3, 2)
     step = classify_t(ThetaParams(p7.order, p7.m, 1), p7.sets[0])

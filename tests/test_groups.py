@@ -129,7 +129,7 @@ def test_t2_group_of_16():
     assert gr.labels[2].jumps == (2, 3, 5)
 
 
-@pytest.mark.parametrize("indices", [(0, 2, 3), (3, 0)])
+@pytest.mark.parametrize("indices", [(0, 2, 3), (3, 0), (0, 2, 9), (0, 2, 4, 6, 8)])
 def test_t2_group_rejects_indices_that_are_not_a_subgroup(indices):
     # 0 is there, but neither set is closed under addition mod 8
     s = t2_set(16, 2, make_circulant(16, [1, 2, 7]))
