@@ -174,7 +174,7 @@ def cmd_t1set(args) -> None:
 
 def cmd_t2set(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
-    s = t2_set(args.n, args.m, g)
+    s = t2_set(g, args.m)
     members = [_graph_json(x) for x in s.members]
     result = {
         "base": _graph_json(g),
@@ -188,7 +188,7 @@ def cmd_t2set(args) -> None:
 
 def cmd_vset(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
-    v = v_set(args.n, args.m, g)
+    v = v_set(g, args.m)
     group = v_group(v)
     rows = [
         {"t": row.t, "verdict": row.verdict.value, "jumps": _jumps_json(row.image)}
@@ -206,9 +206,8 @@ def cmd_vset(args) -> None:
 
 def cmd_table(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
-    table = classification_table(
-        args.n, args.m, g, _parse_t_range(args.t, "step") if args.t else None
-    )
+    steps = _parse_t_range(args.t, "step") if args.t else None
+    table = classification_table(g, args.m, t_values=steps)
     # one row per requested step, in the order asked
     t_values = [entry.t for entry in table]
     closure = sorted(symmetric_closure(g))
@@ -298,7 +297,7 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     for m in admissible_m(g) if args.m is None else (args.m,):
         steps = [
             row.t
-            for row in v_set(args.n, m, g).rows
+            for row in v_set(g, m).rows
             if row.verdict == Verdict.TYPE2 and row.image == h
         ]
         if steps:

@@ -265,7 +265,7 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
             f"only pairs {witnessed} are multiplier-related; family is neither "
             "uniformly type1 nor type2"
         )
-    s = t2_set(instance.order, instance.m, graphs[0])
+    s = t2_set(graphs[0], instance.m)
     if witnessed:
         return FamilyVerification("type1", pairs, s.members, t2_group(s).quotient_order)
 

@@ -70,15 +70,14 @@ class VSet:
 class Type2Set:
     """The base graph together with its distinct Type-2 partners.
 
-    t2_indices are the sweep steps classified Identity or Type2; members
-    keep the base first, then partners in order of first appearance.  A
-    step whose image carries a multiplier witness (verdict Type1) is never
-    a partner, even though a rotation reaches it: C_48(4, 11, 13) is the
-    image of C_48(1, 4, 23) at t = 6 with m = 2, but also 11 * (1, 4, 23).
+    The sweep vset holds the base and the divisor m.  t2_indices are its
+    steps classified Identity or Type2; members keep the base first, then
+    partners in order of first appearance.  A step whose image carries a
+    multiplier witness (verdict Type1) is never a partner, even though a
+    rotation reaches it: C_48(4, 11, 13) is the image of C_48(1, 4, 23) at
+    t = 6 with m = 2, but also 11 * (1, 4, 23).
     """
 
-    base: CirculantGraph
-    m: int
     members: tuple[CirculantGraph, ...]
     t2_indices: tuple[int, ...]
     vset: VSet
@@ -149,10 +148,8 @@ class CensusResult:
     summary: CensusSummary
 
 
-def v_set(
-    n: int, m: int, g: CirculantGraph, *, orbits: SweepOrbits | None = None
-) -> VSet:
-    """Classify every rotation step of g for the divisor m.
+def v_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> VSet:
+    """Classify every rotation step of g for the divisor m; g carries the order n.
 
     A single sweep leaves orbits None and runs classify_steps.  census
     passes one orbits dict for its whole run and sweeps each multiplier
@@ -182,13 +179,11 @@ def v_set(
     by m, both kept by u.  NS rows carry only t, so they are reused whole;
     N alone decides them (lemma A, proved in theta.classify_steps).
     """
-    if g.n != n:
-        raise OrderMismatch(f"graph has order {g.n}, not {n}")
-    steps = sweep_length(n, m, g)
+    steps = sweep_length(g.n, m, g)
     if orbits is None:
-        rows = classify_steps(n, m, g, range(steps))
+        rows = classify_steps(g, m, range(steps))
     else:
-        rows = _orbit_rows(n, m, g, orbits, steps)
+        rows = _orbit_rows(g, m, orbits, steps)
     if rows[0].verdict != Verdict.IDENTITY:
         raise VerificationFailure(f"step 0 of {g} is {rows[0].verdict.value}, not Identity")
 
@@ -206,14 +201,14 @@ def v_set(
 
 
 def _orbit_rows(
-    n: int, m: int, g: CirculantGraph, orbits: SweepOrbits, steps: int
+    g: CirculantGraph, m: int, orbits: SweepOrbits, steps: int
 ) -> tuple[TClassification, ...]:
     """g's sweep of the given length, swept once per multiplier orbit; see v_set."""
     known = orbits.get(g.jumps)
     if known is None:
-        rows = classify_steps(n, m, g, range(steps))
-        for u in units(n):
-            orbits.setdefault(multiply(n, u, g.jumps), (rows, u))
+        rows = classify_steps(g, m, range(steps))
+        for u in units(g.n):
+            orbits.setdefault(multiply(g.n, u, g.jumps), (rows, u))
         return rows
     rows, u = known
     images: dict[CirculantGraph, CirculantGraph] = {}
@@ -224,7 +219,7 @@ def _orbit_rows(
             continue
         image = images.get(row.image)
         if image is None:
-            image = images[row.image] = CirculantGraph(n, multiply(n, u, row.image.jumps))
+            image = images[row.image] = CirculantGraph(g.n, multiply(g.n, u, row.image.jumps))
         if row.verdict is Verdict.IDENTITY and image != g:
             raise VerificationFailure(
                 f"{u} * {row.image.jumps} is {image.jumps}, not the jumps of {g}"
@@ -238,20 +233,18 @@ def v_group(v: VSet) -> OrbitGroup:
     return _orbit_group(v.rows, tuple(row.t for row in v.rows), v.graph_period)
 
 
-def t2_set(
-    n: int, m: int, g: CirculantGraph, *, orbits: SweepOrbits | None = None
-) -> Type2Set:
+def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> Type2Set:
     """Base plus distinct Type-2 partners from the full sweep.
 
     Images with verdict Type1 are left out although a rotation reaches
     them; see Type2Set for the C_48(1, 4, 23) example.  orbits is passed
     to v_set.
     """
-    v = v_set(n, m, g, orbits=orbits)
+    v = v_set(g, m, orbits=orbits)
     # an Identity row's image is g and step 0 is one, so the base comes first
     partners = [row for row in v.rows if row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)]
     members = tuple(dict.fromkeys(row.image for row in partners))
-    return Type2Set(g, m, members, tuple(row.t for row in partners), v)
+    return Type2Set(members, tuple(row.t for row in partners), v)
 
 
 def t2_group(s: Type2Set) -> OrbitGroup:
@@ -268,7 +261,8 @@ def t2_group(s: Type2Set) -> OrbitGroup:
     group = _orbit_group(s.vset.rows, s.t2_indices, s.vset.graph_period)
     if group.quotient_order != len(s.members):
         raise VerificationFailure(
-            f"quotient of order {group.quotient_order} for {len(s.members)} partners of {s.base}"
+            f"quotient of order {group.quotient_order} for {len(s.members)} partners "
+            f"of {s.vset.base}"
         )
     return group
 
@@ -324,41 +318,41 @@ def t2_set_equality(g: CirculantGraph, h: CirculantGraph, m: int) -> bool:
     """
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return check_equal_or_disjoint(g, t2_set(g.n, m, g).members, h, t2_set(h.n, m, h).members)
+    return check_equal_or_disjoint(g, t2_set(g, m).members, h, t2_set(h, m).members)
 
 
-def appended_jump_check(
-    n: int, m: int, jump: int, base: CirculantGraph
-) -> AppendedJumpReport:
+def appended_jump_check(base: CirculantGraph, m: int, jump: int) -> AppendedJumpReport:
     """No-anchor bases admit no Type-2 partner even when base + jump does.
 
-    Applicable when jump is divisible by m, absent from the base, none of
-    the base jumps is divisible by m, and the augmented graph has a
-    non-trivial Type-2 set.  The sweep of the bare base is returned as
-    evidence: every circulant image must be the base itself or carry a
-    multiplier witness, so nothing resembling a Type-2 partner appears.
+    The order n is the base's.  Applicable when jump is not 0 mod n (a
+    loop) but is divisible by m, is absent from the base, none of the base
+    jumps is divisible by m, and the augmented graph has a non-trivial
+    Type-2 set.  The sweep of the bare base is returned as evidence: every
+    circulant image must be the base itself or carry a multiplier witness,
+    so nothing resembling a Type-2 partner appears.
     """
-    if base.n != n:
-        return AppendedJumpReport(False, f"base has order {base.n}, not {n}")
+    n = base.n
     reasons = theta_reasons(n, m)
     if reasons:
         return AppendedJumpReport(
             False, f"(n={n}, m={m}) fails m > 1 with m^3 | n: {', '.join(reasons)}"
         )
     folded = fold(n, jump)
-    if folded % m != 0 or folded == 0:
+    if folded == 0:
+        return AppendedJumpReport(False, f"appended jump {jump} is 0 mod {n} (a loop)")
+    if folded % m != 0:
         return AppendedJumpReport(False, f"appended jump {jump} is not divisible by {m}")
     if folded in base.jumps:
         return AppendedJumpReport(False, f"jump {jump} already present in {base}")
     if NO_ANCHOR_JUMP not in theta_reasons(n, m, base):
         return AppendedJumpReport(False, f"base {base} already has a jump divisible by {m}")
     augmented = make_circulant(n, base.jumps + (jump,))
-    aug_t2 = t2_set(n, m, augmented)
+    aug_t2 = t2_set(augmented, m)
     if len(aug_t2.members) < 2:
         return AppendedJumpReport(
             False, f"augmented graph {augmented} has no Type-2 partner"
         )
-    verdicts = classify_steps(n, m, base, range(n // m))
+    verdicts = classify_steps(base, m, range(n // m))
     # the base has no jump divisible by m, so classify_steps can never say
     # Type2 outright; an unexplained circulant image surfaces as
     # Unclassified and counts as a failure here
@@ -381,7 +375,8 @@ def census(
 
     Only sets holding a jump divisible by m are swept.  Classes with more
     than one member are reported once each, keyed by the lexicographically
-    least member.  A size below 1 is refused, and the enumeration space is
+    least member.  A size below 1 or above n//2 is refused, the sizes are
+    read once, up to the first refused one, and the enumeration space is
     bounded upfront by budget.
     A unit multiple of a candidate keeps its size and its jump divisible
     by m, so candidates come in whole multiplier orbits; one orbits dict,
@@ -389,13 +384,18 @@ def census(
     member relabels that sweep (lemma B, proved in v_set).  Each candidate
     still gets its own t2_set, with v_set's step-0 and period checks.
     """
-    sizes = tuple(sorted(set(sizes)))
     check_order(n)
     sweep_length(n, m)
-    if sizes and sizes[0] < 1:
-        raise CirculantError(f"census size {sizes[0]} is below 1")
     half = n // 2
-    space = sum(comb(half, k) for k in sizes if k <= half)
+    wanted = set()
+    for k in sizes:
+        if k < 1:
+            raise CirculantError(f"census size {k} is below 1")
+        if k > half:
+            raise CirculantError(f"census size {k} is above {half}, the most jumps of order {n}")
+        wanted.add(k)
+    sizes = tuple(sorted(wanted))
+    space = sum(comb(half, k) for k in sizes)
     if space > budget:
         raise BudgetExceeded(f"{space} candidate sets exceed the budget of {budget}")
     orbits: SweepOrbits = {}
@@ -404,14 +404,12 @@ def census(
     examined = 0
     coincidences = 0
     for k in sizes:
-        if k > half:
-            break  # no jump set is larger, and sizes ascend
         for combo in itertools.combinations(range(1, half + 1), k):
             # the anchor half of theta_reasons, inline: this runs once per combination
             if not any(j % m == 0 for j in combo):
                 continue
             g = CirculantGraph(n, combo)
-            s = t2_set(n, m, g, orbits=orbits)
+            s = t2_set(g, m, orbits=orbits)
             examined += 1
             all_partner = len(s.t2_indices) == len(s.vset.rows)
             if all_partner:

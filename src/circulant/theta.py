@@ -188,10 +188,7 @@ def detect_circulant(h: LabeledGraph) -> CirculantGraph | None:
 
 
 def classify_steps(
-    n: int,
-    m: int,
-    g: CirculantGraph,
-    t_values: Iterable[int],
+    g: CirculantGraph, m: int, t_values: Iterable[int]
 ) -> tuple[TClassification, ...]:
     """Classify the image of g at each rotation step in t_values.
 
@@ -220,8 +217,7 @@ def classify_steps(
     looked up once, from type1.witness_lookup(g), which pins one jump of g
     and tries at most 2*|S|*gcd(r0, n) units.
     """
-    if g.n != n:
-        raise OrderMismatch(f"graph has order {g.n}, not {n}")
+    n = g.n
     steps = sweep_length(n, m)
     # (v, v's shift per unit step) for each v of the closure
     closure = tuple((v, v % m * m) for v in symmetric_closure(g))
@@ -265,14 +261,13 @@ def classify_steps(
 
 def classify_t(p: ThetaParams, g: CirculantGraph) -> TClassification:
     """Classify the image of g at the single step p.t; see classify_steps."""
-    return classify_steps(p.n, p.m, g, (p.t,))[0]
+    if p.n != g.n:
+        raise OrderMismatch(f"params are for order {p.n}, graph has {g.n}")
+    return classify_steps(g, p.m, (p.t,))[0]
 
 
 def classification_table(
-    n: int,
-    m: int,
-    g: CirculantGraph,
-    t_values: Iterable[int] | None = None,
+    g: CirculantGraph, m: int, *, t_values: Iterable[int] | None = None
 ) -> tuple[TableRow, ...]:
     """Sweep rotation steps and render one row per t.
 
@@ -280,10 +275,10 @@ def classification_table(
     so columns line up across rows.
     """
     if t_values is None:
-        t_values = range(sweep_length(n, m))
-    rows = classify_steps(n, m, g, t_values)
+        t_values = range(sweep_length(g.n, m))
+    rows = classify_steps(g, m, t_values)
     # (v, v's shift per unit step), as in classify_steps
     columns = [(v, v % m * m) for v in sorted(symmetric_closure(g))]
     return tuple(
-        TableRow(row.t, tuple([(v + s * row.t) % n for v, s in columns]), row) for row in rows
+        TableRow(row.t, tuple([(v + s * row.t) % g.n for v, s in columns]), row) for row in rows
     )

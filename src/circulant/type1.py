@@ -75,10 +75,9 @@ def multiply(n: int, x: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted([fold(n, x * j) for j in jumps]))
 
 
-def phi_apply(n: int, x: int, g: CirculantGraph) -> CirculantGraph:
+def phi_apply(g: CirculantGraph, x: int) -> CirculantGraph:
     """Image of g under multiplication by the unit x."""
-    if g.n != n:
-        raise OrderMismatch(f"graph has order {g.n}, not {n}")
+    n = g.n
     if gcd(n, x % n) != 1:
         raise NotAUnit(f"{x} is not a unit mod {n}")
     jumps = multiply(n, x, g.jumps)
@@ -92,7 +91,7 @@ def type1_set(g: CirculantGraph) -> Type1Set:
     group = units(g.n)
     buckets: dict[CirculantGraph, list[int]] = {}
     for x in group:
-        buckets.setdefault(phi_apply(g.n, x, g), []).append(x)
+        buckets.setdefault(phi_apply(g, x), []).append(x)
     members = tuple(sorted(buckets))
     witness = {m: tuple(buckets[m]) for m in members}
     if sum(len(w) for w in witness.values()) != len(group):
@@ -148,7 +147,7 @@ def witness_lookup(g: CirculantGraph) -> Callable[[CirculantGraph], tuple[int, .
             if gcd(x, n) == 1 and all(x * j % n in closure for j in others)
         ]
         for x in found:
-            image = phi_apply(n, x, g)
+            image = phi_apply(g, x)
             if image != s:
                 raise VerificationFailure(
                     f"unit {x} passed the pinned-jump test for {g} -> {s.jumps} "

@@ -109,7 +109,7 @@ def test_criterion_03_worked_case_partner_sets():
         got_t1 = {mem.jumps for mem in t1.members}
         if got_t1 != expected_t1:
             problems.append(f"T1 mismatch at ({label})")
-        t2 = t2_set(n, m, g)
+        t2 = t2_set(g, m)
         got_t2 = {mem.jumps for mem in t2.members}
         if got_t2 != expected_t2:
             missing = sorted(expected_t2 - got_t2)
@@ -155,7 +155,7 @@ def test_criterion_04_order81_multiplier_orbit():
         problems.append(f"{len(grp.representatives)} orbit members")
     if set(grp.representatives) != {1, 2, 4, 5, 7, 8, 10, 11, 13}:
         problems.append(f"representatives {sorted(grp.representatives)}")
-    partners = t2_set(81, 3, g)
+    partners = t2_set(g, 3)
     if len(partners.members) != 3:
         problems.append(f"{len(partners.members)} rotation partners")
     elapsed = time.perf_counter() - start

@@ -5,6 +5,8 @@ import csv
 import hashlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -411,6 +413,13 @@ def test_exit_code_for_a_census_size_below_one(capsys, sizes, low):
     assert (code, out, err) == (2, "", f"error: census size {low} is below 1\n")
 
 
+def test_exit_code_for_a_census_size_above_half_the_order(capsys):
+    # no jump set of order 16 has 9 jumps; the range stops there unread
+    argv = ["census", "--n", "16", "--m", "2", "--sizes", "3..2000000000"]
+    message = "error: census size 9 is above 8, the most jumps of order 16\n"
+    assert run(capsys, argv) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -575,3 +584,31 @@ def test_a_closed_stdout_ends_quietly():
     assert len(head) == 200
     assert proc.returncode == 7
     assert err == b""
+
+
+def _readme_blocks(lang):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+def test_readme_python_example_prints_its_comments():
+    (source,) = _readme_blocks("python")
+    expected = [line.split("# ", 1)[1] for line in source.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md", "exec"), {})
+    assert expected and out.getvalue().splitlines() == expected
+
+
+def test_readme_command_lines_exit_zero(capsys):
+    lines = [
+        shlex.split(line, comments=True)
+        for block in _readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("circulant ")
+    ]
+    assert len(lines) == 9
+    for argv in lines:
+        code, out, err = run(capsys, argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out, argv

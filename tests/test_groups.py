@@ -25,13 +25,13 @@ from circulant.groups import (
     v_group,
     v_set,
 )
-from circulant.theta import TClassification, Verdict, classify_steps
+from circulant.theta import TClassification, Verdict, classification_table, classify_steps
 from circulant.type1 import phi_apply, type1_set, units
 
 
 def test_vset_of_the_order54_base():
     g = make_circulant(54, [2, 3, 16, 20])
-    vs = v_set(54, 3, g)
+    vs = v_set(g, 3)
     assert vs.n == 54
     assert len(vs.rows) == 18
     assert vs.graph_period == 6
@@ -46,25 +46,41 @@ def test_vset_of_the_order54_base():
 def test_vset_rejects_identity_steps_off_the_period(monkeypatch):
     original = circulant.groups.classify_steps
 
-    def stray(n, m, g, t_values):
-        rows = list(original(n, m, g, t_values))
+    def stray(g, m, t_values):
+        rows = list(original(g, m, t_values))
         rows[7] = TClassification(7, Verdict.IDENTITY, image=g)
         return tuple(rows)
 
     monkeypatch.setattr(circulant.groups, "classify_steps", stray)
     # the period of this sweep is 6, so an Identity step at 7 is impossible
     with pytest.raises(VerificationFailure, match="not the multiples of 6"):
-        v_set(54, 3, make_circulant(54, [2, 3, 16, 20]))
+        v_set(make_circulant(54, [2, 3, 16, 20]), 3)
+
+
+def test_order_first_calls_are_type_errors():
+    # every sweep and multiplier image reads the order from its graph
+    g = make_circulant(16, [1, 7])
+    old_calls = [
+        lambda: classify_steps(16, 2, g, range(8)),
+        lambda: classification_table(16, 2, g),
+        lambda: v_set(16, 2, g),
+        lambda: t2_set(16, 2, g),
+        lambda: phi_apply(16, 3, g),
+        lambda: appended_jump_check(16, 2, 2, g),
+    ]
+    for call in old_calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_vset_of_the_order81_base():
-    vs = v_set(81, 3, make_circulant(81, [3, 7, 20, 34]))
+    vs = v_set(make_circulant(81, [3, 7, 20, 34]), 3)
     assert vs.graph_period == 9
     assert len(vs.distinct) == 3
 
 
 def test_vset_with_every_step_circulant():
-    vs = v_set(27, 3, make_circulant(27, [1, 3, 8, 10]))
+    vs = v_set(make_circulant(27, [1, 3, 8, 10]), 3)
     assert vs.graph_period == 3
     assert len(vs.distinct) == 3
     assert all(row.verdict is not Verdict.NON_CIRCULANT for row in vs.rows)
@@ -72,11 +88,11 @@ def test_vset_with_every_step_circulant():
 
 def test_vset_rejects_inadmissible_parameters():
     with pytest.raises(InvalidThetaParams):
-        v_set(16, 4, make_circulant(16, [1, 2, 7]))
+        v_set(make_circulant(16, [1, 2, 7]), 4)
 
 
 def test_vgroup_is_the_full_step_group():
-    vg = v_group(v_set(54, 3, make_circulant(54, [2, 3, 16, 20])))
+    vg = v_group(v_set(make_circulant(54, [2, 3, 16, 20]), 3))
     assert vg.modulus == 18
     assert vg.order == 18
     assert vg.period == 6
@@ -85,19 +101,19 @@ def test_vgroup_is_the_full_step_group():
 
 
 def test_t2_members_and_indices_of_16():
-    s = t2_set(16, 2, make_circulant(16, [1, 2, 7]))
+    s = t2_set(make_circulant(16, [1, 2, 7]), 2)
     assert sorted(m.jumps for m in s.members) == [(1, 2, 7), (2, 3, 5)]
     assert s.t2_indices == (0, 2, 4, 6)
 
 
 def test_t2_singleton():
-    s = t2_set(54, 3, make_circulant(54, [1, 17, 18, 19]))
+    s = t2_set(make_circulant(54, [1, 17, 18, 19]), 3)
     assert [m.jumps for m in s.members] == [(1, 17, 18, 19)]
     assert s.t2_indices == (0, 6, 12)
 
 
 def test_t2_three_members_at_order_108():
-    s = t2_set(108, 3, make_circulant(108, [3, 5, 31, 41]))
+    s = t2_set(make_circulant(108, [3, 5, 31, 41]), 3)
     assert sorted(m.jumps for m in s.members) == [
         (3, 5, 31, 41),
         (3, 7, 29, 43),
@@ -107,16 +123,16 @@ def test_t2_three_members_at_order_108():
 
 
 def test_t2_indices_of_the_reference_sweeps():
-    assert t2_set(54, 3, make_circulant(54, [2, 3, 16, 20])).t2_indices == tuple(
+    assert t2_set(make_circulant(54, [2, 3, 16, 20]), 3).t2_indices == tuple(
         range(0, 18, 2)
     )
-    assert t2_set(81, 3, make_circulant(81, [3, 7, 20, 34])).t2_indices == tuple(
+    assert t2_set(make_circulant(81, [3, 7, 20, 34]), 3).t2_indices == tuple(
         range(0, 27, 3)
     )
 
 
 def test_t2_group_of_16():
-    gr = t2_group(t2_set(16, 2, make_circulant(16, [1, 2, 7])))
+    gr = t2_group(t2_set(make_circulant(16, [1, 2, 7]), 2))
     assert gr.modulus == 8
     assert gr.generator == 2
     assert gr.period == 4
@@ -132,18 +148,18 @@ def test_t2_group_of_16():
 @pytest.mark.parametrize("indices", [(0, 2, 3), (3, 0), (0, 2, 9), (0, 2, 4, 6, 8)])
 def test_t2_group_rejects_indices_that_are_not_a_subgroup(indices):
     # 0 is there, but neither set is closed under addition mod 8
-    s = t2_set(16, 2, make_circulant(16, [1, 2, 7]))
+    s = t2_set(make_circulant(16, [1, 2, 7]), 2)
     broken = dataclasses.replace(s, t2_indices=indices)
     with pytest.raises(VerificationFailure, match="does not generate the indices mod 8"):
         t2_group(broken)
 
 
 def test_t2_group_quotient_order_counts_the_members():
-    gr54 = t2_group(t2_set(54, 3, make_circulant(54, [2, 3, 16, 20])))
+    gr54 = t2_group(t2_set(make_circulant(54, [2, 3, 16, 20]), 3))
     assert (gr54.order, gr54.quotient_order, gr54.generator) == (9, 3, 2)
-    gr81 = t2_group(t2_set(81, 3, make_circulant(81, [3, 7, 20, 34])))
+    gr81 = t2_group(t2_set(make_circulant(81, [3, 7, 20, 34]), 3))
     assert (gr81.order, gr81.quotient_order) == (9, 3)
-    grs = t2_group(t2_set(54, 3, make_circulant(54, [1, 17, 18, 19])))
+    grs = t2_group(t2_set(make_circulant(54, [1, 17, 18, 19]), 3))
     assert (grs.order, grs.quotient_order, grs.generator) == (3, 1, 6)
 
 
@@ -159,7 +175,7 @@ def test_t2_equality_goldens():
 
 
 def test_appended_jump_applicable_cases_pass():
-    rep = appended_jump_check(16, 2, 2, make_circulant(16, [1, 7]))
+    rep = appended_jump_check(make_circulant(16, [1, 7]), 2, 2)
     assert rep.applicable
     assert rep.appended.jumps == (1, 2, 7)
     assert rep.passed
@@ -169,7 +185,7 @@ def test_appended_jump_applicable_cases_pass():
         Verdict.NON_CIRCULANT,
     }
 
-    rep2 = appended_jump_check(54, 3, 3, make_circulant(54, [1, 17, 19]))
+    rep2 = appended_jump_check(make_circulant(54, [1, 17, 19]), 3, 3)
     assert rep2.applicable
     assert rep2.appended.jumps == (1, 3, 17, 19)
     assert rep2.passed
@@ -177,16 +193,16 @@ def test_appended_jump_applicable_cases_pass():
 
 def test_appended_jump_inapplicability_gates():
     cases = [
-        (16, 2, 2, make_circulant(8, [1, 3]), "order"),
-        (16, 4, 4, make_circulant(16, [1, 7]), "m > 1 with m^3 | n: NoDivisorCubed"),
-        (16, 2, 3, make_circulant(16, [1, 7]), "not divisible"),
-        (16, 2, 2, make_circulant(16, [1, 2, 7]), "already present"),
-        (16, 2, 4, make_circulant(16, [1, 2, 7]), "jump divisible by 2"),
-        (16, 2, 4, make_circulant(16, [1, 7]), "no Type-2 partner"),
+        (make_circulant(16, [1, 7]), 4, 4, "m > 1 with m^3 | n: NoDivisorCubed"),
+        (make_circulant(16, [1, 7]), 2, 3, "not divisible"),
+        (make_circulant(16, [1, 7]), 2, 16, "appended jump 16 is 0 mod 16 (a loop)"),
+        (make_circulant(16, [1, 2, 7]), 2, 2, "already present"),
+        (make_circulant(16, [1, 2, 7]), 2, 4, "jump divisible by 2"),
+        (make_circulant(16, [1, 7]), 2, 4, "no Type-2 partner"),
     ]
-    for n, m, jump, base, fragment in cases:
-        rep = appended_jump_check(n, m, jump, base)
-        assert not rep.applicable, (n, m, jump, base)
+    for base, m, jump, fragment in cases:
+        rep = appended_jump_check(base, m, jump)
+        assert not rep.applicable, (base, m, jump)
         assert fragment in rep.reason, rep.reason
 
 
@@ -228,16 +244,17 @@ def test_census_of_order_27():
 
 
 def test_census_skips_sizes_no_jump_set_reaches():
+    # no jump set of order 16 has more than 8 jumps: size 9 is refused by
+    # name, and the rest of the range is never read
     start = time.perf_counter()
-    wide = census(16, 2, range(3, 200001))
+    with pytest.raises(CirculantError) as info:
+        census(16, 2, range(3, 200001))
     elapsed = time.perf_counter() - start
-    narrow = census(16, 2, range(3, 9))
-    assert wide.records == narrow.records
-    counts = [(r.summary.examined, r.summary.classes, r.summary.t2_equals_v) for r in (wide, narrow)]
-    assert counts[0] == counts[1]
-    # the echoed sizes stay as asked
-    assert wide.summary.sizes == tuple(range(3, 200001))
+    assert type(info.value) is CirculantError
+    assert str(info.value) == "census size 9 is above 8, the most jumps of order 16"
     assert elapsed < 1.0
+    # every size up to n//2 is counted and echoed as asked
+    assert census(16, 2, range(3, 9)).summary.sizes == tuple(range(3, 9))
 
 
 def test_census_enforces_the_budget():
@@ -275,9 +292,9 @@ def test_census_builds_each_multiplier_orbit_once(monkeypatch):
     original = circulant.groups.classify_steps
     swept = []
 
-    def counting(n, m, g, t_values):
+    def counting(g, m, t_values):
         swept.append(g)
-        return original(n, m, g, t_values)
+        return original(g, m, t_values)
 
     monkeypatch.setattr(circulant.groups, "classify_steps", counting)
     result = census(54, 3, [3])
@@ -311,17 +328,17 @@ def test_relabelled_sweeps_equal_fresh_sweeps():
                     continue
                 g = CirculantGraph(n, combo)
                 orbits = {}
-                base = t2_set(n, m, g, orbits=orbits)
+                base = t2_set(g, m, orbits=orbits)
                 fresh = {}
                 for u in units(n):
-                    h = phi_apply(n, u, g)
+                    h = phi_apply(g, u)
                     assert h.jumps in orbits
-                    s = t2_set(n, m, h, orbits=orbits)
+                    s = t2_set(h, m, orbits=orbits)
                     if h not in fresh:
-                        fresh[h] = classify_steps(n, m, h, range(n // m))
+                        fresh[h] = classify_steps(h, m, range(n // m))
                     assert s.vset.rows == fresh[h], (n, m, combo, u)
                     assert s.members == tuple(
-                        phi_apply(n, u, x) for x in base.members
+                        phi_apply(x, u) for x in base.members
                     ), (n, m, combo, u)
 
 
@@ -332,9 +349,9 @@ def test_census_equals_a_fresh_t2_set_per_candidate(monkeypatch):
     fresh_t2_set = circulant.groups.t2_set
     swept = []
 
-    def fresh(n, m, g, orbits):
+    def fresh(g, m, *, orbits):
         swept.append(g)
-        return fresh_t2_set(n, m, g)
+        return fresh_t2_set(g, m)
 
     monkeypatch.setattr(circulant.groups, "t2_set", fresh)
     assert [census(*case) for case in cases] == shared

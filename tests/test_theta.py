@@ -8,7 +8,7 @@ import pytest
 import circulant.type1
 from circulant import edge_set, make_circulant
 from circulant.core import CirculantGraph, symmetric_closure
-from circulant.errors import InvalidThetaParams
+from circulant.errors import InvalidThetaParams, OrderMismatch
 from circulant.groups import v_set
 from circulant.theta import (
     MIN_TYPE2_JUMPS,
@@ -166,6 +166,12 @@ def test_classify_known_multiplier_step():
     assert set(row.witnesses) == {11, 13, 35, 37}
 
 
+def test_classify_t_refuses_params_of_another_order():
+    # the params carry their own order; classify_steps reads only the graph's
+    with pytest.raises(OrderMismatch):
+        classify_t(ThetaParams(54, 3, 1), make_circulant(16, [1, 2, 7]))
+
+
 def test_two_jump_sets_never_reach_type2():
     # with only one non-anchor jump every circulant image keeps a multiplier
     for n, m in ((8, 2), (16, 2), (24, 2), (27, 3), (32, 2)):
@@ -183,7 +189,7 @@ def test_two_jump_sets_never_reach_type2():
 
 def test_table_covers_every_step_and_repeats_with_the_period():
     g = make_circulant(54, [2, 3, 16, 20])
-    table = classification_table(54, 3, g)
+    table = classification_table(g, 3)
     assert [row.t for row in table] == list(range(18))
     # the resulting graph repeats every 6 steps even though the raw
     # transformed columns keep changing
@@ -195,7 +201,7 @@ def test_table_covers_every_step_and_repeats_with_the_period():
 
 def test_table_honours_requested_steps():
     g = make_circulant(54, [2, 3, 16, 20])
-    table = classification_table(54, 3, g, t_values=range(0, 18, 2))
+    table = classification_table(g, 3, t_values=range(0, 18, 2))
     assert [row.t for row in table] == [0, 2, 4, 6, 8, 10, 12, 14, 16]
 
 
@@ -210,7 +216,7 @@ def test_table_honours_requested_steps():
 def test_table_values_are_the_vertex_map_of_the_closure(n, m, jumps, steps):
     g = make_circulant(n, jumps)
     closure = sorted(symmetric_closure(g))
-    table = classification_table(n, m, g, steps)
+    table = classification_table(g, m, t_values=steps)
     assert [row.t for row in table] == list(steps or range(n // m))
     for row in table:
         p = ThetaParams(n, m, row.t)
@@ -276,7 +282,7 @@ def _reference_bases():
 def test_sweep_kernel_matches_the_edge_set_reference():
     seen = set()
     for n, m, g in _reference_bases():
-        rows = classify_steps(n, m, g, range(n // m))
+        rows = classify_steps(g, m, range(n // m))
         assert [row.t for row in rows] == list(range(n // m))
         for row in rows:
             expected = _reference_step(ThetaParams(n, m, row.t), g)
@@ -307,7 +313,7 @@ def test_single_sweep_looks_up_each_image_once(monkeypatch):
     monkeypatch.setattr(circulant.type1, "type1_set", counting_set)
     monkeypatch.setattr(circulant.theta, "witness_lookup", counting_lookup)
     g = make_circulant(48, [1, 4, 23])
-    rows = v_set(48, 2, g).rows
+    rows = v_set(g, 2).rows
     assert sum(row.verdict is Verdict.TYPE1 for row in rows) >= 2
     assert orbit_builds == []
     revisited = [row.image for row in rows if row.image not in (None, g)]
@@ -318,5 +324,5 @@ def test_single_sweep_looks_up_each_image_once(monkeypatch):
     # jumps divisible by m are fixed, so every image is the base itself and
     # no lookup is needed
     looked_up.clear()
-    v_set(16, 2, make_circulant(16, [2, 4]))
+    v_set(make_circulant(16, [2, 4]), 2)
     assert looked_up == [] and orbit_builds == []
