@@ -2,8 +2,10 @@
 
 JSON envelopes on stdout are the contract: fixed key order, sorted sets,
 byte-identical across runs for the same inputs.  One writer, _emit, builds
-every envelope; census alone writes its own ndjson lines instead.  Table
-and csv formats are projections of the same data.  Every envelope keeps
+every envelope, and _json writes it in one pass, byte for byte what
+json.dumps(envelope, indent=2) writes; census alone writes its own ndjson
+lines instead, with json.dumps.  Table and csv formats are projections
+of the same data.  Every envelope keeps
 its "findings" key, which is always empty: each check either passes or
 fails with an exit code, and errors go to stderr as "error: ...".
 
@@ -28,6 +30,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .core import CirculantGraph, make_circulant, symmetric_closure
 from .errors import CirculantError, InvalidFamilyParams
@@ -88,11 +91,47 @@ def _parse_t_range(text: str, what: str) -> range | list[int]:
         raise CirculantError(f"cannot parse {what} list {text!r}") from exc
 
 
+def _json(o, indent: str = "\n") -> str:
+    """o as json.dumps(o, indent=2) writes it, byte for byte, in one pass.
+
+    It takes what an envelope holds: dicts with str keys, lists, str, int,
+    bool and None; any other type, a float or tuple included, raises
+    TypeError.  indent is the newline and indentation that close o.
+    """
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is list:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + indent + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for k, v in o.items():
+            if type(k) is not str:
+                raise TypeError(f"envelope keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _json(v, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"an envelope cannot hold a {t.__name__}")
+
+
 def _emit(args, inputs: dict, result: dict, rows) -> None:
     """The subcommand's envelope as json, or its rows as a table or csv."""
     if args.format == "json":
         envelope = {"command": args.command, "inputs": inputs, "result": result, "findings": []}
-        text = json.dumps(envelope, indent=2)
+        text = _json(envelope)
     elif args.format == "csv":
         text = _render_csv(rows)
     else:
@@ -236,7 +275,10 @@ def cmd_family(args) -> None:
     builder, flags = KINDS[args.kind]
     values = _family_values(args, flags)
     instance = builder(*(values[flag] for flag in flags))
-    inputs = {"kind": args.kind, **{flag.replace("-", "_"): v for flag, v in values.items()}}
+    # --p-list is a tuple for the builder and a list in the envelope
+    inputs = {"kind": args.kind}
+    for flag, v in values.items():
+        inputs[flag.replace("-", "_")] = list(v) if type(v) is tuple else v
     result = _family_json(instance, family_verify(instance))
     rows = [{"member": i, "jumps": list(s.jumps)} for i, s in enumerate(instance.sets)]
     _emit(args, inputs, result, rows)

@@ -377,7 +377,7 @@ def census(
     than one member are reported once each, keyed by the lexicographically
     least member.  A size below 1 or above n//2 is refused, the sizes are
     read once, up to the first refused one, and the enumeration space is
-    bounded upfront by budget.
+    bounded upfront by budget, which may not be below 0.
     A unit multiple of a candidate keeps its size and its jump divisible
     by m, so candidates come in whole multiplier orbits; one orbits dict,
     alive for this call only, sweeps each orbit once, and every other
@@ -395,6 +395,8 @@ def census(
             raise CirculantError(f"census size {k} is above {half}, the most jumps of order {n}")
         wanted.add(k)
     sizes = tuple(sorted(wanted))
+    if budget < 0:
+        raise CirculantError(f"census budget {budget} is below 0")
     space = sum(comb(half, k) for k in sizes)
     if space > budget:
         raise BudgetExceeded(f"{space} candidate sets exceed the budget of {budget}")

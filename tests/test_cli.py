@@ -13,6 +13,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circulant import cli, errors
 from circulant.families import KINDS
@@ -68,6 +70,39 @@ def test_reduce_envelope(capsys):
     assert d["inputs"] == {"n": 54, "values": [2, 3, 16, 20, 34, 38, 51, 52]}
     assert d["result"] == {"n": 54, "jumps": [2, 3, 16, 20]}
     assert d["findings"] == []
+
+
+# every code point, lone surrogates included (no category is excluded)
+_TEXT = st.text(st.characters(exclude_categories=()))
+_ENVELOPE_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | _TEXT
+    | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner),
+    max_leaves=30,
+)
+
+
+@given(_ENVELOPE_VALUES)
+@example([])
+@example({})
+@example([1, True, 2])
+@example({"\"": "\x00\ud800\u2028\U0001f600", "": [[], {}]})
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_envelope_writer_writes_what_json_dumps_writes(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(1.5, "float"), ((1, 2), "tuple"), ({1}, "set"), ({1: 2}, "int"), ({"a": [1, 0.5]}, "float")],
+)
+def test_envelope_writer_refuses_other_types(value, name):
+    with pytest.raises(TypeError, match=name):
+        cli._json(value)
 
 
 def test_output_is_deterministic(capsys):
@@ -365,6 +400,14 @@ def test_exit_code_for_a_stray_family_flag(capsys):
             ["--kind", "general-p", "--p", "7", "--n", "1", "--x", "3", "--y", "2"],
             [("n", 1), ("p", 7), ("x", 3), ("y", 2)],
         ),
+        # the *-general kinds echo --p-list as a json list
+        (["--kind", "m3-general", "--n", "1", "--p-list", "2"], [("n", 1), ("p_list", [2])]),
+        (
+            ["--kind", "m2-general", "--n", "5", "--s", "2", "--p-list", "3", "--y", "3"],
+            [("n", 5), ("s", 2), ("y", 3), ("p_list", [3])],
+        ),
+        (["--kind", "m5-general", "--n", "2", "--p-list", "3"], [("n", 2), ("p_list", [3])]),
+        (["--kind", "m7-general", "--n", "1", "--p-list", "2,3"], [("n", 1), ("p_list", [2, 3])]),
     ],
 )
 def test_family_inputs_echo_the_flags_of_the_kind(capsys, argv, echoed):
@@ -438,6 +481,12 @@ def test_exit_code_for_budget_flag(capsys):
     )
     assert code == 6
     assert "budget" in err
+
+
+def test_exit_code_for_a_budget_below_zero(capsys):
+    # an empty range counts no candidates, so only the refusal can fail it
+    argv = ["census", "--n", "16", "--m", "2", "--sizes", "3..2", "--budget", "-1"]
+    assert run(capsys, argv) == (2, "", "error: census budget -1 is below 0\n")
 
 
 def test_out_flag_writes_the_envelope_to_a_file(capsys, tmp_path):

@@ -262,6 +262,16 @@ def test_census_enforces_the_budget():
         census(16, 2, [3], budget=10)
 
 
+@pytest.mark.parametrize("sizes", [range(3, 3), [3]])
+def test_census_rejects_a_budget_below_zero(sizes):
+    with pytest.raises(CirculantError) as info:
+        census(16, 2, sizes, budget=-1)
+    assert type(info.value) is CirculantError
+    assert str(info.value) == "census budget -1 is below 0"
+    # a budget of 0 still admits an empty range
+    assert census(16, 2, range(3, 3), budget=0).summary.examined == 0
+
+
 @pytest.mark.parametrize("sizes, low", [([-1], -1), ([3, -1], -1), ([0], 0), ([0, 3], 0)])
 def test_census_rejects_sizes_below_one(sizes, low):
     with pytest.raises(CirculantError) as info:
