@@ -23,7 +23,6 @@ from .errors import (
     InvalidThetaParams,
     NotAUnit,
     OrderMismatch,
-    SubgroupViolation,
     VerificationFailure,
 )
 from .families import (

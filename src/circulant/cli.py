@@ -2,12 +2,14 @@
 
 JSON envelopes on stdout are the contract: fixed key order, sorted sets,
 byte-identical across runs for the same inputs.  One writer, _emit, builds
-every envelope, and _json writes it in one pass, byte for byte what
-json.dumps(envelope, indent=2) writes; census alone writes its own ndjson
-lines instead, with json.dumps.  Table and csv formats are projections
-of the same data.  Every envelope keeps
-its "findings" key, which is always empty: each check either passes or
-fails with an exit code, and errors go to stderr as "error: ...".
+every envelope from the values the library returns, and _json writes it
+in one pass, byte for byte what json.dumps(envelope, indent=2) writes,
+a tuple as an array; census alone writes its own ndjson lines instead,
+with json.dumps, each line the fields of its CensusRecord or
+CensusSummary.  Table and csv formats are projections of the same data.
+Every envelope keeps its "findings" key, which is always empty: each
+check either passes or fails with an exit code, and errors go to stderr
+as "error: ...".
 
 Exit codes: 0 success, 7 stdout closed before the output was written
 (as by `| head`), which ends quietly, with nothing on stderr, and for a
@@ -30,6 +32,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from .core import CirculantGraph, make_circulant, symmetric_closure
@@ -55,12 +58,12 @@ _DISPLAY = {
 
 
 def _graph_json(g: CirculantGraph) -> dict:
-    return {"n": g.n, "jumps": list(g.jumps)}
+    return {"n": g.n, "jumps": g.jumps}
 
 
-def _jumps_json(g: CirculantGraph | None) -> list[int] | None:
-    """g's jumps as a list, or None for a step with no circulant image."""
-    return None if g is None else list(g.jumps)
+def _jumps_json(g: CirculantGraph | None) -> tuple[int, ...] | None:
+    """g's jumps, or None for a step with no circulant image."""
+    return None if g is None else g.jumps
 
 
 def _orbit_group_json(group: OrbitGroup) -> dict:
@@ -94,8 +97,9 @@ def _parse_t_range(text: str, what: str) -> range | list[int]:
 def _json(o, indent: str = "\n") -> str:
     """o as json.dumps(o, indent=2) writes it, byte for byte, in one pass.
 
-    It takes what an envelope holds: dicts with str keys, lists, str, int,
-    bool and None; any other type, a float or tuple included, raises
+    It takes what an envelope holds: dicts with str keys, lists and tuples
+    (a tuple is written as an array, as json.dumps writes it), str, int,
+    bool and None; any other type, a float or set included, raises
     TypeError.  indent is the newline and indentation that close o.
     """
     t = type(o)
@@ -103,7 +107,7 @@ def _json(o, indent: str = "\n") -> str:
         return encode_basestring_ascii(o)
     if t is int:
         return int.__repr__(o)
-    if t is list:
+    if t is list or t is tuple:
         if not o:
             return "[]"
         inner = indent + "  "
@@ -195,20 +199,18 @@ def cmd_t1set(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
     group = type1_group(g)
     ts = group.carrier
-    members = [
-        {"jumps": list(m.jumps), "multipliers": list(ts.witness[m])} for m in ts.members
-    ]
+    members = [{"jumps": m.jumps, "multipliers": ts.witness[m]} for m in ts.members]
     result = {
         "base": _graph_json(g),
         "members": members,
         "group": {
             "order": group.order,
-            "stabilizer": list(group.stabilizer),
-            "representatives": list(group.representatives),
-            "table": [list(row) for row in group.table],
+            "stabilizer": group.stabilizer,
+            "representatives": group.representatives,
+            "table": group.table,
         },
     }
-    _emit(args, {"n": args.n, "set": list(g.jumps)}, result, members)
+    _emit(args, {"n": args.n, "set": g.jumps}, result, members)
 
 
 def cmd_t2set(args) -> None:
@@ -218,11 +220,11 @@ def cmd_t2set(args) -> None:
     result = {
         "base": _graph_json(g),
         "members": members,
-        "t2_indices": list(s.t2_indices),
+        "t2_indices": s.t2_indices,
         "graph_period": s.vset.graph_period,
         "group": _orbit_group_json(t2_group(s)),
     }
-    _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, members)
+    _emit(args, {"n": args.n, "m": args.m, "set": g.jumps}, result, members)
 
 
 def cmd_vset(args) -> None:
@@ -240,7 +242,7 @@ def cmd_vset(args) -> None:
         "graph_period": v.graph_period,
         "group": {"modulus": group.modulus, "generator": group.generator, "order": group.order},
     }
-    _emit(args, {"n": args.n, "m": args.m, "set": list(g.jumps)}, result, rows)
+    _emit(args, {"n": args.n, "m": args.m, "set": g.jumps}, result, rows)
 
 
 def cmd_table(args) -> None:
@@ -256,18 +258,18 @@ def cmd_table(args) -> None:
         rows.append(
             {
                 "t": entry.t,
-                "values": list(entry.transformed),
+                "values": entry.transformed,
                 "verdict": cls.verdict.value,
                 "display": _DISPLAY[cls.verdict],
                 "image": _jumps_json(cls.image),
-                "witnesses": list(cls.witnesses),
+                "witnesses": cls.witnesses,
             }
         )
     flat = None if args.format == "json" else [
         {"t": r["t"], **{str(c): v for c, v in zip(closure, r["values"])}, "circulant?": r["display"]}
         for r in rows
     ]
-    inputs = {"n": args.n, "m": args.m, "set": list(g.jumps), "t": t_values}
+    inputs = {"n": args.n, "m": args.m, "set": g.jumps, "t": t_values}
     _emit(args, inputs, {"columns": closure, "rows": rows}, flat)
 
 
@@ -275,12 +277,9 @@ def cmd_family(args) -> None:
     builder, flags = KINDS[args.kind]
     values = _family_values(args, flags)
     instance = builder(*(values[flag] for flag in flags))
-    # --p-list is a tuple for the builder and a list in the envelope
-    inputs = {"kind": args.kind}
-    for flag, v in values.items():
-        inputs[flag.replace("-", "_")] = list(v) if type(v) is tuple else v
+    inputs = {"kind": args.kind, **{flag.replace("-", "_"): v for flag, v in values.items()}}
     result = _family_json(instance, family_verify(instance))
-    rows = [{"member": i, "jumps": list(s.jumps)} for i, s in enumerate(instance.sets)]
+    rows = [{"member": i, "jumps": s.jumps} for i, s in enumerate(instance.sets)]
     _emit(args, inputs, result, rows)
 
 
@@ -307,7 +306,7 @@ def _family_json(instance: FamilyInstance, verification: FamilyVerification) -> 
     return {
         "order": instance.order,
         "m": instance.m,
-        "sets": [list(s.jumps) for s in instance.sets],
+        "sets": [s.jumps for s in instance.sets],
         "relations": [[r.t, r.source, r.target] for r in instance.relations],
         "claim": instance.claim.value,
         "verification": {
@@ -324,7 +323,7 @@ def cmd_iso(args) -> None:
     if args.m is not None:
         sweep_length(args.n, args.m, g)
     relation = _iso_relation(args, g, h)
-    inputs = {"n": args.n, "a": list(g.jumps), "b": list(h.jumps)}
+    inputs = {"n": args.n, "a": g.jumps, "b": h.jumps}
     result = {"a": _graph_json(g), "b": _graph_json(h), **relation}
     _emit(args, inputs, result, [{"relation": relation["relation"]}])
 
@@ -335,7 +334,7 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
         return {"relation": "equal"}
     wits = type1_witnesses(g, h)
     if wits:
-        return {"relation": "type1", "multipliers": list(wits)}
+        return {"relation": "type1", "multipliers": wits}
     for m in admissible_m(g) if args.m is None else (args.m,):
         steps = [
             row.t
@@ -351,49 +350,32 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     witness = brute_force_isomorphic(g, h, cap=args.cap)
     if witness is None:
         return {"relation": "not-isomorphic", "evidence": "exhaustive search refutation"}
-    return {"relation": "isomorphic-unclassified", "mapping": list(witness.mapping)}
+    return {"relation": "isomorphic-unclassified", "mapping": witness.mapping}
 
 
 def cmd_census(args) -> None:
     sizes = _parse_t_range(args.sizes, "size")
     result = census(args.n, args.m, sizes, budget=args.budget)
-    lines = []
-    for record in result.records:
-        lines.append(
-            {
-                "type": "class",
-                "base": _graph_json(record.base),
-                "members": [_graph_json(x) for x in record.members],
-                "group_order": record.group_order,
-                "t2_equals_v": record.t2_equals_v,
-            }
-        )
-    summary = {
-        "type": "summary",
-        "n": result.summary.n,
-        "m": result.summary.m,
-        "sizes": list(result.summary.sizes),
-        "examined": result.summary.examined,
-        "classes": result.summary.classes,
-        "t2_equals_v": result.summary.t2_equals_v,
-    }
+    summary = result.summary
     rows = [
         {
-            "base": r["base"]["jumps"],
-            "members": len(r["members"]),
-            "group_order": r["group_order"],
-            "t2_equals_v": r["t2_equals_v"],
+            "base": r.base.jumps,
+            "members": len(r.members),
+            "group_order": r.group_order,
+            "t2_equals_v": r.t2_equals_v,
         }
-        for r in lines
+        for r in result.records
     ]
     if args.format == "json":
-        text = "\n".join(json.dumps(x) for x in lines + [summary])
+        lines = [{"type": "class", **asdict(r)} for r in result.records]
+        lines.append({"type": "summary", **asdict(summary)})
+        text = "\n".join(map(json.dumps, lines))
     elif args.format == "csv":
         # one record per class; the summary counts are in json and table
         text = _render_csv(rows, ["base", "members", "group_order", "t2_equals_v"])
     else:
         rows = rows or [{"base": "(none)", "members": 0, "group_order": "-", "t2_equals_v": "-"}]
-        text = _render_table(rows) + f"\nexamined={summary['examined']} classes={summary['classes']} t2_equals_v={summary['t2_equals_v']}"
+        text = _render_table(rows) + f"\nexamined={summary.examined} classes={summary.classes} t2_equals_v={summary.t2_equals_v}"
     _write(args, text)
 
 

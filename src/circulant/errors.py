@@ -37,10 +37,6 @@ class InvalidThetaParams(CirculantError):
         self.reasons = tuple(reasons)
 
 
-class SubgroupViolation(CirculantError):
-    """An index set expected to be a subgroup of Z_{n/m} is not closed."""
-
-
 class InvalidFamilyParams(CirculantError):
     """Family generator parameters are out of range or inconsistent."""
 

@@ -1,11 +1,12 @@
 """Parametric families of Type-2 isomorphic circulant graphs.
 
-Three generators emit family instances, each an ordered list of graphs of
+Two generators emit family instances, each an ordered list of graphs of
 a common order n = (something) * m^3 together with the rotation steps that
-are claimed to map each set onto the next: family_m2 (the m = 2 pair),
-family_m3 (the m = 3 triple) and family_general_p (the p-cycle of order
-n*p^3).  anchor_swapped widens any of them with extra jumps m*p_i, and
-KINDS names the combinations the command line offers.  family_verify
+are claimed to map each set onto the next: family_m2 (the m = 2 pair) and
+family_general_p (the p-cycle of order n*p^3), of which family_m3 (the
+m = 3 triple, declared at step n alone) is the case p = 3.  anchor_swapped
+widens any of them with extra jumps m*p_i, and KINDS names the
+combinations the command line offers.  family_verify
 re-derives every claimed relation via the verifier
 (oracle.verify_theta_witness, jump by jump on the m residue classes) and
 computes the Type-2 set and group of the family, so generator bugs cannot
@@ -163,19 +164,12 @@ def family_m2_general(n: int, s: int, p_list: tuple[int, ...], y: int) -> Family
 def family_m3(n: int) -> FamilyInstance:
     """Order 27n triple cycled by theta at step n (m = 3).
 
-    The sets are family_general_p(3, n, 1, 0)'s, but only the 3-cycle at
-    step n is declared, not its inverse at step 2n.
+    family_general_p(3, n, 1, 0) with only its 3-cycle at step n declared,
+    not the inverse at step 2n.
     """
-    if n < 1:
-        raise InvalidFamilyParams(f"n must be positive, got {n}")
-    order = 27 * n
-    sets = (
-        _member(order, [1, 3, 9 * n - 1, 9 * n + 1]),
-        _member(order, [3, 3 * n + 1, 6 * n - 1, 12 * n + 1]),
-        _member(order, [3, 3 * n - 1, 6 * n + 1, 12 * n - 1]),
-    )
-    relations = tuple(ThetaRelation(n, i, (i + 1) % 3) for i in range(3))
-    return FamilyInstance(order, 3, sets, relations, FamilyClaim.TYPE2)
+    base = family_general_p(3, n, 1, 0)
+    relations = tuple(r for r in base.relations if r.t == n)
+    return FamilyInstance(base.order, 3, base.sets, relations, FamilyClaim.TYPE2)
 
 
 def _is_odd_prime(p: int) -> bool:

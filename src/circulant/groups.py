@@ -26,7 +26,6 @@ from .errors import (
     BudgetExceeded,
     CirculantError,
     OrderMismatch,
-    SubgroupViolation,
     VerificationFailure,
 )
 from .theta import (
@@ -250,14 +249,11 @@ def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> T
 def t2_group(s: Type2Set) -> OrbitGroup:
     """Group structure on the Type-2 step indices, quotiented by the period.
 
-    Raises SubgroupViolation when step 0 is missing, and VerificationFailure
-    (from _orbit_group) when the indices are not the multiples of their
-    least positive element, i.e. not a subgroup of Z_{n/m}: either would
-    falsify the structure this library is built on, so it is reported
-    rather than repaired.
+    Raises VerificationFailure (from _orbit_group) when the indices are not
+    the multiples of their least positive element, i.e. not a subgroup of
+    Z_{n/m}, step 0 included: that would falsify the structure this
+    library is built on, so it is reported rather than repaired.
     """
-    if 0 not in s.t2_indices:
-        raise SubgroupViolation("step 0 missing from Type-2 indices")
     group = _orbit_group(s.vset.rows, s.t2_indices, s.vset.graph_period)
     if group.quotient_order != len(s.members):
         raise VerificationFailure(

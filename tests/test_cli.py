@@ -80,8 +80,10 @@ _ENVELOPE_VALUES = st.recursive(
     | st.integers()
     | st.integers(-(2**200), 2**200)
     | _TEXT
-    | st.lists(st.integers() | st.booleans()),
-    lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner),
+    | st.lists(st.integers() | st.booleans())
+    | st.lists(st.integers()).map(tuple),
+    # a tuple, at any depth, is written as the array of its items
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
     max_leaves=30,
 )
 
@@ -90,6 +92,7 @@ _ENVELOPE_VALUES = st.recursive(
 @example([])
 @example({})
 @example([1, True, 2])
+@example(((), ((1, 2), [3]), {"a": (True, None)}))
 @example({"\"": "\x00\ud800\u2028\U0001f600", "": [[], {}]})
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_envelope_writer_writes_what_json_dumps_writes(value):
@@ -98,7 +101,7 @@ def test_envelope_writer_writes_what_json_dumps_writes(value):
 
 @pytest.mark.parametrize(
     "value, name",
-    [(1.5, "float"), ((1, 2), "tuple"), ({1}, "set"), ({1: 2}, "int"), ({"a": [1, 0.5]}, "float")],
+    [(1.5, "float"), (b"12", "bytes"), ({1}, "set"), ({1: 2}, "int"), ({"a": [1, 0.5]}, "float")],
 )
 def test_envelope_writer_refuses_other_types(value, name):
     with pytest.raises(TypeError, match=name):
@@ -391,25 +394,28 @@ def test_exit_code_for_a_stray_family_flag(capsys):
     assert err == "error: family kind m3 does not take --s, --p\n"
 
 
-@pytest.mark.parametrize(
-    "argv, echoed",
-    [
-        (["--kind", "m3", "--n", "1"], [("n", 1)]),
-        (["--kind", "m2", "--n", "2", "--s", "1"], [("n", 2), ("s", 1)]),
-        (
-            ["--kind", "general-p", "--p", "7", "--n", "1", "--x", "3", "--y", "2"],
-            [("n", 1), ("p", 7), ("x", 3), ("y", 2)],
-        ),
-        # the *-general kinds echo --p-list as a json list
-        (["--kind", "m3-general", "--n", "1", "--p-list", "2"], [("n", 1), ("p_list", [2])]),
-        (
-            ["--kind", "m2-general", "--n", "5", "--s", "2", "--p-list", "3", "--y", "3"],
-            [("n", 5), ("s", 2), ("y", 3), ("p_list", [3])],
-        ),
-        (["--kind", "m5-general", "--n", "2", "--p-list", "3"], [("n", 2), ("p_list", [3])]),
-        (["--kind", "m7-general", "--n", "1", "--p-list", "2,3"], [("n", 1), ("p_list", [2, 3])]),
-    ],
-)
+# one valid flag set for every family kind, and what its envelope echoes
+_FAMILY_ECHOES = [
+    (["--kind", "m3", "--n", "1"], [("n", 1)]),
+    (["--kind", "m2", "--n", "2", "--s", "1"], [("n", 2), ("s", 1)]),
+    (
+        ["--kind", "general-p", "--p", "7", "--n", "1", "--x", "3", "--y", "2"],
+        [("n", 1), ("p", 7), ("x", 3), ("y", 2)],
+    ),
+    # the *-general kinds echo --p-list as a json list
+    (["--kind", "m3-general", "--n", "1", "--p-list", "2"], [("n", 1), ("p_list", [2])]),
+    (
+        ["--kind", "m2-general", "--n", "5", "--s", "2", "--p-list", "3", "--y", "3"],
+        [("n", 5), ("s", 2), ("y", 3), ("p_list", [3])],
+    ),
+    (["--kind", "m5-general", "--n", "2", "--p-list", "3"], [("n", 2), ("p_list", [3])]),
+    (["--kind", "m7-general", "--n", "1", "--p-list", "2,3"], [("n", 1), ("p_list", [2, 3])]),
+    (["--kind", "m5", "--n", "1"], [("n", 1)]),
+    (["--kind", "m7", "--n", "1"], [("n", 1)]),
+]
+
+
+@pytest.mark.parametrize("argv, echoed", _FAMILY_ECHOES)
 def test_family_inputs_echo_the_flags_of_the_kind(capsys, argv, echoed):
     d = run_json(capsys, ["family"] + argv)
     kind = argv[1]
@@ -418,12 +424,20 @@ def test_family_inputs_echo_the_flags_of_the_kind(capsys, argv, echoed):
     assert sorted(d["inputs"]) == sorted(["kind", *(f.replace("-", "_") for f in flags)])
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_family_kind_renders(capsys, kind, fmt):
+    argv = next(a for a, _ in _FAMILY_ECHOES if a[1] == kind)
+    code, out, err = run(capsys, ["family", *argv, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out.strip()
+
+
 @pytest.mark.parametrize(
     "error, code",
     [
         (errors.CirculantError, 2),
         (errors.InvalidJump, 2),
-        (errors.SubgroupViolation, 2),
         (ValueError, 2),
         (errors.InvalidThetaParams, 3),
         (errors.DegenerateFamily, 4),

@@ -22,7 +22,9 @@ from circulant.families import (
     family_m3,
     family_verify,
 )
+from circulant.groups import census
 from circulant.theta import ThetaParams, Verdict, classify_t
+from circulant.type1 import type1_set
 from golden import SEVEN_SETS
 
 # parameters of each kind, in its flags' order, that the tests below use
@@ -83,6 +85,26 @@ def test_m3_instances():
             ThetaRelation(n, 1, 2),
             ThetaRelation(n, 2, 0),
         }
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_m3_is_general_p_at_3_with_its_set_formulas(n):
+    # the m = 3 formulas, written out apart from family_general_p
+    formulas = [
+        [1, 3, 9 * n - 1, 9 * n + 1],
+        [3, 3 * n + 1, 6 * n - 1, 12 * n + 1],
+        [3, 3 * n - 1, 6 * n + 1, 12 * n - 1],
+    ]
+    f = family_m3(n)
+    assert (f.order, f.m, f.claim) == (27 * n, 3, FamilyClaim.TYPE2)
+    assert f.sets == tuple(make_circulant(27 * n, v) for v in formulas)
+    assert f.relations == tuple(ThetaRelation(n, i, (i + 1) % 3) for i in range(3))
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_m3_rejects_a_non_positive_n(n):
+    with pytest.raises(InvalidFamilyParams, match=f"n must be positive, got {n}"):
+        family_m3(n)
 
 
 def test_m3_general_with_a_coprime_multiplier():
@@ -273,3 +295,44 @@ def test_verify_catches_an_overreaching_claim():
     )
     with pytest.raises(VerificationFailure, match="multiplier witnesses"):
         family_verify(wrong)
+
+
+def _family_instances(order, m):
+    """Every m = 2 pair, or every m = 3 cycle and its one-jump anchor swaps, of the order."""
+    if m == 2:
+        bases = [(family_m2, (order // 8, s)) for s in range(1, order // 8 + 1)]
+    else:
+        n = order // 27
+        bases = [(family_general_p, (3, n, x, y)) for x in (1, 2) for y in range(3 * n)]
+    for builder, args in bases:
+        try:
+            base = builder(*args)
+        except InvalidFamilyParams:
+            continue
+        yield base
+        for q in range(2, order // 6 + 1) if m == 3 else ():
+            try:
+                yield anchor_swapped(base, (q,))
+            except InvalidFamilyParams:
+                pass
+
+
+@pytest.mark.parametrize(
+    "order, m, sizes, classes, up_to_multipliers",
+    [(16, 2, [3], 2, 1), (32, 2, [3], 8, 2), (54, 3, [4], 12, 4)],
+)
+def test_census_classes_are_the_families_classes(order, m, sizes, classes, up_to_multipliers):
+    least = {}
+
+    def key(graphs):
+        """The least member of each graph's multiplier orbit."""
+        for g in graphs:
+            if g not in least:
+                orbit = type1_set(g).members
+                least.update(dict.fromkeys(orbit, orbit[0]))
+        return frozenset(least[g] for g in graphs)
+
+    families = {key(f.sets) for f in _family_instances(order, m)}
+    keys = [key(r.members) for r in census(order, m, sizes).records]
+    assert (len(keys), len(set(keys))) == (classes, up_to_multipliers)
+    assert set(keys) <= families

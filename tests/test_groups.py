@@ -145,9 +145,11 @@ def test_t2_group_of_16():
     assert gr.labels[2].jumps == (2, 3, 5)
 
 
-@pytest.mark.parametrize("indices", [(0, 2, 3), (3, 0), (0, 2, 9), (0, 2, 4, 6, 8)])
+@pytest.mark.parametrize(
+    "indices", [(0, 2, 3), (3, 0), (0, 2, 9), (0, 2, 4, 6, 8), (2, 4, 6)]
+)
 def test_t2_group_rejects_indices_that_are_not_a_subgroup(indices):
-    # 0 is there, but neither set is closed under addition mod 8
+    # none is <generator> mod 8; (2, 4, 6) lacks the 0 that <generator> holds
     s = t2_set(make_circulant(16, [1, 2, 7]), 2)
     broken = dataclasses.replace(s, t2_indices=indices)
     with pytest.raises(VerificationFailure, match="does not generate the indices mod 8"):
