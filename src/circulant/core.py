@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import EmptyConnectionSet, InvalidJump, VerificationFailure
@@ -145,6 +146,10 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
     for a and b among them, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) =
     x*(a*(b*y)) = x*((a*b)*y).  So it suffices to test a generating set,
     at O(k^2) per generator instead of O(k^3) in all.
+
+    Commutativity and Light's test compare whole rows, row i against
+    column i and row i*g against row i pushed through row g; only a
+    failed row is scanned, for the first pair or triple to name.
     """
     k = len(table)
     elems = set(range(k))
@@ -153,12 +158,14 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
             raise VerificationFailure(f"row {i} of the table is not closed over {k} elements")
     if any(table[identity][j] != j for j in range(k)):
         raise VerificationFailure(f"element {identity} is not an identity")
-    for i in range(k):
-        if identity not in table[i]:
+    # rows as tuples, so that they compare equal to the columns zip builds
+    table = tuple(map(tuple, table))
+    for i, (row, column) in enumerate(zip(table, zip(*table))):
+        if identity not in row:
             raise VerificationFailure(f"element {i} has no inverse")
-        for j in range(k):
-            if table[i][j] != table[j][i]:
-                raise VerificationFailure(f"elements {i} and {j} do not commute")
+        if row != column:
+            j = next(j for j in range(k) if row[j] != column[j])
+            raise VerificationFailure(f"elements {i} and {j} do not commute")
     # greedy generating set: each element not yet reached joins it, and the
     # reached set is closed again under right multiplication by generators
     generators: list[int] = []
@@ -175,11 +182,13 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
-    for i in range(k):
-        for g in generators:
-            for l in range(k):
-                if table[table[i][g]][l] != table[i][table[g][l]]:
-                    raise VerificationFailure(f"({i}*{g})*{l} != {i}*({g}*{l})")
+    # a generator's row has k >= 2 entries, so its getter returns a tuple
+    getters = [(g, itemgetter(*table[g])) for g in generators]
+    for i, row in enumerate(table):
+        for g, times_g in getters:
+            if table[row[g]] != times_g(row):
+                l = next(l for l in range(k) if table[row[g]][l] != row[table[g][l]])
+                raise VerificationFailure(f"({i}*{g})*{l} != {i}*({g}*{l})")
 
 
 def check_equal_or_disjoint(

@@ -8,9 +8,10 @@ m = 3 triple, declared at step n alone) is the case p = 3.  anchor_swapped
 widens any of them with extra jumps m*p_i, and KINDS names the
 combinations the command line offers.  family_verify
 re-derives every claimed relation via the verifier
-(oracle.verify_theta_witness, jump by jump on the m residue classes) and
-computes the Type-2 set and group of the family, so generator bugs cannot
-slip through as silent claims.
+(oracle.verify_theta_witness, one call per distinct step, which builds
+and checks that step's map once and then each relation's pair jump by
+jump on the m residue classes) and computes the Type-2 set and group of
+the family, so generator bugs cannot slip through as silent claims.
 """
 
 from __future__ import annotations
@@ -235,16 +236,21 @@ def family_verify(instance: FamilyInstance) -> FamilyVerification:
 
     Checks, in order: every declared rotation relation maps its source
     onto its target exactly, confirmed jump by jump by
-    oracle.verify_theta_witness, whose failure names t and both graphs;
+    oracle.verify_theta_witness, one call for all relations at a step t
+    mod order/m, whose failure names t and both graphs;
     pairwise multiplier witnesses decide the type1/type2 resolution; for a
     type2 resolution, the Type-2 set of the first member is exactly the
     family and its group order is the family size.  Any failed check
     raises VerificationFailure.
     """
     graphs = instance.sets
+    steps: dict[int, list[tuple[CirculantGraph, CirculantGraph]]] = {}
     for rel in instance.relations:
-        params = ThetaParams(instance.order, instance.m, rel.t % (instance.order // instance.m))
-        verify_theta_witness(params, graphs[rel.source], graphs[rel.target])
+        steps.setdefault(rel.t % (instance.order // instance.m), []).append(
+            (graphs[rel.source], graphs[rel.target])
+        )
+    for t, step_pairs in steps.items():
+        verify_theta_witness(ThetaParams(instance.order, instance.m, t), step_pairs)
     pairs: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):

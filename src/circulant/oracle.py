@@ -4,9 +4,11 @@ Everything here uses the core graph representation and theta's validated
 parameter record (ThetaParams), nothing of the rotation kernel or the
 groups, so it can serve as trusted evidence against those modules.  The
 brute-force search is exact: a returned witness is re-verified jump by
-jump at every vertex (_maps_jumps, the certificate verify_theta_witness
-gives a rotation on its m residue classes once it has checked the map's
-period m), and a None is a definitive refutation, not a timeout.
+jump at every vertex (_maps_jumps), and a None is a definitive
+refutation, not a timeout.  verify_theta_witness certifies one rotation
+step for any number of (g, h) pairs: it checks the map's bijection and
+period m once, O(n), and then each pair's jumps on the m residue
+classes, O(m·|R|).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, pi
 from operator import sub
+from typing import Iterable
 
 from .core import CirculantGraph, gcd_profile, symmetric_closure
 from .errors import BudgetExceeded, OrderMismatch, VerificationFailure
@@ -163,28 +166,41 @@ def brute_force_isomorphic(
 
 
 def verify_theta_witness(
-    p: ThetaParams, g: CirculantGraph, h: CirculantGraph
+    p: ThetaParams, pairs: Iterable[tuple[CirculantGraph, CirculantGraph]]
 ) -> IsoWitness:
-    """Check the rotation map as an explicit isomorphism g -> h.
+    """Check the rotation map of p as an isomorphism g -> h for each (g, h) in pairs.
 
-    The permutation is rebuilt from the definition here (x = q*m + j
-    gains j*t*m, so residue class j shifts j*t places along itself) and
-    confirmed at any order by _maps_jumps with period m; failure raises
-    VerificationFailure rather than returning a wrong witness.
+    The permutation is rebuilt from the definition once (_rotation_map)
+    and its part of the certificate checked once: it is a bijection with
+    period m (_is_periodic_bijection).  Each pair then pays only for its
+    own part, |±R| = |±S| and the m·|R| jump differences on the residues
+    x < m (_maps_pair).  Together these are _maps_jumps with period m, so
+    the check is exact at any order; a failure raises VerificationFailure
+    naming p, and for a pair both graphs, rather than returning a wrong
+    witness.
     """
-    if g.n != h.n or g.n != p.n:
-        raise OrderMismatch(f"orders differ: {g.n}, {h.n}, params {p.n}")
+    n, m = p.n, p.m
+    mapping = _rotation_map(p)
+    if not _is_periodic_bijection(n, mapping, m):
+        raise VerificationFailure(f"rotation map is not a bijection of period {m} for {p}")
+    for g, h in pairs:
+        if g.n != n or h.n != n:
+            raise OrderMismatch(f"orders differ: {g.n}, {h.n}, params {n}")
+        if not _maps_pair(n, mapping, g, h, m):
+            raise VerificationFailure(f"{p} does not map {g} onto {h}")
+    return IsoWitness(tuple(mapping), True)
+
+
+def _rotation_map(p: ThetaParams) -> list[int]:
+    """The vertex map of p from its definition: x = q*m + j gains j*t*m,
+    so residue class j shifts j*t places along itself."""
     n, m = p.n, p.m
     mapping = [0] * n
     for j in range(m):
         cls = range(j, n, m)
         k = j * p.t % len(cls)
         mapping[j::m] = [*cls[k:], *cls[:k]]
-    if not _maps_jumps(n, mapping, g, h, m):
-        if not _is_bijection(n, mapping):
-            raise VerificationFailure(f"rotation map is not a bijection for {p}")
-        raise VerificationFailure(f"{p} does not map {g} onto {h}")
-    return IsoWitness(tuple(mapping), True)
+    return mapping
 
 
 def _maps_jumps(
@@ -213,14 +229,30 @@ def _maps_jumps(
     default, checks every x.  So the cost is O(n) list operations plus
     O(period·|R|) differences, on the concrete mapping whatever built it,
     with no edge set, lemma A or rotation kernel.
+
+    The O(n) part depends on the map alone (_is_periodic_bijection) and
+    the rest on the pair (_maps_pair), so a map shared by several pairs
+    is checked once.
     """
     period = n if period is None else period
-    closure_h = symmetric_closure(h)
-    if len(symmetric_closure(g)) != len(closure_h) or not _is_bijection(n, mapping):
+    return _is_periodic_bijection(n, mapping, period) and _maps_pair(n, mapping, g, h, period)
+
+
+def _is_periodic_bijection(n: int, mapping, period: int) -> bool:
+    """The map's part of _maps_jumps: a bijection of Z_n with
+    mapping[x + period] ≡ mapping[x] + period (mod n) for every x."""
+    if not _is_bijection(n, mapping):
         return False
     # a difference of two vertices lies in (-n, n): it is c mod n exactly
     # when it is c or c - n, for 0 < c <= n
-    if not set(map(sub, mapping[period:] + mapping[:period], mapping)) <= {period, period - n}:
+    return set(map(sub, mapping[period:] + mapping[:period], mapping)) <= {period, period - n}
+
+
+def _maps_pair(n: int, mapping, g: CirculantGraph, h: CirculantGraph, period: int) -> bool:
+    """The pair's part of _maps_jumps: |±R| = |±S|, and every jump of g
+    lands in ±S from each x < period."""
+    closure_h = symmetric_closure(h)
+    if len(symmetric_closure(g)) != len(closure_h):
         return False
     allowed = closure_h | {s - n for s in closure_h}
     return all(

@@ -15,8 +15,9 @@ classify_steps against.  classification_table renders each step's row
 with the kernel's per-step shifts; theta_vertex, the vertex map, is the
 tests' reference for those rows and theta_image's map.  The library's
 one certificate of a rotation is oracle.verify_theta_witness, which
-checks the vertex map's period m and then its jumps on the m residue
-classes, and builds no edge set.
+builds the vertex map of one step once, checks its bijection and period
+m once, and then checks each (g, h) pair's jumps on the m residue
+classes; it builds no edge set.
 
 The Type-2 admissibility rule lives here alone: theta_reasons states it,
 sweep_length raises InvalidThetaParams on it, and admissible_m lists the

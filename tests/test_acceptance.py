@@ -179,7 +179,7 @@ def test_criterion_05_order1715_family():
     for t, src, dst in ((5, 0, 1), (20, 0, 4)):
         try:
             witness = verify_theta_witness(
-                ThetaParams(1715, 7, t), graphs[src], graphs[dst]
+                ThetaParams(1715, 7, t), [(graphs[src], graphs[dst])]
             )
             if not witness.verified:
                 problems.append(f"t={t} witness unverified")

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulant import (
     CirculantGraph,
@@ -251,6 +253,85 @@ def test_group_checker_matches_the_triple_loop_exhaustively():
             accepted += ok
         # Z_3; Z_4 and Z_2 x Z_2 with their relabellings fixing 0
         assert accepted == {3: 1, 4: 4}[k]
+
+
+def _loop_checker(table, identity):
+    """The element-by-element checker that the row-wise one replaced; the
+    reference for its verdicts and messages."""
+    k = len(table)
+    elems = set(range(k))
+    for i, row in enumerate(table):
+        if len(row) != k or not set(row) <= elems:
+            raise VerificationFailure(f"row {i} of the table is not closed over {k} elements")
+    if any(table[identity][j] != j for j in range(k)):
+        raise VerificationFailure(f"element {identity} is not an identity")
+    for i in range(k):
+        if identity not in table[i]:
+            raise VerificationFailure(f"element {i} has no inverse")
+        for j in range(k):
+            if table[i][j] != table[j][i]:
+                raise VerificationFailure(f"elements {i} and {j} do not commute")
+    generators: list[int] = []
+    reached = {identity}
+    for a in range(k):
+        if a in reached:
+            continue
+        generators.append(a)
+        stack = list(reached)
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                y = table[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    for i in range(k):
+        for g in generators:
+            for l in range(k):
+                if table[table[i][g]][l] != table[i][table[g][l]]:
+                    raise VerificationFailure(f"({i}*{g})*{l} != {i}*({g}*{l})")
+
+
+@st.composite
+def _edited_groups(draw):
+    """A table of Z_k or Z_2 x Z_2 with any identity, with a few cells
+    overwritten; an edit may be mirrored, so that the table stays
+    symmetric, and its value may be k, outside the table."""
+    k = draw(st.integers(1, 6))
+    if k == 4 and draw(st.booleans()):
+        law = lambda a, b: a ^ b
+    else:
+        law = lambda a, b: (a + b) % k
+    label = draw(st.permutations(range(k)))
+    rows = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            rows[label[a]][label[b]] = label[law(a, b)]
+    cell = st.integers(0, k - 1)
+    for i, j, v, mirror in draw(
+        st.lists(st.tuples(cell, cell, st.integers(0, k), st.booleans()), max_size=3)
+    ):
+        rows[i][j] = v
+        if mirror:
+            rows[j][i] = v
+    return tuple(map(tuple, rows)), label[0]
+
+
+def _verdict(checker, table, identity):
+    try:
+        checker(table, identity)
+    except VerificationFailure as exc:
+        return str(exc)
+    return None
+
+
+@given(_edited_groups())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_group_checker_names_what_the_loop_checker_names(case):
+    table, identity = case
+    assert _verdict(check_abelian_group, table, identity) == _verdict(
+        _loop_checker, table, identity
+    )
 
 
 def test_no_module_relies_on_assert():

@@ -1,10 +1,14 @@
 """Parametric family generators and their from-scratch verification."""
 
 import inspect
+import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from circulant import make_circulant
+from circulant import make_circulant, oracle
 from circulant.errors import (
     DegenerateFamily,
     InvalidFamilyParams,
@@ -197,7 +201,14 @@ def test_every_kind_builds_and_verifies(kind):
 
 
 def test_general_p_reduces_to_m3():
-    assert family_general_p(3, 1, 1, 0).sets == family_m3(1).sets
+    # m3 declares the step-n relations of the p = 3 cycle, and the inverse
+    # at step 2n is all that it leaves out
+    for n in range(1, 6):
+        general, m3 = family_general_p(3, n, 1, 0), family_m3(n)
+        assert m3.sets == general.sets
+        assert m3.relations == tuple(r for r in general.relations if r.t == n)
+        rest = set(general.relations) - set(m3.relations)
+        assert len(rest) == 3 and {r.t for r in rest} == {2 * n}
 
 
 def test_general_p_builds_the_order_1715_family():
@@ -286,6 +297,60 @@ def test_verify_catches_a_tampered_relation():
         )
         with pytest.raises(VerificationFailure, match=rf"\bt={relation.t}\b"):
             family_verify(tampered)
+
+
+def test_verify_checks_every_pair_of_a_shared_map():
+    # one false relation among 42 honest ones, at a step they already use
+    honest = family_general_p(7, 1, 1, 0)
+    relation = ThetaRelation(1, 0, 2)
+    assert relation.t in {r.t for r in honest.relations}
+    tampered = FamilyInstance(
+        honest.order,
+        honest.m,
+        honest.sets,
+        honest.relations + (relation,),
+        FamilyClaim.TYPE2,
+    )
+    g, h = honest.sets[0], honest.sets[2]
+    pattern = rf"\bt=1\b.*{re.escape(str(g))} onto {re.escape(str(h))}"
+    with pytest.raises(VerificationFailure, match=pattern):
+        family_verify(tampered)
+
+
+def test_verify_builds_one_map_per_step(monkeypatch):
+    built = []
+    build = oracle._rotation_map
+    monkeypatch.setattr(oracle, "_rotation_map", lambda p: built.append(p.t) or build(p))
+    for instance, relations, maps in (
+        (family_general_p(7, 1, 1, 0), 42, 6),
+        (family_m3(1), 3, 1),
+    ):
+        built.clear()
+        family_verify(instance)
+        assert len(instance.relations) == relations
+        assert len(built) == len(set(built)) == maps
+
+
+def test_pair_check_survives_optimized_mode():
+    # under python -O an assert would vanish; each pair's check must not
+    script = textwrap.dedent(
+        """
+        import sys
+        from circulant import oracle
+        from circulant.errors import VerificationFailure
+        from circulant.families import family_m3, family_verify
+        oracle._maps_pair = lambda *args: False
+        try:
+            family_verify(family_m3(1))
+        except VerificationFailure:
+            print("refused, optimize", sys.flags.optimize)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused, optimize 1"
 
 
 def test_verify_catches_an_overreaching_claim():

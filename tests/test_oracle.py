@@ -192,8 +192,7 @@ def test_witness_check_survives_optimized_mode():
 def test_witness_replay_accepts_the_known_rotation():
     w = verify_theta_witness(
         ThetaParams(54, 3, 2),
-        make_circulant(54, [2, 3, 16, 20]),
-        make_circulant(54, [3, 4, 14, 22]),
+        [(make_circulant(54, [2, 3, 16, 20]), make_circulant(54, [3, 4, 14, 22]))],
     )
     assert w.verified
     assert sorted(w.mapping) == list(range(54))
@@ -203,14 +202,13 @@ def test_witness_replay_rejects_the_wrong_target():
     with pytest.raises(VerificationFailure):
         verify_theta_witness(
             ThetaParams(54, 3, 2),
-            make_circulant(54, [2, 3, 16, 20]),
-            make_circulant(54, [3, 8, 10, 26]),
+            [(make_circulant(54, [2, 3, 16, 20]), make_circulant(54, [3, 8, 10, 26]))],
         )
 
 
 def test_witness_replay_at_step_zero():
     g = make_circulant(54, [2, 3, 16, 20])
-    assert verify_theta_witness(ThetaParams(54, 3, 0), g, g).verified
+    assert verify_theta_witness(ThetaParams(54, 3, 0), [(g, g)]).verified
 
 
 def mapped_edges(mapping, g):
