@@ -69,10 +69,12 @@ from .theta import (
     ThetaParams,
     Verdict,
     admissible_m,
+    circulant_stride,
     classification_table,
     classify_steps,
     classify_t,
     detect_circulant,
+    fill_steps,
     sweep_length,
     theta_image,
     theta_reasons,

@@ -233,7 +233,7 @@ def cmd_vset(args) -> None:
     group = v_group(v)
     rows = [
         {"t": row.t, "verdict": row.verdict.value, "jumps": _jumps_json(row.image)}
-        for row in v.rows
+        for row in v.full_rows()
     ]
     result = {
         "base": _graph_json(g),

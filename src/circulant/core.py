@@ -139,7 +139,8 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
 
     table[i][j] is the index of the composite of elements i and j.  Raises
     VerificationFailure naming the first axiom that fails: closure, the
-    identity, inverses, commutativity or associativity.
+    identity (which must be one of the k elements, so the empty table
+    fails), inverses, commutativity or associativity.
 
     Associativity is Light's test on a generating set.  The elements a
     with (x*a)*y = x*(a*y) for all x and y are closed under the operation:
@@ -152,6 +153,8 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
     failed row is scanned, for the first pair or triple to name.
     """
     k = len(table)
+    if not 0 <= identity < k:
+        raise VerificationFailure(f"identity {identity} is not one of the {k} elements")
     elems = set(range(k))
     for i, row in enumerate(table):
         if len(row) != k or not set(row) <= elems:

@@ -1,6 +1,10 @@
 """Orbit sets and groups of the rotation transform.
 
 Sweeping every rotation step t in [0, n/m) produces the V set of a graph.
+A VSet keeps its sweep length and the rows of its circulant steps alone,
+as theta.classify_steps returns them; v_set's checks, the Type-2 set, its
+group and census read only those rows, and the full row per step, NS rows
+filled in, is built only for output (VSet.full_rows, v_group's labels).
 The steps whose images are circulant partners of the base (identity or
 Type-2) form a subgroup of Z_{n/m}; quotienting by the period at which the
 image graph repeats gives the Type-2 group, whose order is the number of
@@ -10,7 +14,7 @@ distinct Type-2 partners plus the base.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable
 
@@ -33,6 +37,7 @@ from .theta import (
     TClassification,
     Verdict,
     classify_steps,
+    fill_steps,
     sweep_length,
     theta_reasons,
 )
@@ -40,22 +45,33 @@ from .type1 import multiply, units
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
 
-# census state: the jumps of each multiplier-orbit member -> (the sweep of
-# the orbit's first member g0, a unit u with u*g0 = the member)
-SweepOrbits = dict[tuple[int, ...], tuple[tuple[TClassification, ...], int]]
+
+@dataclass
+class SweepOrbits:
+    """census state for one call: the units of Z_n, computed once, and the
+    jumps of each multiplier-orbit member -> (the sweep of the orbit's
+    first member g0, a unit u with u*g0 = the member)."""
+
+    units: tuple[int, ...]
+    members: dict[tuple[int, ...], tuple[tuple[TClassification, ...], int]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
 class VSet:
     """Full rotation sweep of a base graph.
 
-    rows[t] classifies the image at step t.  graph_period is the smallest
-    positive t whose image equals the base again, or n/m when none does;
-    the Identity steps are exactly its multiples, which v_set checks.
+    steps is the sweep length n/m.  rows classify the circulant steps
+    alone, in t order; every other step is NS, and full_rows gives one row
+    per step.  graph_period is the smallest positive t whose image equals
+    the base again, or n/m when none does; the Identity steps are exactly
+    its multiples, which v_set checks.
     """
 
     base: CirculantGraph
     m: int
+    steps: int
     rows: tuple[TClassification, ...]
     distinct: tuple[CirculantGraph, ...]
     graph_period: int
@@ -63,6 +79,10 @@ class VSet:
     @property
     def n(self) -> int:
         return self.base.n
+
+    def full_rows(self) -> tuple[TClassification, ...]:
+        """One row per step t in [0, n/m), NS rows filled in."""
+        return fill_steps(self.rows, range(self.steps))
 
 
 @dataclass
@@ -150,11 +170,12 @@ class CensusResult:
 def v_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> VSet:
     """Classify every rotation step of g for the divisor m; g carries the order n.
 
-    A single sweep leaves orbits None and runs classify_steps.  census
-    passes one orbits dict for its whole run and sweeps each multiplier
-    orbit once: the first member g0 it meets is swept, every unit multiple
-    u*g0 is recorded with that sweep and u, and a later member u*g0 gets
-    g0's rows with each image multiplied by u.
+    A single sweep leaves orbits None and runs classify_steps, which
+    returns the circulant steps alone.  census passes one SweepOrbits for
+    its whole run and sweeps each multiplier orbit once: the first member
+    g0 it meets is swept, every unit multiple u*g0 is recorded with that
+    sweep and u, and a later member u*g0 gets g0's rows with each image
+    multiplied by u.
 
     Why those rows are the member's own sweep (lemma B).  Let u be a unit,
     R the jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives
@@ -175,18 +196,20 @@ def v_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> VS
     jump sets, so uS = uR exactly when S = R (Identity), and x*uR = uS
     exactly when x*R = S: the witnesses, hence Type1, carry over as they
     are.  Type2 against Unclassified depends on |R| and on a jump divisible
-    by m, both kept by u.  NS rows carry only t, so they are reused whole;
-    N alone decides them (lemma A, proved in theta.classify_steps).
+    by m, both kept by u.  NS steps have no row, and N alone decides them
+    (lemma A, proved in theta.classify_steps).
     """
     steps = sweep_length(g.n, m, g)
     if orbits is None:
         rows = classify_steps(g, m, range(steps))
     else:
         rows = _orbit_rows(g, m, orbits, steps)
-    if rows[0].verdict != Verdict.IDENTITY:
-        raise VerificationFailure(f"step 0 of {g} is {rows[0].verdict.value}, not Identity")
+    # rows hold the circulant steps alone, so a missing step 0 is NS
+    step0 = rows[0].verdict if rows and rows[0].t == 0 else Verdict.NON_CIRCULANT
+    if step0 != Verdict.IDENTITY:
+        raise VerificationFailure(f"step 0 of {g} is {step0.value}, not Identity")
 
-    distinct = tuple(dict.fromkeys(row.image for row in rows if row.image is not None))
+    distinct = tuple(dict.fromkeys(row.image for row in rows))
 
     # theta composes additively in t, so the steps fixing g are a subgroup
     # of Z_{n/m}: the multiples of its least positive element
@@ -196,26 +219,23 @@ def v_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> VS
         raise VerificationFailure(
             f"identity steps {identity_ts} of {g} are not the multiples of {period}"
         )
-    return VSet(g, m, rows, distinct, period)
+    return VSet(g, m, steps, rows, distinct, period)
 
 
 def _orbit_rows(
     g: CirculantGraph, m: int, orbits: SweepOrbits, steps: int
 ) -> tuple[TClassification, ...]:
     """g's sweep of the given length, swept once per multiplier orbit; see v_set."""
-    known = orbits.get(g.jumps)
+    known = orbits.members.get(g.jumps)
     if known is None:
         rows = classify_steps(g, m, range(steps))
-        for u in units(g.n):
-            orbits.setdefault(multiply(g.n, u, g.jumps), (rows, u))
+        for u in orbits.units:
+            orbits.members.setdefault(multiply(g.n, u, g.jumps), (rows, u))
         return rows
     rows, u = known
     images: dict[CirculantGraph, CirculantGraph] = {}
     relabelled = []
     for row in rows:
-        if row.image is None:
-            relabelled.append(row)
-            continue
         image = images.get(row.image)
         if image is None:
             image = images[row.image] = CirculantGraph(g.n, multiply(g.n, u, row.image.jumps))
@@ -228,8 +248,8 @@ def _orbit_rows(
 
 
 def v_group(v: VSet) -> OrbitGroup:
-    """The full sweep as a group on Z_{n/m} with graph labels."""
-    return _orbit_group(v.rows, tuple(row.t for row in v.rows), v.graph_period)
+    """The full sweep as a group on Z_{n/m} with graph labels, None at NS steps."""
+    return _orbit_group(v, tuple(range(v.steps)))
 
 
 def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> Type2Set:
@@ -254,7 +274,7 @@ def t2_group(s: Type2Set) -> OrbitGroup:
     Z_{n/m}, step 0 included: that would falsify the structure this
     library is built on, so it is reported rather than repaired.
     """
-    group = _orbit_group(s.vset.rows, s.t2_indices, s.vset.graph_period)
+    group = _orbit_group(s.vset, s.t2_indices)
     if group.quotient_order != len(s.members):
         raise VerificationFailure(
             f"quotient of order {group.quotient_order} for {len(s.members)} partners "
@@ -263,10 +283,8 @@ def t2_group(s: Type2Set) -> OrbitGroup:
     return group
 
 
-def _orbit_group(
-    rows: tuple[TClassification, ...], indices: tuple[int, ...], period: int
-) -> OrbitGroup:
-    modulus = len(rows)
+def _orbit_group(v: VSet, indices: tuple[int, ...]) -> OrbitGroup:
+    modulus, period = v.steps, v.graph_period
     # a set equal to <generator> is a subgroup of Z_modulus
     generator = indices[1] if len(indices) > 1 else 0
     generated = set()
@@ -276,8 +294,8 @@ def _orbit_group(
         k = (k + generator) % modulus
     if generated != set(indices):
         raise VerificationFailure(f"{generator} does not generate the indices mod {modulus}")
-    # read only now: an index outside Z_modulus has been refused above
-    labels = {i: rows[i].image for i in indices}
+    images = {row.t: row.image for row in v.rows}
+    labels = {i: images.get(i) for i in indices}
     reps = tuple(i for i in indices if i < period)
     table = []
     rep_pos = {r: i for i, r in enumerate(reps)}
@@ -348,7 +366,7 @@ def appended_jump_check(base: CirculantGraph, m: int, jump: int) -> AppendedJump
         return AppendedJumpReport(
             False, f"augmented graph {augmented} has no Type-2 partner"
         )
-    verdicts = classify_steps(base, m, range(n // m))
+    verdicts = fill_steps(classify_steps(base, m, range(n // m)), range(n // m))
     # the base has no jump divisible by m, so classify_steps can never say
     # Type2 outright; an unexplained circulant image surfaces as
     # Unclassified and counts as a failure here
@@ -375,10 +393,11 @@ def census(
     read once, up to the first refused one, and the enumeration space is
     bounded upfront by budget, which may not be below 0.
     A unit multiple of a candidate keeps its size and its jump divisible
-    by m, so candidates come in whole multiplier orbits; one orbits dict,
-    alive for this call only, sweeps each orbit once, and every other
-    member relabels that sweep (lemma B, proved in v_set).  Each candidate
-    still gets its own t2_set, with v_set's step-0 and period checks.
+    by m, so candidates come in whole multiplier orbits; one SweepOrbits,
+    alive for this call only, holds the units of Z_n, computed once, and
+    sweeps each orbit once, and every other member relabels that sweep
+    (lemma B, proved in v_set).  Each candidate still gets its own
+    t2_set, with v_set's step-0 and period checks.
     """
     check_order(n)
     sweep_length(n, m)
@@ -396,7 +415,7 @@ def census(
     space = sum(comb(half, k) for k in sizes)
     if space > budget:
         raise BudgetExceeded(f"{space} candidate sets exceed the budget of {budget}")
-    orbits: SweepOrbits = {}
+    orbits = SweepOrbits(units(n))
     records: list[CensusRecord] = []
     seen: set[tuple[CirculantGraph, ...]] = set()
     examined = 0
@@ -409,7 +428,7 @@ def census(
             g = CirculantGraph(n, combo)
             s = t2_set(g, m, orbits=orbits)
             examined += 1
-            all_partner = len(s.t2_indices) == len(s.vset.rows)
+            all_partner = len(s.t2_indices) == s.vset.steps
             if all_partner:
                 coincidences += 1
             if len(s.members) < 2:

@@ -174,7 +174,8 @@ def verify_theta_witness(
     and its part of the certificate checked once: it is a bijection with
     period m (_is_periodic_bijection).  Each pair then pays only for its
     own part, |±R| = |±S| and the m·|R| jump differences on the residues
-    x < m (_maps_pair).  Together these are _maps_jumps with period m, so
+    x < m (_maps_pair), with each distinct graph's closure ±R built once
+    per call.  Together these are _maps_jumps with period m, so
     the check is exact at any order; a failure raises VerificationFailure
     naming p, and for a pair both graphs, rather than returning a wrong
     witness.
@@ -183,10 +184,14 @@ def verify_theta_witness(
     mapping = _rotation_map(p)
     if not _is_periodic_bijection(n, mapping, m):
         raise VerificationFailure(f"rotation map is not a bijection of period {m} for {p}")
+    closures: dict[CirculantGraph, frozenset[int]] = {}
     for g, h in pairs:
         if g.n != n or h.n != n:
             raise OrderMismatch(f"orders differ: {g.n}, {h.n}, params {n}")
-        if not _maps_pair(n, mapping, g, h, m):
+        for x in (g, h):
+            if x not in closures:
+                closures[x] = symmetric_closure(x)
+        if not _maps_pair(n, mapping, g, h, m, closures):
             raise VerificationFailure(f"{p} does not map {g} onto {h}")
     return IsoWitness(tuple(mapping), True)
 
@@ -235,7 +240,10 @@ def _maps_jumps(
     is checked once.
     """
     period = n if period is None else period
-    return _is_periodic_bijection(n, mapping, period) and _maps_pair(n, mapping, g, h, period)
+    if not _is_periodic_bijection(n, mapping, period):
+        return False
+    closures = {g: symmetric_closure(g), h: symmetric_closure(h)}
+    return _maps_pair(n, mapping, g, h, period, closures)
 
 
 def _is_periodic_bijection(n: int, mapping, period: int) -> bool:
@@ -248,11 +256,18 @@ def _is_periodic_bijection(n: int, mapping, period: int) -> bool:
     return set(map(sub, mapping[period:] + mapping[:period], mapping)) <= {period, period - n}
 
 
-def _maps_pair(n: int, mapping, g: CirculantGraph, h: CirculantGraph, period: int) -> bool:
+def _maps_pair(
+    n: int,
+    mapping,
+    g: CirculantGraph,
+    h: CirculantGraph,
+    period: int,
+    closures: dict[CirculantGraph, frozenset[int]],
+) -> bool:
     """The pair's part of _maps_jumps: |±R| = |±S|, and every jump of g
-    lands in ±S from each x < period."""
-    closure_h = symmetric_closure(h)
-    if len(symmetric_closure(g)) != len(closure_h):
+    lands in ±S from each x < period; closures holds ±R and ±S."""
+    closure_h = closures[h]
+    if len(closures[g]) != len(closure_h):
         return False
     allowed = closure_h | {s - n for s in closure_h}
     return all(

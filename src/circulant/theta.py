@@ -8,15 +8,19 @@ composes additively in t, and edges along jumps divisible by m are fixed.
 Applying the map to a circulant graph gives a labeled graph that may or
 may not be circulant again; when it is, the image's relation to the base
 graph is classified per step t.  classify_steps does this for a whole
-sweep from vertex 0's image neighbourhood alone, O(|R|) per step.
-theta_image and detect_circulant build the whole image edge set.  No
-library module calls them: they are the reference the tests compare
-classify_steps against.  classification_table renders each step's row
-with the kernel's per-step shifts; theta_vertex, the vertex map, is the
-tests' reference for those rows and theta_image's map.  The library's
-one certificate of a rotation is oracle.verify_theta_witness, which
-builds the vertex map of one step once, checks its bijection and period
-m once, and then checks each (g, h) pair's jumps on the m residue
+sweep from vertex 0's image neighbourhood alone, O(|R|) per step it
+builds (lemma A), and returns rows for the circulant steps only.  Lemma C
+rules out every step off the multiples of circulant_stride(g, m) without
+building it.  fill_steps puts an NS row back at every other step, for
+the callers that list them: classify_t, one step, and
+classification_table, which renders each step's row with the kernel's
+per-step shifts.  theta_image and detect_circulant build the whole image
+edge set.  No library module calls them: they are the reference the
+tests compare classify_steps against, and theta_vertex, the vertex map,
+is the tests' reference for table rows and theta_image's map.  The
+library's one certificate of a rotation is oracle.verify_theta_witness,
+which builds the vertex map of one step once, checks its bijection and
+period m once, and then checks each (g, h) pair's jumps on the m residue
 classes; it builds no edge set.
 
 The Type-2 admissibility rule lives here alone: theta_reasons states it,
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import Iterable
 
 from .core import CirculantGraph, edge_set, make_circulant, symmetric_closure
@@ -188,40 +193,68 @@ def detect_circulant(h: LabeledGraph) -> CirculantGraph | None:
     return candidate
 
 
+def circulant_stride(g: CirculantGraph, m: int) -> int:
+    """q = n/gcd(n, c*m*m), c the number of values of +-R not divisible by m.
+
+    Every circulant step of g is a multiple of q (lemma C, proved in
+    classify_steps).  A jump j off the multiples of m gives j and n - j,
+    one value when j = n/2.
+    """
+    c = sum(1 if 2 * j == g.n else 2 for j in g.jumps if j % m)
+    return g.n // gcd(g.n, c * m * m)
+
+
 def classify_steps(
     g: CirculantGraph, m: int, t_values: Iterable[int]
 ) -> tuple[TClassification, ...]:
-    """Classify the image of g at each rotation step in t_values.
+    """Classify the image of g at each circulant step in t_values.
 
-    Per step the verdict is Identity when the image is g itself, Type1
-    when a multiplier unit witnesses the image, Type2 when the image is
-    circulant with no such witness and g has at least three jumps
-    including one divisible by m, Unclassified for the remaining circulant
-    images, and NS (non-circulant) otherwise.
+    Only circulant steps get a row, in the order walked: Identity when the
+    image is g itself, Type1 when a multiplier unit witnesses the image,
+    Type2 when the image has no such witness and g has at least three
+    jumps including one divisible by m, and Unclassified for the remaining
+    circulant images.  Every other step is NS (non-circulant) and gets no
+    row; fill_steps restores one row per step where output lists them.
+    t_values is walked lazily and the first step outside [0, n/m) raises.
 
     Why vertex 0 decides (lemma A).  theta_t fixes 0, so vertex 0's image
-    neighbourhood is N = theta_t(+-R), and |N| = |+-R| as theta_t is a
-    bijection.  The image is circulant iff N = -N, and then it is
-    C_n(fold N).  If the image is C_n(S), then N = +-S, closed under
-    negation.  Conversely let N = -N and M = m*m*t.  The edge (x, x + v),
-    v in +-R, goes to an edge with difference
-    v + (((x + v) mod m) - (x mod m))*t*m.  When m | v this is
-    v = theta_t(v); otherwise it is theta_t(v) or theta_t(v) - M, and
-    theta_t(-v) = -v + (m - v mod m)*t*m = M - theta_t(v), so
+    neighbourhood is N = theta_t(+-R), and |N| = |+-R| as theta_t is
+    injective on +-R: it keeps each residue mod m and shifts a whole
+    residue class by one amount, so two values of +-R meet only if they
+    share a residue and then stay apart by their own difference.  The
+    image is circulant iff N = -N, and then it is C_n(fold N).  If the
+    image is C_n(S), then N = +-S, closed under negation.  Conversely let
+    N = -N and M = m*m*t.  The edge (x, x + v), v in +-R, goes to an edge
+    with difference v + (((x + v) mod m) - (x mod m))*t*m.  When m | v
+    this is v = theta_t(v); otherwise it is theta_t(v) or theta_t(v) - M,
+    and theta_t(-v) = -v + (m - v mod m)*t*m = M - theta_t(v), so
     theta_t(v) - M = -theta_t(-v) lies in -N = N.  Every image edge is
     thus an edge of C_n(fold N), which has n*|N|/2 = n*|+-R|/2 edges, as
     many as C_n(R) and so as the image: the image is all of C_n(fold N).
 
-    A step therefore costs O(|R|).  A sweep revisits each image once per
-    period of the image sequence, so each distinct image is built and
-    validated as a CirculantGraph once, and its multiplier witnesses are
-    looked up once, from type1.witness_lookup(g), which pins one jump of g
-    and tries at most 2*|S|*gcd(r0, n) units.
+    Which steps can be circulant (lemma C).  Let c be the number of
+    values of +-R not divisible by m, and N' their images, the part of N
+    off residue 0 mod m; |N'| = c by the injectivity above.  If the image
+    is circulant, then N = -N, and for w = theta_t(v) in N',
+    w - M = -theta_t(-v) lies in -N = N with w's nonzero residue, so in
+    N'.  N' is thus closed under w -> w - M, a union of cosets of <M>,
+    and n/gcd(n, M) = |<M>| divides c; so n divides c*gcd(n, M), which
+    divides c*m*m*t.  A circulant step is therefore a multiple of
+    q = n/gcd(n, c*m*m), and every other step is NS without building its
+    neighbourhood.
+
+    A built step costs O(|R|), and its |N| = |+-R| is still checked.  A
+    sweep revisits each image once per period of the image sequence, so
+    each distinct image is built and validated as a CirculantGraph once,
+    and its multiplier witnesses are looked up once, from
+    type1.witness_lookup(g), which pins one jump of g and tries at most
+    2*|S|*gcd(r0, n) units.
     """
     n = g.n
     steps = sweep_length(n, m)
     # (v, v's shift per unit step) for each v of the closure
     closure = tuple((v, v % m * m) for v in symmetric_closure(g))
+    q = circulant_stride(g, m)
     anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[CirculantGraph, tuple[int, ...]]] = {}
@@ -229,6 +262,8 @@ def classify_steps(
     rows = []
     for t in t_values:
         _check_step(t, steps)
+        if t % q:
+            continue
         nbrs = {(v + s * t) % n for v, s in closure}
         if len(nbrs) != len(closure):
             raise VerificationFailure(
@@ -236,7 +271,6 @@ def classify_steps(
                 f"to {len(nbrs)}"
             )
         if any((n - v) % n not in nbrs for v in nbrs):
-            rows.append(TClassification(t, Verdict.NON_CIRCULANT))
             continue
         # nbrs is closed under negation: its lower half is the folded set
         key = tuple(sorted(v for v in nbrs if 2 * v <= n))
@@ -260,11 +294,19 @@ def classify_steps(
     return tuple(rows)
 
 
+def fill_steps(
+    rows: Iterable[TClassification], t_values: Iterable[int]
+) -> tuple[TClassification, ...]:
+    """One row per t in t_values: the circulant row at t from rows, else NS."""
+    circulant = {row.t: row for row in rows}
+    return tuple(circulant.get(t) or TClassification(t, Verdict.NON_CIRCULANT) for t in t_values)
+
+
 def classify_t(p: ThetaParams, g: CirculantGraph) -> TClassification:
     """Classify the image of g at the single step p.t; see classify_steps."""
     if p.n != g.n:
         raise OrderMismatch(f"params are for order {p.n}, graph has {g.n}")
-    return classify_steps(g, p.m, (p.t,))[0]
+    return fill_steps(classify_steps(g, p.m, (p.t,)), (p.t,))[0]
 
 
 def classification_table(
@@ -277,7 +319,11 @@ def classification_table(
     """
     if t_values is None:
         t_values = range(sweep_length(g.n, m))
-    rows = classify_steps(g, m, t_values)
+    # the steps the kernel walked, kept as it walks them: a bad step stops
+    # the walk, so a long range is never built
+    walked: list[int] = []
+    circulant = classify_steps(g, m, (walked.append(t) or t for t in t_values))
+    rows = fill_steps(circulant, walked)
     # (v, v's shift per unit step), as in classify_steps
     columns = [(v, v % m * m) for v in sorted(symmetric_closure(g))]
     return tuple(

@@ -199,6 +199,19 @@ def test_group_checker_accepts_cyclic_groups():
     check_abelian_group(((1, 2, 0), (2, 0, 1), (0, 1, 2)), 2)
 
 
+@pytest.mark.parametrize(
+    "table, identity",
+    [
+        ((), 0),
+        (((0, 1), (1, 0)), -1),
+        (((0, 1), (1, 0)), 2),
+    ],
+)
+def test_group_checker_refuses_an_identity_outside_the_table(table, identity):
+    with pytest.raises(VerificationFailure, match=rf"identity {identity} is not one of the"):
+        check_abelian_group(table, identity)
+
+
 def test_group_checker_rejects_a_non_associative_table():
     # closed, commutative, identity 0 and inverses, but (1*1)*2 = 0 while
     # 1*(1*2) = 1

@@ -331,6 +331,25 @@ def test_verify_builds_one_map_per_step(monkeypatch):
         assert len(built) == len(set(built)) == maps
 
 
+def test_verify_builds_each_closure_once_per_call(monkeypatch):
+    # the m7 kind: 42 relations at 6 steps, each step's pairs over all 7
+    # members, so one closure per member and step, not two per relation;
+    # nothing is kept for the next call
+    instance = KINDS["m7"][0](1)
+    built = []
+    closure = oracle.symmetric_closure
+    monkeypatch.setattr(oracle, "symmetric_closure", lambda g: built.append(g) or closure(g))
+    family_verify(instance)
+    steps = {}
+    for r in instance.relations:
+        steps.setdefault(r.t % (instance.order // instance.m), set()).update((r.source, r.target))
+    assert len(instance.relations) == 42
+    assert sorted(map(len, steps.values())) == [7] * 6
+    assert sorted(built) == sorted(instance.sets * 6)
+    family_verify(instance)
+    assert len(built) == 84
+
+
 def test_pair_check_survives_optimized_mode():
     # under python -O an assert would vanish; each pair's check must not
     script = textwrap.dedent(

@@ -17,6 +17,7 @@ from circulant.errors import (
     VerificationFailure,
 )
 from circulant.groups import (
+    SweepOrbits,
     appended_jump_check,
     census,
     t2_group,
@@ -33,7 +34,8 @@ def test_vset_of_the_order54_base():
     g = make_circulant(54, [2, 3, 16, 20])
     vs = v_set(g, 3)
     assert vs.n == 54
-    assert len(vs.rows) == 18
+    assert vs.steps == 18
+    assert [row.t for row in vs.full_rows()] == list(range(18))
     assert vs.graph_period == 6
     assert sorted(d.jumps for d in vs.distinct) == [
         (2, 3, 16, 20),
@@ -47,9 +49,10 @@ def test_vset_rejects_identity_steps_off_the_period(monkeypatch):
     original = circulant.groups.classify_steps
 
     def stray(g, m, t_values):
-        rows = list(original(g, m, t_values))
-        rows[7] = TClassification(7, Verdict.IDENTITY, image=g)
-        return tuple(rows)
+        # the kernel's circulant rows, in t order, with an Identity row at 7
+        rows = [row for row in original(g, m, t_values) if row.t != 7]
+        rows.append(TClassification(7, Verdict.IDENTITY, image=g))
+        return tuple(sorted(rows, key=lambda row: row.t))
 
     monkeypatch.setattr(circulant.groups, "classify_steps", stray)
     # the period of this sweep is 6, so an Identity step at 7 is impossible
@@ -83,7 +86,8 @@ def test_vset_with_every_step_circulant():
     vs = v_set(make_circulant(27, [1, 3, 8, 10]), 3)
     assert vs.graph_period == 3
     assert len(vs.distinct) == 3
-    assert all(row.verdict is not Verdict.NON_CIRCULANT for row in vs.rows)
+    assert [row.t for row in vs.rows] == list(range(vs.steps))
+    assert vs.full_rows() == vs.rows
 
 
 def test_vset_rejects_inadmissible_parameters():
@@ -330,6 +334,16 @@ def test_census_builds_each_multiplier_orbit_once(monkeypatch):
     assert swept[first:] == swept[:first]
 
 
+def test_census_computes_the_units_once_per_call(monkeypatch):
+    called = []
+    original = circulant.groups.units
+    monkeypatch.setattr(circulant.groups, "units", lambda n: called.append(n) or original(n))
+    result = census(54, 3, [3])
+    assert called == [54]
+    # many orbits share that one list
+    assert result.summary.examined > 100
+
+
 def test_relabelled_sweeps_equal_fresh_sweeps():
     # lemma B: the sweep of u*R relabelled from R's is u*R's own sweep,
     # and its Type-2 set is the u-multiple of R's
@@ -339,12 +353,12 @@ def test_relabelled_sweeps_equal_fresh_sweeps():
                 if not any(j % m == 0 for j in combo):
                     continue
                 g = CirculantGraph(n, combo)
-                orbits = {}
+                orbits = SweepOrbits(units(n))
                 base = t2_set(g, m, orbits=orbits)
                 fresh = {}
                 for u in units(n):
                     h = phi_apply(g, u)
-                    assert h.jumps in orbits
+                    assert h.jumps in orbits.members
                     s = t2_set(h, m, orbits=orbits)
                     if h not in fresh:
                         fresh[h] = classify_steps(h, m, range(n // m))

@@ -1,6 +1,7 @@
 """Block-shift vertex maps, their images, and per-step classification."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from circulant.theta import (
     ThetaParams,
     Verdict,
     admissible_m,
+    circulant_stride,
     classification_table,
     classify_steps,
     classify_t,
@@ -281,15 +283,68 @@ def _reference_bases():
 
 def test_sweep_kernel_matches_the_edge_set_reference():
     seen = set()
+    pruned = 0
     for n, m, g in _reference_bases():
         rows = classify_steps(g, m, range(n // m))
-        assert [row.t for row in rows] == list(range(n // m))
-        for row in rows:
-            expected = _reference_step(ThetaParams(n, m, row.t), g)
-            assert row == expected, (n, m, g.jumps)
-            seen.add(row.verdict)
+        expected = [_reference_step(ThetaParams(n, m, t), g) for t in range(n // m)]
+        # exactly the reference's circulant steps, each row the reference's
+        circulant = [row for row in expected if row.verdict is not Verdict.NON_CIRCULANT]
+        assert [row.t for row in rows] == [row.t for row in circulant], (n, m, g.jumps)
+        assert list(rows) == circulant, (n, m, g.jumps)
+        # every other step is NS by the reference, lemma C's pruned ones too
+        kept = {row.t for row in rows}
+        q = circulant_stride(g, m)
+        for row in expected:
+            if row.t not in kept:
+                assert row == TClassification(row.t, Verdict.NON_CIRCULANT), (n, m, g.jumps)
+                pruned += row.t % q != 0
+        seen.update(row.verdict for row in expected)
     # Unclassified never occurs in these bases
     assert seen == set(Verdict) - {Verdict.UNCLASSIFIED}
+    assert pruned > 0
+
+
+def _admissible_orders(limit):
+    for n in range(2, limit + 1):
+        for m in range(2, n):
+            if n % m ** 3 == 0:
+                yield n, m
+
+
+def test_no_circulant_step_is_off_a_multiple_of_the_stride():
+    # lemma C, exhaustively: the circulant steps (lemma A's symmetric
+    # vertex-0 neighbourhood, built step by step) are multiples of
+    # q = n / gcd(n, c*m*m), c the closure values off the multiples of m
+    orders = list(_admissible_orders(54))
+    assert orders == [(8, 2), (16, 2), (24, 2), (27, 3), (32, 2), (40, 2), (48, 2), (54, 3)]
+    strides = set()
+    for n, m in orders:
+        for k in (1, 2, 3):
+            for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                if not any(j % m == 0 for j in combo):
+                    continue
+                g = CirculantGraph(n, combo)
+                closure = symmetric_closure(g)
+                q = n // math.gcd(n, sum(1 for v in closure if v % m) * m * m)
+                assert circulant_stride(g, m) == q, (n, m, combo)
+                strides.add(q)
+                circulant = []
+                for t in range(n // m):
+                    p = ThetaParams(n, m, t)
+                    nbrs = {theta_vertex(p, v) for v in closure}
+                    if nbrs == {(n - v) % n for v in nbrs}:
+                        circulant.append(t)
+                assert all(t % q == 0 for t in circulant), (n, m, combo, q, circulant)
+                assert [row.t for row in classify_steps(g, m, range(n // m))] == circulant
+    # some bases are pruned, some are not
+    assert 1 in strides and len(strides) > 1
+
+
+def test_stride_of_the_order1715_table_base():
+    # c = 14 values off the multiples of 7, so q = 1715 / gcd(1715, 14*49) = 5
+    g = make_circulant(1715, [7, 17, 228, 262, 473, 507, 718, 752])
+    assert circulant_stride(g, 7) == 5
+    assert all(row.t % 5 == 0 for row in classify_steps(g, 7, range(245)))
 
 
 def test_single_sweep_looks_up_each_image_once(monkeypatch):
@@ -316,7 +371,8 @@ def test_single_sweep_looks_up_each_image_once(monkeypatch):
     rows = v_set(g, 2).rows
     assert sum(row.verdict is Verdict.TYPE1 for row in rows) >= 2
     assert orbit_builds == []
-    revisited = [row.image for row in rows if row.image not in (None, g)]
+    # the sweep keeps circulant rows alone, so every row has an image
+    revisited = [row.image for row in rows if row.image != g]
     # the sweep meets each image more than once, and looks each up once
     assert len(revisited) > len(set(revisited))
     assert len(looked_up) == len(set(looked_up))
