@@ -221,7 +221,7 @@ def cmd_t2set(args) -> None:
         "base": _graph_json(g),
         "members": members,
         "t2_indices": s.t2_indices,
-        "graph_period": s.vset.graph_period,
+        "graph_period": s.graph_period,
         "group": _orbit_group_json(t2_group(s)),
     }
     _emit(args, {"n": args.n, "m": args.m, "set": g.jumps}, result, members)

@@ -2,13 +2,17 @@
 
 Sweeping every rotation step t in [0, n/m) produces the V set of a graph.
 A VSet keeps its sweep length and the rows of its circulant steps alone,
-as theta.classify_steps returns them; v_set's checks, the Type-2 set, its
-group and census read only those rows, and the full row per step, NS rows
-filled in, is built only for output (VSet.full_rows, v_group's labels).
-The steps whose images are circulant partners of the base (identity or
-Type-2) form a subgroup of Z_{n/m}; quotienting by the period at which the
-image graph repeats gives the Type-2 group, whose order is the number of
-distinct Type-2 partners plus the base.
+as theta.classify_steps returns them; v_set's checks and the Type-2 set
+read only those rows, and the full row per step, NS rows filled in, is
+built only for output (VSet.full_rows, v_group's labels).  A Type2Set
+keeps no rows: its members, its partner steps, the sweep length and the
+graph period are all its group and census read.  The steps whose images
+are circulant partners of the base (identity or Type-2) form a subgroup
+of Z_{n/m}; quotienting by the period at which the image graph repeats
+gives the Type-2 group, whose order is the number of distinct Type-2
+partners plus the base.  census sweeps one member of each multiplier
+orbit and takes every other member's Type-2 set as a unit multiple of
+that one (lemma B, proved in t2_set).
 """
 
 from __future__ import annotations
@@ -49,13 +53,11 @@ DEFAULT_CENSUS_BUDGET = 10_000_000
 @dataclass
 class SweepOrbits:
     """census state for one call: the units of Z_n, computed once, and the
-    jumps of each multiplier-orbit member -> (the sweep of the orbit's
+    jumps of each multiplier-orbit member -> (the Type-2 set of the orbit's
     first member g0, a unit u with u*g0 = the member)."""
 
     units: tuple[int, ...]
-    members: dict[tuple[int, ...], tuple[tuple[TClassification, ...], int]] = field(
-        default_factory=dict
-    )
+    members: dict[tuple[int, ...], tuple[Type2Set, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -89,17 +91,19 @@ class VSet:
 class Type2Set:
     """The base graph together with its distinct Type-2 partners.
 
-    The sweep vset holds the base and the divisor m.  t2_indices are its
-    steps classified Identity or Type2; members keep the base first, then
-    partners in order of first appearance.  A step whose image carries a
-    multiplier witness (verdict Type1) is never a partner, even though a
-    rotation reaches it: C_48(4, 11, 13) is the image of C_48(1, 4, 23) at
-    t = 6 with m = 2, but also 11 * (1, 4, 23).
+    t2_indices are the steps of the base's sweep classified Identity or
+    Type2; members keep the base first, then partners in order of first
+    appearance.  steps is the sweep length n/m and graph_period the
+    sweep's (see VSet); callers that want the rows call v_set.  A step
+    whose image carries a multiplier witness (verdict Type1) is never a
+    partner, even though a rotation reaches it: C_48(4, 11, 13) is the
+    image of C_48(1, 4, 23) at t = 6 with m = 2, but also 11 * (1, 4, 23).
     """
 
     members: tuple[CirculantGraph, ...]
     t2_indices: tuple[int, ...]
-    vset: VSet
+    steps: int
+    graph_period: int
 
 
 @dataclass
@@ -167,43 +171,15 @@ class CensusResult:
     summary: CensusSummary
 
 
-def v_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> VSet:
+def v_set(g: CirculantGraph, m: int) -> VSet:
     """Classify every rotation step of g for the divisor m; g carries the order n.
 
-    A single sweep leaves orbits None and runs classify_steps, which
-    returns the circulant steps alone.  census passes one SweepOrbits for
-    its whole run and sweeps each multiplier orbit once: the first member
-    g0 it meets is swept, every unit multiple u*g0 is recorded with that
-    sweep and u, and a later member u*g0 gets g0's rows with each image
-    multiplied by u.
-
-    Why those rows are the member's own sweep (lemma B).  Let u be a unit,
-    R the jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives
-    u*x = u*r (mod m), so theta_t(u*x) = u*theta_t(x) - c*M with
-    c = floor(u*r/m), a function of r alone; theta_t keeps residues mod m,
-    so theta_t(mu_u(x)) = tau(mu_u(theta_t(x))), where
-    tau(y) = y - c(y mod m)*M moves each residue class within itself.  As
-    mu_u maps C_n(R) onto C_n(uR), the image of C_n(uR) is tau of u times
-    the image of C_n(R).  Suppose that image is C_n(S).  Then vertex 0's
-    image neighbourhood N = theta_t(+-R) is +-S, closed under negation,
-    and theta_t(-v) = M - theta_t(v) for v mod m != 0, so N's part off
-    residue 0 is closed under -M: a union of <M>-cosets, and so is that
-    part of +-uS, as u<M> = <M>.  tau moves an edge difference d of
-    C_n(uS) by a multiple of M, and not at all when m | d, so tau is an
-    automorphism of C_n(uS) and the image of C_n(uR) is C_n(uS).  With
-    u^-1 for u, a circulant image of C_n(uR) gives one of C_n(R), so both
-    sweeps have the same NS steps.  Multiplication by u is injective on
-    jump sets, so uS = uR exactly when S = R (Identity), and x*uR = uS
-    exactly when x*R = S: the witnesses, hence Type1, carry over as they
-    are.  Type2 against Unclassified depends on |R| and on a jump divisible
-    by m, both kept by u.  NS steps have no row, and N alone decides them
-    (lemma A, proved in theta.classify_steps).
+    classify_steps returns the circulant steps alone.  Step 0 must be
+    Identity, and the Identity steps must be the multiples of the least
+    positive one, the graph period.
     """
     steps = sweep_length(g.n, m, g)
-    if orbits is None:
-        rows = classify_steps(g, m, range(steps))
-    else:
-        rows = _orbit_rows(g, m, orbits, steps)
+    rows = classify_steps(g, m, range(steps))
     # rows hold the circulant steps alone, so a missing step 0 is NS
     step0 = rows[0].verdict if rows and rows[0].t == 0 else Verdict.NON_CIRCULANT
     if step0 != Verdict.IDENTITY:
@@ -222,69 +198,108 @@ def v_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> VS
     return VSet(g, m, steps, rows, distinct, period)
 
 
-def _orbit_rows(
-    g: CirculantGraph, m: int, orbits: SweepOrbits, steps: int
-) -> tuple[TClassification, ...]:
-    """g's sweep of the given length, swept once per multiplier orbit; see v_set."""
-    known = orbits.members.get(g.jumps)
-    if known is None:
-        rows = classify_steps(g, m, range(steps))
-        for u in orbits.units:
-            orbits.members.setdefault(multiply(g.n, u, g.jumps), (rows, u))
-        return rows
-    rows, u = known
-    images: dict[CirculantGraph, CirculantGraph] = {}
-    relabelled = []
-    for row in rows:
-        image = images.get(row.image)
-        if image is None:
-            image = images[row.image] = CirculantGraph(g.n, multiply(g.n, u, row.image.jumps))
-        if row.verdict is Verdict.IDENTITY and image != g:
-            raise VerificationFailure(
-                f"{u} * {row.image.jumps} is {image.jumps}, not the jumps of {g}"
-            )
-        relabelled.append(TClassification(row.t, row.verdict, image, row.witnesses))
-    return tuple(relabelled)
-
-
 def v_group(v: VSet) -> OrbitGroup:
     """The full sweep as a group on Z_{n/m} with graph labels, None at NS steps."""
-    return _orbit_group(v, tuple(range(v.steps)))
+    images = {row.t: row.image for row in v.rows}
+    labels = {t: images.get(t) for t in range(v.steps)}
+    return _orbit_group(v.steps, v.graph_period, tuple(range(v.steps)), labels)
 
 
 def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> Type2Set:
     """Base plus distinct Type-2 partners from the full sweep.
 
     Images with verdict Type1 are left out although a rotation reaches
-    them; see Type2Set for the C_48(1, 4, 23) example.  orbits is passed
-    to v_set.
+    them; see Type2Set for the C_48(1, 4, 23) example.  Without orbits,
+    or for the first member g0 of a multiplier orbit census meets, g is
+    swept with v_set; census passes one SweepOrbits for its whole run,
+    and g0's Type-2 set is recorded there for every unit multiple u*g0.
+    A later member g = u*g0 gets, without a sweep, g followed by u times
+    g0's other members, with g0's partner steps, sweep length and period.
+    multiply(n, u, R) = multiply(n, n - u, R), as fold(n, x) = fold(n, -x),
+    so only the units u <= n/2 are recorded.
+
+    Why that is g's own Type-2 set (lemma B).  Let u be a unit, R the
+    jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives
+    u*x = u*r (mod m), so theta_t(u*x) = u*theta_t(x) - c*M with
+    c = floor(u*r/m), a function of r alone; theta_t keeps residues mod m,
+    so theta_t(mu_u(x)) = tau(mu_u(theta_t(x))), where
+    tau(y) = y - c(y mod m)*M moves each residue class within itself.  As
+    mu_u maps C_n(R) onto C_n(uR), the image of C_n(uR) is tau of u times
+    the image of C_n(R).  Suppose that image is C_n(S).  Then vertex 0's
+    image neighbourhood N = theta_t(+-R) is +-S, closed under negation,
+    and theta_t(-v) = M - theta_t(v) for v mod m != 0, so N's part off
+    residue 0 is closed under -M: a union of <M>-cosets, and so is that
+    part of +-uS, as u<M> = <M>.  tau moves an edge difference d of
+    C_n(uS) by a multiple of M, and not at all when m | d, so tau is an
+    automorphism of C_n(uS) and the image of C_n(uR) is C_n(uS).  With
+    u^-1 for u, a circulant image of C_n(uR) gives one of C_n(R), so both
+    sweeps have the same length and the same NS steps.  Multiplication by
+    u is injective on jump sets, so uS = uR exactly when S = R (Identity,
+    hence the same period), and x*uR = uS exactly when x*R = S: the
+    witnesses, hence Type1, carry over as they are.  Type2 against
+    Unclassified depends on |R| and on a jump divisible by m, both kept by
+    u.  So the partner steps are the same, the image at each is u times
+    g0's, and the members, in order of first appearance, are u times g0's.
     """
-    v = v_set(g, m, orbits=orbits)
+    if orbits is not None:
+        known = orbits.members.get(g.jumps)
+        if known is not None:
+            s0, u = known
+            n = g.n
+            partners = tuple(CirculantGraph(n, multiply(n, u, x.jumps)) for x in s0.members[1:])
+            return Type2Set((g,) + partners, s0.t2_indices, s0.steps, s0.graph_period)
+    v = v_set(g, m)
     # an Identity row's image is g and step 0 is one, so the base comes first
     partners = [row for row in v.rows if row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)]
     members = tuple(dict.fromkeys(row.image for row in partners))
-    return Type2Set(members, tuple(row.t for row in partners), v)
+    s = Type2Set(members, tuple(row.t for row in partners), v.steps, v.graph_period)
+    if orbits is not None:
+        half = g.n // 2
+        for u in orbits.units:
+            if u > half:
+                break
+            orbits.members.setdefault(multiply(g.n, u, g.jumps), (s, u))
+    return s
 
 
 def t2_group(s: Type2Set) -> OrbitGroup:
     """Group structure on the Type-2 step indices, quotiented by the period.
 
+    The labels come from the members: the partner steps below the period
+    carry the members in order, and a step i carries the label of
+    i mod period.  theta composes additively in t, theta_b = theta_a o
+    theta_{b-a}, and theta_a is a bijection of the vertices, so
+    theta_a(g) = theta_b(g) with 0 <= a < b forces theta_{b-a}(g) = g: b - a
+    is an Identity step, a multiple of the period (v_set checks this).  So
+    the images at the steps below the period are distinct, and the image
+    at i is the one at i mod period, a partner step too.  Each member thus
+    first appears at one partner step below the period, in the order of
+    those steps.
+
     Raises VerificationFailure (from _orbit_group) when the indices are not
     the multiples of their least positive element, i.e. not a subgroup of
     Z_{n/m}, step 0 included: that would falsify the structure this
-    library is built on, so it is reported rather than repaired.
+    library is built on, so it is reported rather than repaired.  It also
+    raises when the quotient order is not the number of members.
     """
-    group = _orbit_group(s.vset, s.t2_indices)
+    period = s.graph_period
+    first = dict(zip((i for i in s.t2_indices if i < period), s.members))
+    labels = {i: first.get(i % period) for i in s.t2_indices}
+    group = _orbit_group(s.steps, period, s.t2_indices, labels)
     if group.quotient_order != len(s.members):
         raise VerificationFailure(
             f"quotient of order {group.quotient_order} for {len(s.members)} partners "
-            f"of {s.vset.base}"
+            f"of {s.members[0]}"
         )
     return group
 
 
-def _orbit_group(v: VSet, indices: tuple[int, ...]) -> OrbitGroup:
-    modulus, period = v.steps, v.graph_period
+def _orbit_group(
+    modulus: int,
+    period: int,
+    indices: tuple[int, ...],
+    labels: dict[int, CirculantGraph | None],
+) -> OrbitGroup:
     # a set equal to <generator> is a subgroup of Z_modulus
     generator = indices[1] if len(indices) > 1 else 0
     generated = set()
@@ -294,8 +309,6 @@ def _orbit_group(v: VSet, indices: tuple[int, ...]) -> OrbitGroup:
         k = (k + generator) % modulus
     if generated != set(indices):
         raise VerificationFailure(f"{generator} does not generate the indices mod {modulus}")
-    images = {row.t: row.image for row in v.rows}
-    labels = {i: images.get(i) for i in indices}
     reps = tuple(i for i in indices if i < period)
     table = []
     rep_pos = {r: i for i, r in enumerate(reps)}
@@ -395,9 +408,10 @@ def census(
     A unit multiple of a candidate keeps its size and its jump divisible
     by m, so candidates come in whole multiplier orbits; one SweepOrbits,
     alive for this call only, holds the units of Z_n, computed once, and
-    sweeps each orbit once, and every other member relabels that sweep
-    (lemma B, proved in v_set).  Each candidate still gets its own
-    t2_set, with v_set's step-0 and period checks.
+    the Type-2 set of each orbit's first member, which alone is swept,
+    with v_set's step-0 and period checks.  Every candidate still gets
+    its own t2_set call, which for every other member is a unit multiple
+    of that set (lemma B, proved in t2_set).
     """
     check_order(n)
     sweep_length(n, m)
@@ -428,7 +442,7 @@ def census(
             g = CirculantGraph(n, combo)
             s = t2_set(g, m, orbits=orbits)
             examined += 1
-            all_partner = len(s.t2_indices) == s.vset.steps
+            all_partner = len(s.t2_indices) == s.steps
             if all_partner:
                 coincidences += 1
             if len(s.members) < 2:

@@ -12,7 +12,8 @@ units that can move it into the target set, at most 2*|S|*gcd(r0, n)
 candidates, for callers that ask about single images (sweeps,
 type1_witnesses).  multiply, the one multiplier image of a jump tuple and
 phi_apply's core, serves census, which sweeps one member of each
-multiplier orbit and relabels that sweep for the others (groups.v_set).
+multiplier orbit and multiplies its Type-2 set for the others
+(groups.t2_set).
 """
 
 from __future__ import annotations

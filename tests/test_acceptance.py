@@ -26,7 +26,7 @@ from golden import (
 
 from circulant import cli, make_circulant
 from circulant.families import family_general_p, family_m2, family_m3, family_verify
-from circulant.groups import t2_set
+from circulant.groups import t2_set, v_set
 from circulant.oracle import (
     brute_force_isomorphic,
     verify_theta_witness,
@@ -128,7 +128,7 @@ def test_criterion_03_worked_case_partner_sets():
             if unit not in t1.witness.get(disputed, ()):
                 problems.append(f"({label}) {jumps} lost multiplier witness {unit}")
             reached = {
-                row.t: row.verdict for row in t2.vset.rows if row.image == disputed
+                row.t: row.verdict for row in v_set(g, m).rows if row.image == disputed
             }
             if reached != {t: Verdict.TYPE1 for t in steps}:
                 problems.append(f"({label}) sweep reaches {jumps} as {reached}")

@@ -305,16 +305,21 @@ def test_census_rejects_inadmissible_parameters():
 
 
 def test_census_builds_each_multiplier_orbit_once(monkeypatch):
-    original = circulant.groups.classify_steps
-    swept = []
+    calls = {"classify_steps": [], "v_set": [], "t2_set": []}
+    for name, seen in calls.items():
+        original = getattr(circulant.groups, name)
 
-    def counting(g, m, t_values):
-        swept.append(g)
-        return original(g, m, t_values)
+        def counting(g, *args, _seen=seen, _original=original, **kwargs):
+            _seen.append(g)
+            return _original(g, *args, **kwargs)
 
-    monkeypatch.setattr(circulant.groups, "classify_steps", counting)
+        monkeypatch.setattr(circulant.groups, name, counting)
+    swept = calls["classify_steps"]
     result = census(54, 3, [3])
     assert 0 < len(swept) < result.summary.examined
+    # one v_set per orbit, and still one t2_set per examined candidate
+    assert calls["v_set"] == swept
+    assert len(calls["t2_set"]) == len(set(calls["t2_set"])) == result.summary.examined
     covered = set()
     for g in swept:
         assert g not in covered, g
@@ -326,7 +331,7 @@ def test_census_builds_each_multiplier_orbit_once(monkeypatch):
         for combo in itertools.combinations(range(1, 28), 3)
         if any(j % 3 == 0 for j in combo)
     }
-    assert covered == candidates
+    assert covered == candidates == set(calls["t2_set"])
     assert len(candidates) == result.summary.examined
     # the orbits live for one call: a second census sweeps again
     first = len(swept)
@@ -344,32 +349,46 @@ def test_census_computes_the_units_once_per_call(monkeypatch):
     assert result.summary.examined > 100
 
 
-def test_relabelled_sweeps_equal_fresh_sweeps():
-    # lemma B: the sweep of u*R relabelled from R's is u*R's own sweep,
-    # and its Type-2 set is the u-multiple of R's
-    for n, m in ((16, 2), (24, 2), (27, 3), (32, 2)):
-        for k in (1, 2, 3):
-            for combo in itertools.combinations(range(1, n // 2 + 1), k):
-                if not any(j % m == 0 for j in combo):
-                    continue
-                g = CirculantGraph(n, combo)
-                orbits = SweepOrbits(units(n))
-                base = t2_set(g, m, orbits=orbits)
-                fresh = {}
-                for u in units(n):
-                    h = phi_apply(g, u)
-                    assert h.jumps in orbits.members
-                    s = t2_set(h, m, orbits=orbits)
-                    if h not in fresh:
-                        fresh[h] = classify_steps(h, m, range(n // m))
-                    assert s.vset.rows == fresh[h], (n, m, combo, u)
-                    assert s.members == tuple(
-                        phi_apply(x, u) for x in base.members
-                    ), (n, m, combo, u)
+def test_orbit_member_type2_sets_equal_fresh_ones():
+    # lemma B: the Type-2 set of u*R taken from R's is u*R's own in every
+    # field, with the same group, and its members are u times R's.  The
+    # anchored bases of size 1-3 have at most one partner; the last two
+    # bases have two, so the partners' order and the labels are tested
+    bases = [
+        (n, m, combo)
+        for n, m in ((16, 2), (24, 2), (27, 3), (32, 2))
+        for k in (1, 2, 3)
+        for combo in itertools.combinations(range(1, n // 2 + 1), k)
+        if any(j % m == 0 for j in combo)
+    ]
+    bases += [(54, 3, (2, 3, 16, 20)), (108, 3, (3, 5, 31, 41))]
+    for n, m, combo in bases:
+        g = CirculantGraph(n, combo)
+        orbits = SweepOrbits(units(n))
+        base = t2_set(g, m, orbits=orbits)
+        fresh = {}
+        for u in units(n):
+            h = phi_apply(g, u)
+            assert h.jumps in orbits.members
+            s = t2_set(h, m, orbits=orbits)
+            if h not in fresh:
+                f = t2_set(h, m)
+                fresh[h] = (f, t2_group(f))
+            f, group = fresh[h]
+            assert s == f, (n, m, combo, u)
+            assert t2_group(s) == group, (n, m, combo, u)
+            assert s.members == tuple(phi_apply(x, u) for x in base.members), (n, m, combo, u)
+    assert all(len(t2_set(CirculantGraph(n, c), m).members) == 3 for n, m, c in bases[-2:])
 
 
 def test_census_equals_a_fresh_t2_set_per_candidate(monkeypatch):
-    cases = ((16, 2, [3, 4, 5]), (24, 2, [3, 4]), (27, 3, [3, 4]))
+    cases = (
+        (16, 2, [3, 4, 5]),
+        (24, 2, [3, 4]),
+        (27, 3, [3, 4]),
+        (32, 2, [3]),
+        (54, 3, [4]),
+    )
     shared = [census(*case) for case in cases]
     assert sum(len(r.records) for r in shared) > 0
     fresh_t2_set = circulant.groups.t2_set

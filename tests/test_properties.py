@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from circulant import CirculantGraph, make_circulant, reflexive_reduce
 from circulant.errors import InvalidJump
-from circulant.groups import census, t2_set
+from circulant.groups import census, t2_set, v_set
 from circulant.oracle import (
     brute_force_isomorphic,
     gcd_signature_check,
@@ -179,11 +179,12 @@ def test_partner_indices_form_a_subgroup(params):
     if len(indices) > 1:
         gen = min(i for i in indices if i)
         assert indices == set(range(0, steps, gen))
-    period = s.vset.graph_period
+    v = v_set(g, m)
+    assert s.graph_period == v.graph_period
     identity_steps = {
-        row.t for row in s.vset.rows if row.verdict.value == "Identity"
+        row.t for row in v.rows if row.verdict.value == "Identity"
     }
-    assert identity_steps == set(range(0, steps, period))
+    assert identity_steps == set(range(0, steps, s.graph_period))
 
 
 @SETTINGS
