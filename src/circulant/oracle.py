@@ -5,10 +5,12 @@ parameter record (ThetaParams), nothing of the rotation kernel or the
 groups, so it can serve as trusted evidence against those modules.  The
 brute-force search is exact: a returned witness is re-verified jump by
 jump at every vertex (_maps_jumps), and a None is a definitive
-refutation, not a timeout.  verify_theta_witness certifies one rotation
-step for any number of (g, h) pairs: it checks the map's bijection and
-period m once, O(n), and then each pair's jumps on the m residue
-classes, O(m·|R|).
+refutation, not a timeout; it tries each vertex only on the vertices
+with its colour (adjacency to 0 and common neighbours with 0), which
+every isomorphism fixing 0 keeps.  verify_theta_witness certifies one
+rotation step for any number of (g, h) pairs: it checks the map's
+bijection and period m once, O(n), and then each pair's jumps on the m
+residue classes, O(m·|R|).
 """
 
 from __future__ import annotations
@@ -56,7 +58,10 @@ def spectral_fingerprint(g: CirculantGraph) -> tuple[float, ...]:
     """
     n = g.n
     closure = sorted(symmetric_closure(g))
-    eigs = (sum(cos(2.0 * pi * j * s / n) for s in closure) for j in range(n))
+    eigs = []
+    for j in range(n):
+        a = 2.0 * pi * j
+        eigs.append(sum([cos(a * s / n) for s in closure]))
     return tuple(sorted(round(v, SPECTRAL_DIGITS) + 0.0 for v in eigs))
 
 
@@ -87,6 +92,19 @@ def brute_force_isomorphic(
     Vertex 0 is placed first and images are tried in ascending order, so
     the witness found is the one a search over all images of 0 would find
     first; a refutation skips only the n - 1 subtrees that hold nothing.
+
+    The colour of a vertex v is the pair (whether v is adjacent to 0,
+    |N(v) ∩ N(0)|).  An isomorphism f with f(0) = 0 keeps it: f maps edges
+    onto edges both ways, so v ~ 0 exactly when f(v) ~ f(0) = 0, and f is a
+    bijection with f(N(x)) = N(f(x)) for every x, so f(N(v) ∩ N(0)) =
+    N(f(v)) ∩ N(0), a set of the same size.  Hence g and h with different
+    colour multisets have no such f (and so, by the above, no isomorphism
+    at all), and every vertex is tried only on the vertices of h with its
+    colour.  A cut image is one no isomorphism fixing 0 gives that vertex,
+    so the subtree under it holds no witness.  The visiting order and the
+    ascending order of images are those of the uncut search, so the
+    surviving nodes are visited in the same order: the first witness and
+    every refutation are the same.
     """
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
@@ -94,42 +112,48 @@ def brute_force_isomorphic(
     if n > cap:
         raise BudgetExceeded(f"order {n} above brute-force cap {cap}")
 
-    # every vertex of a circulant has degree |±R|, and x's neighbours are x + ±R
+    # every vertex of a circulant has degree |±R|; x's neighbours are x + ±R,
+    # so row x is row 0 rotated x places
     closure_g, closure_h = symmetric_closure(g), symmetric_closure(h)
     if len(closure_g) != len(closure_h):
         return None
-    adj_g = [sum(1 << (x + s) % n for s in closure_g) for x in range(n)]
-    adj_h = [sum(1 << (x + s) % n for s in closure_h) for x in range(n)]
+    adj_g, adj_h = _rows(n, closure_g), _rows(n, closure_h)
+
+    # each vertex may go only to a vertex of h with its colour
+    colours_g, colours_h = _colours(adj_g), _colours(adj_h)
+    if sorted(colours_g) != sorted(colours_h):
+        return None
+    classes: dict[int, int] = {}
+    for y, c in enumerate(colours_h):
+        classes[c] = classes.get(c, 0) | 1 << y
+    allowed = [classes[c] for c in colours_g]
 
     # visit g's vertices most-constrained first: each next vertex is the one
-    # with the most already-placed neighbors (ties to the lowest index)
-    order: list[int] = [0]
-    placed = 1 << 0
+    # with the most already-placed neighbours (ties to the lowest index);
+    # links[v] counts them, and a placed vertex sits below 0 for good
+    order = [0]
+    links = [0] * n
     while len(order) < n:
-        best, best_links = -1, -1
-        for v in range(n):
-            if placed >> v & 1:
-                continue
-            links = (adj_g[v] & placed).bit_count()
-            if links > best_links:
-                best, best_links = v, links
-        order.append(best)
-        placed |= 1 << best
+        v = order[-1]
+        links[v] = -n
+        for s in closure_g:
+            links[(v + s) % n] += 1
+        order.append(links.index(max(links)))
 
     mapping = [-1] * n
     mapping[0] = 0
     used = 1 << 0
-    full = (1 << n) - 1
 
     def candidates(depth: int) -> int:
-        """The free images for order[depth] that keep every placed adjacency
-        and non-adjacency, as a bitmask.
+        """The free images of order[depth]'s colour that keep every placed
+        adjacency and non-adjacency, as a bitmask.
 
         The neighbours of y in h are the w with adj_h[w] >> y & 1, and h is
         undirected, so they are the bits of adj_h[y].
         """
-        cand = full & ~used
-        mask = adj_g[order[depth]]
+        v = order[depth]
+        cand = allowed[v] & ~used
+        mask = adj_g[v]
         for u in order[:depth]:
             if mask >> u & 1:
                 cand &= adj_h[mapping[u]]
@@ -163,6 +187,19 @@ def brute_force_isomorphic(
     if not _maps_jumps(n, mapping, g, h):
         raise VerificationFailure(f"search returned a mapping that does not take {g} onto {h}")
     return IsoWitness(tuple(mapping), True)
+
+
+def _rows(n: int, closure: frozenset[int]) -> list[int]:
+    """The adjacency bitmasks of C_n(R) from ±R: row x is row 0 rotated left x places."""
+    full = (1 << n) - 1
+    a0 = sum(1 << s for s in closure)
+    return [(a0 << x | a0 >> (n - x)) & full for x in range(n)]
+
+
+def _colours(adj: list[int]) -> list[int]:
+    """Each vertex's colour, whether it is adjacent to 0 and |N(v) ∩ N(0)|, as one int."""
+    a0 = adj[0]
+    return [(row & a0).bit_count() << 1 | row & 1 for row in adj]
 
 
 def verify_theta_witness(

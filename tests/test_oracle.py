@@ -138,6 +138,69 @@ def test_brute_force_agrees_with_networkx():
                 assert (w is not None) == expected, (g, h)
                 if w is not None:
                     assert w.mapping[0] == 0, (g, h)
+                    f = w.mapping
+                    assert all(hx.has_edge(f[u], f[v]) for u, v in gx.edges), (g, h)
+
+
+def reference_search(g, h):
+    """The reference for brute_force_isomorphic, without colour classes: the
+    first mapping fixing 0 that keeps every adjacency and non-adjacency, or
+    None.  Rows come from shifted bits, each vertex may take any free image,
+    and the most-constrained-first order is found by an O(n²) scan."""
+    n = g.n
+    closure_g, closure_h = symmetric_closure(g), symmetric_closure(h)
+    if len(closure_g) != len(closure_h):
+        return None
+    adj_g = [sum(1 << (x + s) % n for s in closure_g) for x in range(n)]
+    adj_h = [sum(1 << (x + s) % n for s in closure_h) for x in range(n)]
+    order, placed = [0], 1
+    while len(order) < n:
+        best, best_links = -1, -1
+        for v in range(n):
+            if not placed >> v & 1 and (adj_g[v] & placed).bit_count() > best_links:
+                best, best_links = v, (adj_g[v] & placed).bit_count()
+        order.append(best)
+        placed |= 1 << best
+    mapping = [0] + [-1] * (n - 1)
+
+    def extend(depth, used):
+        if depth == n:
+            return tuple(mapping)
+        v = order[depth]
+        cand = ((1 << n) - 1) & ~used
+        for u in order[:depth]:
+            row = adj_h[mapping[u]]
+            cand &= row if adj_g[v] >> u & 1 else ~row
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            mapping[v] = low.bit_length() - 1
+            found = extend(depth + 1, used | low)
+            if found:
+                return found
+        mapping[v] = -1
+        return None
+
+    return extend(1, 1)
+
+
+def test_brute_force_matches_the_uncoloured_reference():
+    # every equal-degree pair at orders 9-14: the colour classes cut only
+    # subtrees without a witness, and the rows and visiting order are the
+    # reference's, so the first witness and every refutation are too
+    pairs = 0
+    for n in range(9, 15):
+        by_degree = {}
+        for k in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                g = CirculantGraph(n, combo)
+                by_degree.setdefault(len(symmetric_closure(g)), []).append(g)
+        for graphs in by_degree.values():
+            for g, h in itertools.combinations(graphs, 2):
+                w = brute_force_isomorphic(g, h)
+                assert (None if w is None else w.mapping) == reference_search(g, h), (g, h)
+                pairs += 1
+    assert pairs == 1701
 
 
 def test_brute_force_rejects_different_cycle_lengths():
