@@ -111,6 +111,9 @@ def _json(o, indent: str = "\n") -> str:
         if not o:
             return "[]"
         inner = indent + "  "
+        # an all-int array, the common case, in one join; a bool is no int here
+        if {*map(type, o)} == {int}:
+            return "[" + inner + ("," + inner).join(map(int.__repr__, o)) + indent + "]"
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + indent + "]"
     if t is dict:
         if not o:

@@ -11,8 +11,9 @@ are circulant partners of the base (identity or Type-2) form a subgroup
 of Z_{n/m}; quotienting by the period at which the image graph repeats
 gives the Type-2 group, whose order is the number of distinct Type-2
 partners plus the base.  census sweeps one member of each multiplier
-orbit and takes every other member's Type-2 set as a unit multiple of
-that one (lemma B, proved in t2_set).
+orbit, reading the sweep's Type-1 verdicts off that orbit, and takes
+every other member's Type-2 set as a unit multiple of that one (lemma B,
+proved in t2_set).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import (
     CirculantGraph,
@@ -54,7 +55,9 @@ DEFAULT_CENSUS_BUDGET = 10_000_000
 class SweepOrbits:
     """census state for one call: the units of Z_n, computed once, and the
     jumps of each multiplier-orbit member -> (the Type-2 set of the orbit's
-    first member g0, a unit u with u*g0 = the member)."""
+    first member g0, the least unit u with u*g0 = the member).  The
+    members come from the table of products u*g0 that also gave g0's
+    sweep its Type-1 verdicts (t2_set)."""
 
     units: tuple[int, ...]
     members: dict[tuple[int, ...], tuple[Type2Set, int]] = field(default_factory=dict)
@@ -171,15 +174,21 @@ class CensusResult:
     summary: CensusSummary
 
 
-def v_set(g: CirculantGraph, m: int) -> VSet:
+def v_set(
+    g: CirculantGraph,
+    m: int,
+    *,
+    lookup: Callable[[CirculantGraph], tuple[int, ...]] | None = None,
+) -> VSet:
     """Classify every rotation step of g for the divisor m; g carries the order n.
 
-    classify_steps returns the circulant steps alone.  Step 0 must be
-    Identity, and the Identity steps must be the multiples of the least
-    positive one, the graph period.
+    classify_steps returns the circulant steps alone, with the multiplier
+    witnesses from lookup (see classify_steps).  Step 0 must be Identity,
+    and the Identity steps must be the multiples of the least positive
+    one, the graph period.
     """
     steps = sweep_length(g.n, m, g)
-    rows = classify_steps(g, m, range(steps))
+    rows = classify_steps(g, m, range(steps), lookup=lookup)
     # rows hold the circulant steps alone, so a missing step 0 is NS
     step0 = rows[0].verdict if rows and rows[0].t == 0 else Verdict.NON_CIRCULANT
     if step0 != Verdict.IDENTITY:
@@ -209,14 +218,28 @@ def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> T
     """Base plus distinct Type-2 partners from the full sweep.
 
     Images with verdict Type1 are left out although a rotation reaches
-    them; see Type2Set for the C_48(1, 4, 23) example.  Without orbits,
-    or for the first member g0 of a multiplier orbit census meets, g is
-    swept with v_set; census passes one SweepOrbits for its whole run,
-    and g0's Type-2 set is recorded there for every unit multiple u*g0.
-    A later member g = u*g0 gets, without a sweep, g followed by u times
-    g0's other members, with g0's partner steps, sweep length and period.
-    multiply(n, u, R) = multiply(n, n - u, R), as fold(n, x) = fold(n, -x),
-    so only the units u <= n/2 are recorded.
+    them; see Type2Set for the C_48(1, 4, 23) example.  Without orbits, g
+    is swept with v_set and its witnesses come from type1.witness_lookup.
+    census passes one SweepOrbits for its whole run.  For the first
+    member g0 of a multiplier orbit it meets, one pass over the units
+    u <= n/2 maps each product multiply(n, u, R0), R0 the jumps of g0, to
+    the list of its u; g0 is swept with v_set against that table, and
+    g0's Type-2 set is then recorded from the same table under every
+    unit multiple u*g0.  A later member g = u*g0 gets, without a sweep, g
+    followed by u times g0's other members, with g0's partner steps,
+    sweep length and period.
+
+    Why the table gives the sweep's witnesses exactly.  The sweep asks,
+    for each distinct image C_n(S), which units x have x*R0 = S.
+    fold(n, x) = fold(n, -x), so multiply(n, u, R0) = multiply(n, n - u,
+    R0), and for n >= 3 every unit is u or n - u for exactly one u <= n/2
+    (u = n - u makes u = n/2, a unit only for n = 2; a sweep has n >= 8).
+    So for S a key of the table, its list us together with the n - u for
+    u in us is exactly the set of x with x*R0 = S, and sorted it is the
+    tuple witness_lookup(g0) returns for S, equal to type1_set(g0).witness
+    of S.  An S that is no key is no x*R0 and has no witness: ().  Every
+    entry is a computed product, so there is no candidate for phi_apply
+    to confirm.  The tuple is built only for the images the sweep meets.
 
     Why that is g's own Type-2 set (lemma B).  Let u be a unit, R the
     jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives
@@ -241,24 +264,35 @@ def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> T
     u.  So the partner steps are the same, the image at each is u times
     g0's, and the members, in order of first appearance, are u times g0's.
     """
-    if orbits is not None:
+    n = g.n
+    if orbits is None:
+        v = v_set(g, m)
+    else:
         known = orbits.members.get(g.jumps)
         if known is not None:
             s0, u = known
-            n = g.n
             partners = tuple(CirculantGraph(n, multiply(n, u, x.jumps)) for x in s0.members[1:])
             return Type2Set((g,) + partners, s0.t2_indices, s0.steps, s0.graph_period)
-    v = v_set(g, m)
+        # the jumps of each multiple u*g, u <= n/2 -> those u, ascending
+        table: dict[tuple[int, ...], list[int]] = {}
+        half = n // 2
+        for u in orbits.units:
+            if u > half:
+                break
+            table.setdefault(multiply(n, u, g.jumps), []).append(u)
+
+        def lookup(image: CirculantGraph) -> tuple[int, ...]:
+            us = table.get(image.jumps)
+            return () if us is None else tuple(sorted(us + [n - u for u in us]))
+
+        v = v_set(g, m, lookup=lookup)
     # an Identity row's image is g and step 0 is one, so the base comes first
     partners = [row for row in v.rows if row.verdict in (Verdict.IDENTITY, Verdict.TYPE2)]
     members = tuple(dict.fromkeys(row.image for row in partners))
     s = Type2Set(members, tuple(row.t for row in partners), v.steps, v.graph_period)
     if orbits is not None:
-        half = g.n // 2
-        for u in orbits.units:
-            if u > half:
-                break
-            orbits.members.setdefault(multiply(g.n, u, g.jumps), (s, u))
+        for jumps, us in table.items():
+            orbits.members[jumps] = (s, us[0])
     return s
 
 
@@ -409,9 +443,12 @@ def census(
     by m, so candidates come in whole multiplier orbits; one SweepOrbits,
     alive for this call only, holds the units of Z_n, computed once, and
     the Type-2 set of each orbit's first member, which alone is swept,
-    with v_set's step-0 and period checks.  Every candidate still gets
-    its own t2_set call, which for every other member is a unit multiple
-    of that set (lemma B, proved in t2_set).
+    with v_set's step-0 and period checks.  That sweep reads its Type-1
+    verdicts off the orbit's table of unit multiples, which t2_set builds
+    before the sweep and registers the members from afterwards; no
+    witness_lookup is built.  Every candidate still gets its own t2_set
+    call, which for every other member is a unit multiple of that set
+    (lemma B, proved in t2_set).
     """
     check_order(n)
     sweep_length(n, m)
@@ -430,14 +467,15 @@ def census(
     if space > budget:
         raise BudgetExceeded(f"{space} candidate sets exceed the budget of {budget}")
     orbits = SweepOrbits(units(n))
+    # the anchor half of theta_reasons, as a set test: it runs once per combination
+    anchors = frozenset(range(m, half + 1, m))
     records: list[CensusRecord] = []
-    seen: set[tuple[CirculantGraph, ...]] = set()
+    seen: set[tuple[tuple[int, ...], ...]] = set()
     examined = 0
     coincidences = 0
     for k in sizes:
         for combo in itertools.combinations(range(1, half + 1), k):
-            # the anchor half of theta_reasons, inline: this runs once per combination
-            if not any(j % m == 0 for j in combo):
+            if anchors.isdisjoint(combo):
                 continue
             g = CirculantGraph(n, combo)
             s = t2_set(g, m, orbits=orbits)
@@ -447,10 +485,12 @@ def census(
                 coincidences += 1
             if len(s.members) < 2:
                 continue
-            ordered = tuple(sorted(s.members))
-            if ordered in seen:
+            # every member has order n, so the members sort as their jumps do
+            key = tuple(sorted([x.jumps for x in s.members]))
+            if key in seen:
                 continue
-            seen.add(ordered)
+            seen.add(key)
+            ordered = tuple(sorted(s.members))
             group = t2_group(s)
             records.append(
                 CensusRecord(

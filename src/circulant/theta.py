@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import CirculantGraph, edge_set, make_circulant, symmetric_closure
 from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
@@ -205,7 +205,11 @@ def circulant_stride(g: CirculantGraph, m: int) -> int:
 
 
 def classify_steps(
-    g: CirculantGraph, m: int, t_values: Iterable[int]
+    g: CirculantGraph,
+    m: int,
+    t_values: Iterable[int],
+    *,
+    lookup: Callable[[CirculantGraph], tuple[int, ...]] | None = None,
 ) -> tuple[TClassification, ...]:
     """Classify the image of g at each circulant step in t_values.
 
@@ -246,9 +250,12 @@ def classify_steps(
     A built step costs O(|R|), and its |N| = |+-R| is still checked.  A
     sweep revisits each image once per period of the image sequence, so
     each distinct image is built and validated as a CirculantGraph once,
-    and its multiplier witnesses are looked up once, from
-    type1.witness_lookup(g), which pins one jump of g and tries at most
-    2*|S|*gcd(r0, n) units.
+    and its multiplier witnesses are looked up once.  lookup maps an image
+    to its ascending witness units, () for none; by default it is
+    type1.witness_lookup(g), built at the first image it is asked about,
+    which pins one jump of g and tries at most 2*|S|*gcd(r0, n) units.
+    census passes the multiplier orbit of g it has already computed
+    instead (groups.t2_set).
     """
     n = g.n
     steps = sweep_length(n, m)
@@ -258,7 +265,6 @@ def classify_steps(
     anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[CirculantGraph, tuple[int, ...]]] = {}
-    lookup = None
     rows = []
     for t in t_values:
         _check_step(t, steps)

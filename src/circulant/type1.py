@@ -9,11 +9,11 @@ Witnesses come from two places.  type1_set applies all phi(n) units to R
 and serves callers that need the whole orbit (t1set, type1_group,
 type1_set_equality).  witness_lookup pins one jump of R and solves for the
 units that can move it into the target set, at most 2*|S|*gcd(r0, n)
-candidates, for callers that ask about single images (sweeps,
+candidates, for callers that ask about single images (single sweeps,
 type1_witnesses).  multiply, the one multiplier image of a jump tuple and
 phi_apply's core, serves census, which sweeps one member of each
-multiplier orbit and multiplies its Type-2 set for the others
-(groups.t2_set).
+multiplier orbit, takes that sweep's witnesses from the orbit's products,
+and multiplies its Type-2 set for the others (groups.t2_set).
 """
 
 from __future__ import annotations

@@ -92,6 +92,7 @@ _ENVELOPE_VALUES = st.recursive(
 @example([])
 @example({})
 @example([1, True, 2])
+@example((0, -1, 2**70))
 @example(((), ((1, 2), [3]), {"a": (True, None)}))
 @example({"\"": "\x00\ud800\u2028\U0001f600", "": [[], {}]})
 @settings(max_examples=200, deadline=None, derandomize=True)

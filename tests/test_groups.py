@@ -7,6 +7,8 @@ import time
 import pytest
 
 import circulant.groups
+import circulant.theta
+import circulant.type1
 from circulant import make_circulant
 from circulant.core import CirculantGraph
 from circulant.errors import (
@@ -27,7 +29,7 @@ from circulant.groups import (
     v_set,
 )
 from circulant.theta import TClassification, Verdict, classification_table, classify_steps
-from circulant.type1 import phi_apply, type1_set, units
+from circulant.type1 import phi_apply, type1_set, units, witness_lookup
 
 
 def test_vset_of_the_order54_base():
@@ -48,9 +50,9 @@ def test_vset_of_the_order54_base():
 def test_vset_rejects_identity_steps_off_the_period(monkeypatch):
     original = circulant.groups.classify_steps
 
-    def stray(g, m, t_values):
+    def stray(g, m, t_values, **kwargs):
         # the kernel's circulant rows, in t order, with an Identity row at 7
-        rows = [row for row in original(g, m, t_values) if row.t != 7]
+        rows = [row for row in original(g, m, t_values, **kwargs) if row.t != 7]
         rows.append(TClassification(7, Verdict.IDENTITY, image=g))
         return tuple(sorted(rows, key=lambda row: row.t))
 
@@ -401,3 +403,47 @@ def test_census_equals_a_fresh_t2_set_per_candidate(monkeypatch):
     monkeypatch.setattr(circulant.groups, "t2_set", fresh)
     assert [census(*case) for case in cases] == shared
     assert len(swept) == sum(r.summary.examined for r in shared)
+
+
+def test_census_sweeps_read_type1_verdicts_off_the_orbit_table(monkeypatch):
+    # every orbit representative census sweeps gets, from its table of unit
+    # multiples, the rows a plain sweep gets from witness_lookup, and the
+    # table gives every member of the multiplier orbit its witnesses
+    original = circulant.groups.v_set
+    swept = []
+
+    def recording(g, m, *, lookup):
+        v = original(g, m, lookup=lookup)
+        swept.append((g, m, lookup, v))
+        return v
+
+    monkeypatch.setattr(circulant.groups, "v_set", recording)
+    for case in ((16, 2, [3, 4, 5]), (24, 2, [3, 4]), (27, 3, [4]), (54, 3, [3])):
+        census(*case)
+    monkeypatch.undo()
+    type1_rows = 0
+    for g, m, lookup, v in swept:
+        plain = v_set(g, m)
+        # verdicts, images and witness tuples, step by step
+        assert v.rows == plain.rows, g
+        type1_rows += sum(row.verdict is Verdict.TYPE1 for row in plain.rows)
+        reference = witness_lookup(g)
+        orbit = type1_set(g)
+        for member in orbit.members:
+            assert lookup(member) == reference(member) == orbit.witness[member], (g, member)
+        for row in plain.rows:
+            assert lookup(row.image) == reference(row.image), (g, row.t)
+    assert len(swept) > 100
+    assert type1_rows > 0
+
+
+def test_census_builds_no_witness_lookup(monkeypatch):
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"census called {name}")
+
+        return call
+
+    monkeypatch.setattr(circulant.theta, "witness_lookup", refused("witness_lookup"))
+    monkeypatch.setattr(circulant.type1, "phi_apply", refused("phi_apply"))
+    assert census(54, 3, [3]).summary.examined > 100
