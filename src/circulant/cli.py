@@ -36,9 +36,9 @@ from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from .core import CirculantGraph, make_circulant, symmetric_closure
-from .errors import CirculantError, InvalidFamilyParams
+from .errors import DEFAULT_BUDGET, CirculantError, InvalidFamilyParams
 from .families import KINDS, FamilyInstance, FamilyVerification, family_verify
-from .groups import DEFAULT_CENSUS_BUDGET, OrbitGroup, census, t2_group, t2_set, v_group, v_set
+from .groups import OrbitGroup, census, t2_group, t2_set, v_group, v_set
 from .oracle import (
     BRUTE_FORCE_CAP,
     brute_force_isomorphic,
@@ -200,7 +200,7 @@ def cmd_reduce(args) -> None:
 
 def cmd_t1set(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
-    group = type1_group(g)
+    group = type1_group(g, budget=args.budget)
     ts = group.carrier
     members = [{"jumps": m.jumps, "multipliers": ts.witness[m]} for m in ts.members]
     result = {
@@ -393,6 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table", "csv"), default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")
 
+    def budget(p, what):
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=DEFAULT_BUDGET,
+            help=f"maximum number of {what} (default: %(default)s)",
+        )
+
     p = sub.add_parser("reduce", help="fold jump values to canonical form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, help="comma-separated jump values")
@@ -402,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("t1set", help="multiplier images and their group")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True)
+    budget(p, "steps: unit products, stabilizer pairs and table cells")
     common(p)
     p.set_defaults(func=cmd_t1set)
 
@@ -451,12 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sizes", required=True, help="e.g. 3 or 3,4 or 3..4")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_CENSUS_BUDGET,
-        help="maximum number of candidate sets (default: %(default)s)",
-    )
+    budget(p, "candidate sets")
     common(p)
     p.set_defaults(func=cmd_census)
 

@@ -157,7 +157,7 @@ def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> No
         raise VerificationFailure(f"identity {identity} is not one of the {k} elements")
     elems = set(range(k))
     for i, row in enumerate(table):
-        if len(row) != k or not set(row) <= elems:
+        if len(row) != k or not elems.issuperset(row):
             raise VerificationFailure(f"row {i} of the table is not closed over {k} elements")
     if any(table[identity][j] != j for j in range(k)):
         raise VerificationFailure(f"element {identity} is not an identity")

@@ -57,3 +57,7 @@ class BudgetExceeded(CirculantError):
     """An enumeration or search exceeds its configured budget."""
 
     exit_code = 6
+
+
+# the budget census and type1_group take when none is given, as the CLI does
+DEFAULT_BUDGET = 10_000_000

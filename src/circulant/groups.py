@@ -10,17 +10,19 @@ graph period are all its group and census read.  The steps whose images
 are circulant partners of the base (identity or Type-2) form a subgroup
 of Z_{n/m}; quotienting by the period at which the image graph repeats
 gives the Type-2 group, whose order is the number of distinct Type-2
-partners plus the base.  census sweeps one member of each multiplier
-orbit, reading the sweep's Type-1 verdicts off that orbit, and takes
-every other member's Type-2 set as a unit multiple of that one (lemma B,
-proved in t2_set).
+partners plus the base.  Both index groups are cyclic: _orbit_group
+checks the indices as one set against the multiples of their step, and
+writes the quotient's table as the rotations of range(k).  census sweeps
+one member of each multiplier orbit, reading the sweep's Type-1 verdicts
+off that orbit, and takes every other member's Type-2 set as a unit
+multiple of that one (lemma B, proved in t2_set).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterable
 
 from .core import (
@@ -32,6 +34,7 @@ from .core import (
     make_circulant,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CirculantError,
     OrderMismatch,
@@ -47,8 +50,6 @@ from .theta import (
     theta_reasons,
 )
 from .type1 import multiply, units
-
-DEFAULT_CENSUS_BUDGET = 10_000_000
 
 
 @dataclass
@@ -312,9 +313,11 @@ def t2_group(s: Type2Set) -> OrbitGroup:
 
     Raises VerificationFailure (from _orbit_group) when the indices are not
     the multiples of their least positive element, i.e. not a subgroup of
-    Z_{n/m}, step 0 included: that would falsify the structure this
-    library is built on, so it is reported rather than repaired.  It also
-    raises when the quotient order is not the number of members.
+    Z_{n/m}, step 0 included, or when the period is not a positive
+    multiple of that element dividing n/m: that would falsify the
+    structure this library is built on, so it is reported rather than
+    repaired.  It also raises when the quotient order is not the number
+    of members.
     """
     period = s.graph_period
     first = dict(zip((i for i in s.t2_indices if i < period), s.members))
@@ -334,27 +337,31 @@ def _orbit_group(
     indices: tuple[int, ...],
     labels: dict[int, CirculantGraph | None],
 ) -> OrbitGroup:
-    # a set equal to <generator> is a subgroup of Z_modulus
+    """The indices as a subgroup of Z_modulus, and its quotient by the period.
+
+    The subgroup generated by g in Z_modulus is the multiples of
+    d = gcd(g, modulus), so the indices must be exactly those (g = 0
+    gives d = modulus, the subgroup {0}).  The period must be a positive
+    multiple of d that divides the modulus; these are O(1) checks, and
+    any failing raises VerificationFailure.  Then the representatives
+    below the period are 0, d, ..., (k - 1)*d with k = period/d, and
+    since the period divides the modulus, (i*d + j*d) mod modulus mod
+    period is ((i + j) mod k)*d: row i of the quotient table is range(k)
+    rotated by i, the table of Z_k, so no cell needs its own sum.  It
+    still passes core.check_abelian_group, as every reported group does.
+    """
     generator = indices[1] if len(indices) > 1 else 0
-    generated = set()
-    k = 0
-    while k not in generated:
-        generated.add(k)
-        k = (k + generator) % modulus
-    if generated != set(indices):
+    d = gcd(generator, modulus)
+    if set(indices) != set(range(0, modulus, d)):
         raise VerificationFailure(f"{generator} does not generate the indices mod {modulus}")
-    reps = tuple(i for i in indices if i < period)
-    table = []
-    rep_pos = {r: i for i, r in enumerate(reps)}
-    for a in reps:
-        row = []
-        for b in reps:
-            c = (a + b) % modulus % period
-            if c not in rep_pos:
-                raise VerificationFailure(f"{a}+{b} escapes the representatives mod {period}")
-            row.append(rep_pos[c])
-        table.append(tuple(row))
-    check_abelian_group(tuple(table), 0)
+    if period < 1 or period % d or modulus % period:
+        raise VerificationFailure(
+            f"period {period} is not a positive multiple of {d} dividing the modulus {modulus}"
+        )
+    k = period // d
+    cyclic = tuple(range(k))
+    table = tuple(cyclic[i:] + cyclic[:i] for i in range(k))
+    check_abelian_group(table, 0)
     # labels must repeat with the period
     for i in indices:
         j = (i + period) % modulus
@@ -366,8 +373,8 @@ def _orbit_group(
         indices=tuple(indices),
         period=period,
         labels=labels,
-        quotient_reps=reps,
-        quotient_table=tuple(table),
+        quotient_reps=tuple(range(0, period, d)),
+        quotient_table=table,
     )
 
 
@@ -430,7 +437,7 @@ def census(
     n: int,
     m: int,
     sizes: Iterable[int],
-    budget: int = DEFAULT_CENSUS_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> CensusResult:
     """Enumerate canonical graphs and collect their Type-2 classes.
 

@@ -9,10 +9,11 @@ Applying the map to a circulant graph gives a labeled graph that may or
 may not be circulant again; when it is, the image's relation to the base
 graph is classified per step t.  classify_steps does this for a whole
 sweep from vertex 0's image neighbourhood alone, O(|R|) per step it
-builds (lemma A), and returns rows for the circulant steps only.  Lemma C
-rules out every step off the multiples of circulant_stride(g, m) without
-building it.  fill_steps puts an NS row back at every other step, for
-the callers that list them: classify_t, one step, and
+builds (lemma A), and returns rows for the circulant steps only, one
+TClassification named tuple per row.  Lemma C rules out every step off
+the multiples of circulant_stride(g, m) without building it.  fill_steps
+puts an NS row back at every other step, for the callers that list
+them: classify_t, one step, and
 classification_table, which renders each step's row with the kernel's
 per-step shifts.  theta_image and detect_circulant build the whole image
 edge set.  No library module calls them: they are the reference the
@@ -34,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .core import CirculantGraph, edge_set, make_circulant, symmetric_closure
 from .errors import InvalidThetaParams, OrderMismatch, VerificationFailure
@@ -77,12 +78,13 @@ class Verdict(Enum):
     UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class TClassification:
+class TClassification(NamedTuple):
     """Outcome of one rotation step.
 
     image is the image graph when circulant; witnesses are the multiplier
-    units when the image is a Type-1 partner.
+    units when the image is a Type-1 partner.  A sweep builds one per
+    circulant step, so it is a named tuple, cheaper to build than a
+    frozen dataclass and as closed: its fields cannot be assigned.
     """
 
     t: int
@@ -91,8 +93,7 @@ class TClassification:
     witnesses: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One rendered sweep row: transformed directed jumps plus the verdict."""
 
     t: int

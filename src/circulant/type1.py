@@ -5,15 +5,19 @@ C_n(R) -> C_n(xR).  The distinct images form the Type-1 set of the graph,
 the units witnessing each image partition the unit group, and composition
 of multipliers makes the Type-1 set an Abelian group.
 
-Witnesses come from two places.  type1_set applies all phi(n) units to R
-and serves callers that need the whole orbit (t1set, type1_group,
-type1_set_equality).  witness_lookup pins one jump of R and solves for the
-units that can move it into the target set, at most 2*|S|*gcd(r0, n)
-candidates, for callers that ask about single images (single sweeps,
-type1_witnesses).  multiply, the one multiplier image of a jump tuple and
-phi_apply's core, serves census, which sweeps one member of each
-multiplier orbit, takes that sweep's witnesses from the orbit's products,
-and multiplies its Type-2 set for the others (groups.t2_set).
+Witnesses come from two places.  type1_set applies all phi(n) units to R,
+buckets them by the jumps they give and builds one graph per bucket; it
+serves callers that need the whole orbit (t1set, type1_group,
+type1_set_equality).  type1_group reads each cell of its table from a
+list that maps every unit to its member, under a budget of the unit
+products, stabilizer pairs and table cells it costs.
+witness_lookup pins one jump of R and solves for the units that can move
+it into the target set, at most 2*|S|*gcd(r0, n) candidates, for
+callers that ask about single images (single sweeps, type1_witnesses).
+multiply, the one multiplier image of a jump tuple and phi_apply's core,
+serves type1_set and census, which sweeps one member of each multiplier
+orbit, takes that sweep's witnesses from the orbit's products, and
+multiplies its Type-2 set for the others (groups.t2_set).
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ from .core import (
     gcd_profile,
     symmetric_closure,
 )
-from .errors import NotAUnit, OrderMismatch, VerificationFailure
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    CirculantError,
+    NotAUnit,
+    OrderMismatch,
+    VerificationFailure,
+)
 
 
 @dataclass
@@ -88,15 +99,29 @@ def phi_apply(g: CirculantGraph, x: int) -> CirculantGraph:
 
 
 def type1_set(g: CirculantGraph) -> Type1Set:
-    """Sweep every unit and collect the distinct multiplier images."""
-    group = units(g.n)
-    buckets: dict[CirculantGraph, list[int]] = {}
+    """Sweep every unit and collect the distinct multiplier images.
+
+    The units are bucketed by multiply's jump tuple, and one graph is
+    built per member rather than per unit.  A unit permutes Z_n and
+    commutes with negation, so no bucket's tuple can collapse jumps;
+    that is still checked, once per bucket, naming the bucket's least
+    unit, which is the least unit to collapse.
+    """
+    return _orbit(g, units(g.n))
+
+
+def _orbit(g: CirculantGraph, group: tuple[int, ...]) -> Type1Set:
+    """type1_set(g), given the units of its order."""
+    n = g.n
+    buckets: dict[tuple[int, ...], list[int]] = {}
     for x in group:
-        buckets.setdefault(phi_apply(g, x), []).append(x)
-    members = tuple(sorted(buckets))
-    witness = {m: tuple(buckets[m]) for m in members}
-    if sum(len(w) for w in witness.values()) != len(group):
-        raise VerificationFailure(f"witness sets of {g} do not partition the units")
+        buckets.setdefault(multiply(n, x, g.jumps), []).append(x)
+    for jumps, xs in buckets.items():
+        if len(set(jumps)) != len(g.jumps):
+            raise VerificationFailure(f"unit {xs[0]} collapsed jumps of {g.jumps} mod {n}")
+    keys = sorted(buckets)
+    members = tuple(CirculantGraph(n, jumps) for jumps in keys)
+    witness = {m: tuple(buckets[jumps]) for m, jumps in zip(members, keys)}
     return Type1Set(base=g, members=members, witness=witness)
 
 
@@ -164,15 +189,43 @@ def type1_witnesses(g: CirculantGraph, h: CirculantGraph) -> tuple[int, ...]:
     return witness_lookup(g)(h)
 
 
-def type1_group(g: CirculantGraph) -> Type1Group:
+def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Group:
     """Composition group on the Type-1 set of g.
 
     Well-definedness comes from the witness sets being cosets of the
     stabilizer, which is re-checked here rather than assumed.
+
+    The budget, which may not be below 0, counts the steps that grow
+    faster than n: the phi(n)*|R| unit products that find the orbit,
+    the |stabilizer|^2 pairs of the closure check and the k*k cells of
+    the table of k members.  The products are counted before the orbit
+    is built and the sum once it is known, before the closure check;
+    either over budget raises BudgetExceeded.
+
+    The witness sets partition the units, so the member whose set holds
+    a*b mod n is the image of the base under a*b; a list indexed by unit
+    gives that member's index, so each cell is one product and one list
+    read.
     """
-    ts = type1_set(g)
+    if budget < 0:
+        raise CirculantError(f"multiplier group budget {budget} is below 0")
     n = g.n
+    group = units(n)
+    products = len(group) * len(g.jumps)
+    if products > budget:
+        raise BudgetExceeded(
+            f"{products} unit products of the multiplier orbit of {g} "
+            f"exceed the budget of {budget}"
+        )
+    ts = _orbit(g, group)
     stabilizer = ts.witness[g]
+    k = len(ts.members)
+    steps = products + len(stabilizer) ** 2 + k * k
+    if steps > budget:
+        raise BudgetExceeded(
+            f"{steps} steps of the multiplier group of {g} (unit products, "
+            f"stabilizer pairs, table cells) exceed the budget of {budget}"
+        )
     stab_set = set(stabilizer)
     # the stabilizer must be a subgroup of the units ...
     if 1 not in stab_set:
@@ -182,16 +235,17 @@ def type1_group(g: CirculantGraph) -> Type1Group:
             if a * b % n not in stab_set:
                 raise VerificationFailure(f"stabilizer of {g} is not closed: {a}*{b}")
     # ... and every witness set one of its cosets
-    reps = tuple(min(ts.witness[m]) for m in ts.members)
-    for m, rep in zip(ts.members, reps):
-        if set(ts.witness[m]) != {rep * s % n for s in stabilizer}:
+    witnesses = [ts.witness[m] for m in ts.members]
+    reps = tuple(min(w) for w in witnesses)
+    member_of = [0] * n
+    for i, (m, w, rep) in enumerate(zip(ts.members, witnesses, reps)):
+        if set(w) != {rep * s % n for s in stabilizer}:
             raise VerificationFailure(f"witness set of {m} is not a coset of the stabilizer")
-
-    # the witness sets partition the units, so the member whose set holds
-    # a*b is the image of the base under a*b
-    member_of = {x: i for i, m in enumerate(ts.members) for x in ts.witness[m]}
-    table = tuple(tuple(member_of[a * b % n] for b in reps) for a in reps)
-    check_abelian_group(table, ts.members.index(g))
+        for x in w:
+            member_of[x] = i
+    table = tuple(tuple([member_of[a * b % n] for b in reps]) for a in reps)
+    # the unit 1 maps g onto itself
+    check_abelian_group(table, member_of[1])
     return Type1Group(carrier=ts, representatives=reps, stabilizer=stabilizer, table=table)
 
 

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import circulant.type1
 from circulant import cli, errors
 from circulant.families import KINDS
+from circulant.errors import DEFAULT_BUDGET
 from golden import SWEEP_54_COLUMNS, SWEEP_54_ROWS
 
 
@@ -676,3 +678,58 @@ def test_readme_command_lines_exit_zero(capsys):
         code, out, err = run(capsys, argv[1:])
         assert (code, err) == (0, ""), argv
         assert out, argv
+
+
+# C_54(1, 17, 18, 19): phi(54) = 18 units times 4 jumps make 72 unit
+# products; the orbit has 3 members, so a stabilizer of 6 units (36 pairs)
+# and a table of 9 cells: 117 steps in all
+
+
+def test_t1set_refuses_an_orbit_over_its_budget_before_building_it(capsys, monkeypatch):
+    def no_orbit(g, group):
+        raise AssertionError("the orbit was built")
+
+    monkeypatch.setattr(circulant.type1, "_orbit", no_orbit)
+    argv = ["t1set", "--n", "54", "--set", "1,17,18,19", "--budget", "71"]
+    assert run(capsys, argv) == (
+        6,
+        "",
+        "error: 72 unit products of the multiplier orbit of C_54(1,17,18,19) "
+        "exceed the budget of 71\n",
+    )
+
+
+def test_t1set_refuses_a_group_over_its_budget_before_building_its_table(capsys, monkeypatch):
+    def no_table(table, identity):
+        raise AssertionError("the table was built and checked")
+
+    monkeypatch.setattr(circulant.type1, "check_abelian_group", no_table)
+    argv = ["t1set", "--n", "54", "--set", "1,17,18,19", "--budget", "116"]
+    assert run(capsys, argv) == (
+        6,
+        "",
+        "error: 117 steps of the multiplier group of C_54(1,17,18,19) (unit products, "
+        "stabilizer pairs, table cells) exceed the budget of 116\n",
+    )
+
+
+def test_t1set_accepts_a_budget_of_exactly_its_steps(capsys):
+    argv = ["t1set", "--n", "54", "--set", "1,17,18,19", "--budget", "117"]
+    assert run_json(capsys, argv)["result"]["group"]["order"] == 3
+
+
+def test_t1set_rejects_a_budget_below_zero(capsys):
+    argv = ["t1set", "--n", "54", "--set", "1,17,18,19", "--budget", "-1"]
+    assert run(capsys, argv) == (2, "", "error: multiplier group budget -1 is below 0\n")
+
+
+def test_t1set_and_census_share_the_default_budget():
+    parser = cli.build_parser()
+    defaults = {
+        command: parser.parse_args([command, *rest]).budget
+        for command, rest in [
+            ("t1set", ["--n", "16", "--set", "1"]),
+            ("census", ["--n", "16", "--m", "2", "--sizes", "3"]),
+        ]
+    }
+    assert defaults == {"t1set": DEFAULT_BUDGET, "census": DEFAULT_BUDGET}

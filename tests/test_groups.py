@@ -20,6 +20,7 @@ from circulant.errors import (
 )
 from circulant.groups import (
     SweepOrbits,
+    _orbit_group,
     appended_jump_check,
     census,
     t2_group,
@@ -447,3 +448,60 @@ def test_census_builds_no_witness_lookup(monkeypatch):
     monkeypatch.setattr(circulant.theta, "witness_lookup", refused("witness_lookup"))
     monkeypatch.setattr(circulant.type1, "phi_apply", refused("phi_apply"))
     assert census(54, 3, [3]).summary.examined > 100
+
+
+def _double_loop_quotient(modulus, period, indices):
+    """The quotient as the cell-by-cell sum built it before: the reference
+    for _orbit_group's rotated rows."""
+    reps = tuple(i for i in indices if i < period)
+    rep_pos = {r: i for i, r in enumerate(reps)}
+    table = []
+    for a in reps:
+        row = []
+        for b in reps:
+            c = (a + b) % modulus % period
+            if c not in rep_pos:
+                raise VerificationFailure(f"{a}+{b} escapes the representatives mod {period}")
+            row.append(rep_pos[c])
+        table.append(tuple(row))
+    return reps, tuple(table)
+
+
+def test_rotation_quotient_equals_the_double_loop():
+    # every v_group and t2_group of the anchored 3- and 4-jump sets
+    quotients = set()
+    for n, m in ((16, 2), (27, 3), (54, 3)):
+        for k in (3, 4):
+            for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                if not any(j % m == 0 for j in combo):
+                    continue
+                g = CirculantGraph(n, combo)
+                v = v_set(g, m)
+                for group in (v_group(v), t2_group(t2_set(g, m))):
+                    expected = _double_loop_quotient(group.modulus, group.period, group.indices)
+                    assert (group.quotient_reps, group.quotient_table) == expected, (g, m)
+                    quotients.add((group.modulus, len(group.indices), group.quotient_order))
+    # both groups reach proper subgroups and proper quotients
+    assert any(order < modulus for modulus, order, _ in quotients)
+    assert any(1 < q < order for _, order, q in quotients)
+
+
+@pytest.mark.parametrize(
+    "modulus, period, step",
+    [(18, 4, 2), (18, 12, 6), (8, 3, 2), (8, 6, 2), (9, 0, 3)],
+)
+def test_orbit_group_refuses_a_period_off_its_subgroup(modulus, period, step):
+    # each period misses one condition: it divides the modulus, it is a
+    # positive multiple of the step of the index subgroup
+    indices = tuple(range(0, modulus, step))
+    with pytest.raises(VerificationFailure, match=f"period {period} is not"):
+        _orbit_group(modulus, period, indices, {})
+
+
+def test_t2_group_refuses_a_period_that_does_not_divide_the_sweep():
+    s = t2_set(make_circulant(16, [1, 2, 7]), 2)
+    broken = dataclasses.replace(s, graph_period=6)
+    with pytest.raises(
+        VerificationFailure, match="period 6 is not a positive multiple of 2 dividing the modulus 8"
+    ):
+        t2_group(broken)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import circulant.type1
-from circulant import edge_set, make_circulant
+from circulant import cli, edge_set, make_circulant
 from circulant.core import CirculantGraph, symmetric_closure
 from circulant.errors import InvalidThetaParams, OrderMismatch
 from circulant.groups import v_set
@@ -17,6 +17,7 @@ from circulant.theta import (
     NO_ANCHOR_JUMP,
     NO_DIVISOR_CUBED,
     LabeledGraph,
+    TableRow,
     TClassification,
     ThetaParams,
     Verdict,
@@ -382,3 +383,21 @@ def test_single_sweep_looks_up_each_image_once(monkeypatch):
     looked_up.clear()
     v_set(make_circulant(16, [2, 4]), 2)
     assert looked_up == [] and orbit_builds == []
+
+
+def test_sweep_rows_stay_closed():
+    # the rows are named tuples: no field can be assigned, and the envelope
+    # writer, which takes a tuple only by its exact type, refuses them
+    g = make_circulant(16, [1, 2, 7])
+    row = classify_steps(g, 2, range(8))[1]
+    rendered = classification_table(g, 2, t_values=[1])[0]
+    assert isinstance(row, TClassification) and isinstance(rendered, TableRow)
+    for value, field in ((row, "verdict"), (rendered, "transformed")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        with pytest.raises(TypeError, match=type(value).__name__):
+            cli._json(value)
+        with pytest.raises(TypeError, match=type(value).__name__):
+            cli._json({"rows": [value]})

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
+import circulant.type1
 from circulant import make_circulant
 from circulant.core import CirculantGraph
-from circulant.errors import NotAUnit
+from circulant.errors import BudgetExceeded, NotAUnit
 from circulant.type1 import (
     phi_apply,
     type1_group,
@@ -173,3 +175,53 @@ def test_group_table_matches_the_multiplier_action():
                     tuple(index[phi_apply(g, a * b % n)] for b in reps) for a in reps
                 )
                 assert group.table == expected, g
+
+
+def _bucket_reference(g):
+    """type1_set and type1_group as phi_apply per unit and a dict per cell
+    built them before: (members, witness, stabilizer, reps, table)."""
+    n = g.n
+    buckets = {}
+    for x in units(n):
+        buckets.setdefault(phi_apply(g, x), []).append(x)
+    members = tuple(sorted(buckets))
+    witness = {m: tuple(buckets[m]) for m in members}
+    reps = tuple(min(witness[m]) for m in members)
+    member_of = {x: i for i, m in enumerate(members) for x in witness[m]}
+    table = tuple(tuple(member_of[a * b % n] for b in reps) for a in reps)
+    return members, witness, witness[g], reps, table
+
+
+def test_orbit_and_group_equal_the_per_unit_reference():
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(5, 250)
+        k = rng.randint(1, min(6, n // 2))
+        g = CirculantGraph(n, tuple(sorted(rng.sample(range(1, n // 2 + 1), k))))
+        group = type1_group(g)
+        ts = group.carrier
+        assert ts.base == g
+        got = (ts.members, ts.witness, group.stabilizer, group.representatives, group.table)
+        assert got == _bucket_reference(g), g
+
+
+def test_type1_group_counts_the_stabilizer_pairs_in_its_budget():
+    # the complete graph of order 13: 12 units times 6 jumps are 72 unit
+    # products, the orbit is the graph alone (1 table cell), and all 12
+    # units fix it, 144 stabilizer pairs: 217 steps, most of them the pairs
+    g = make_circulant(13, range(1, 7))
+    with pytest.raises(BudgetExceeded) as info:
+        type1_group(g, budget=216)
+    assert str(info.value).startswith("217 steps of the multiplier group of C_13(1,2,3,4,5,6)")
+    assert type1_group(g, budget=217).stabilizer == units(13)
+
+
+def test_type1_group_refuses_a_large_complete_graph_by_default(monkeypatch):
+    # 20010 units times 10005 jumps are 2*10^8 unit products, above the
+    # default budget, so no unit is multiplied
+    def no_orbit(g, group):
+        raise AssertionError("the orbit was built")
+
+    monkeypatch.setattr(circulant.type1, "_orbit", no_orbit)
+    with pytest.raises(BudgetExceeded, match="^200200050 unit products "):
+        type1_group(make_circulant(20011, range(1, 10006)))
