@@ -5,8 +5,10 @@ byte-identical across runs for the same inputs.  One writer, _emit, builds
 every envelope from the values the library returns, and _json writes it
 in one pass, byte for byte what json.dumps(envelope, indent=2) writes,
 a tuple as an array; census alone writes its own ndjson lines instead,
-with json.dumps, each line the fields of its CensusRecord or
-CensusSummary.  Table and csv formats are projections of the same data.
+with json.dumps: one line per class, a dict of its CensusRecord's
+fields in order with each graph as _graph_json writes it, then the
+CensusSummary's fields (_asdict).  Table and csv formats are
+projections of the same data.
 Every envelope keeps its "findings" key, which is always empty: each
 check either passes or fails with an exit code, and errors go to stderr
 as "error: ...".
@@ -32,7 +34,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from .core import CirculantGraph, make_circulant, symmetric_closure
@@ -370,8 +371,17 @@ def cmd_census(args) -> None:
         for r in result.records
     ]
     if args.format == "json":
-        lines = [{"type": "class", **asdict(r)} for r in result.records]
-        lines.append({"type": "summary", **asdict(summary)})
+        lines = [
+            {
+                "type": "class",
+                "base": _graph_json(r.base),
+                "members": [_graph_json(x) for x in r.members],
+                "group_order": r.group_order,
+                "t2_equals_v": r.t2_equals_v,
+            }
+            for r in result.records
+        ]
+        lines.append({"type": "summary", **summary._asdict()})
         text = "\n".join(map(json.dumps, lines))
     elif args.format == "csv":
         # one record per class; the summary counts are in json and table

@@ -8,10 +8,9 @@ their (n, jumps) pairs are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyConnectionSet, InvalidJump, VerificationFailure
 
@@ -22,35 +21,40 @@ def check_order(n: int) -> None:
         raise InvalidJump(f"graph order must be at least 3, got {n}")
 
 
-@dataclass(frozen=True, order=True)
-class CirculantGraph:
-    """A circulant graph C_n(R) with its canonical jumps R.
-
-    R is sorted, distinct and folded into [1, n//2]; make_circulant folds
-    raw values into that form, and any other jumps are refused here.
-    """
-
+class _CirculantGraph(NamedTuple):
     n: int
     jumps: tuple[int, ...]
 
-    def __post_init__(self):
-        check_order(self.n)
-        if not self.jumps:
+
+class CirculantGraph(_CirculantGraph):
+    """A circulant graph C_n(R) with its canonical jumps R.
+
+    R is sorted, distinct and folded into [1, n//2]; make_circulant folds
+    raw values into that form, and any other jumps are refused here, on
+    every construction.  A named tuple: it hashes, orders and compares as
+    the pair (n, jumps).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, jumps: tuple[int, ...]):
+        check_order(n)
+        if not jumps:
             raise EmptyConnectionSet("connection set is empty")
         prev = 0
-        for j in self.jumps:
-            if not isinstance(j, int) or not 1 <= j <= self.n // 2:
-                raise InvalidJump(f"jump {j} outside [1, {self.n // 2}] for order {self.n}")
+        for j in jumps:
+            if not isinstance(j, int) or not 1 <= j <= n // 2:
+                raise InvalidJump(f"jump {j} outside [1, {n // 2}] for order {n}")
             if j <= prev:
-                raise InvalidJump(f"jumps must be strictly increasing, got {self.jumps}")
+                raise InvalidJump(f"jumps must be strictly increasing, got {jumps}")
             prev = j
+        return tuple.__new__(cls, (n, jumps))
 
     def __str__(self):
         return f"C_{self.n}({','.join(map(str, self.jumps))})"
 
 
-@dataclass(frozen=True)
-class CycleStats:
+class CycleStats(NamedTuple):
     """Cycle decomposition of the edges contributed by a single jump."""
 
     jump: int

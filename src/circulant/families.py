@@ -16,9 +16,9 @@ the family, so generator bugs cannot slip through as silent claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 from .core import CirculantGraph, fold, gcd_profile, make_circulant
 from .errors import (
@@ -38,8 +38,7 @@ class FamilyClaim(Enum):
     TYPE1_OR_TYPE2 = "type1-or-type2"
 
 
-@dataclass(frozen=True)
-class ThetaRelation:
+class ThetaRelation(NamedTuple):
     """theta at step t maps sets[source] onto sets[target]."""
 
     t: int
@@ -47,36 +46,48 @@ class ThetaRelation:
     target: int
 
 
-@dataclass
-class FamilyInstance:
+class _FamilyInstance(NamedTuple):
     order: int
     m: int
     sets: tuple[CirculantGraph, ...]
     relations: tuple[ThetaRelation, ...]
     claim: FamilyClaim
 
-    def __post_init__(self):
-        for i, s in enumerate(self.sets):
-            if s.n != self.order:
-                raise InvalidFamilyParams(f"member {s} has order {s.n}, not {self.order}")
-            if s in self.sets[:i]:
+
+class FamilyInstance(_FamilyInstance):
+    """Members of one order, admissible for m, with their claimed relations."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        order: int,
+        m: int,
+        sets: tuple[CirculantGraph, ...],
+        relations: tuple[ThetaRelation, ...],
+        claim: FamilyClaim,
+    ):
+        for i, s in enumerate(sets):
+            if s.n != order:
+                raise InvalidFamilyParams(f"member {s} has order {s.n}, not {order}")
+            if s in sets[:i]:
                 raise InvalidFamilyParams(f"member {s} appears more than once")
-        sizes = {len(s.jumps) for s in self.sets}
+        sizes = {len(s.jumps) for s in sets}
         if len(sizes) != 1:
             raise InvalidFamilyParams(f"member sizes differ: {sorted(sizes)}")
-        if len({gcd_profile(s) for s in self.sets}) != 1:
+        if len({gcd_profile(s) for s in sets}) != 1:
             raise InvalidFamilyParams("gcd signatures differ across members")
-        for s in self.sets:
-            reasons = theta_reasons(self.order, self.m, s)
+        for s in sets:
+            reasons = theta_reasons(order, m, s)
             if reasons:
                 raise InvalidFamilyParams(
-                    f"member {s.jumps} of order {self.order} inadmissible for m={self.m}: "
+                    f"member {s.jumps} of order {order} inadmissible for m={m}: "
                     f"{', '.join(reasons)}"
                 )
+        return tuple.__new__(cls, (order, m, sets, relations, claim))
 
 
-@dataclass
-class FamilyVerification:
+class FamilyVerification(NamedTuple):
     """Outcome of re-deriving a family's claims.
 
     resolved is "type2" when no pair of members is multiplier-related,

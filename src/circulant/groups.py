@@ -21,9 +21,8 @@ multiple of that one (lemma B, proved in t2_set).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     CirculantGraph,
@@ -52,7 +51,6 @@ from .theta import (
 from .type1 import multiply, units
 
 
-@dataclass
 class SweepOrbits:
     """census state for one call: the units of Z_n, computed once, and the
     jumps of each multiplier-orbit member -> (the Type-2 set of the orbit's
@@ -60,12 +58,12 @@ class SweepOrbits:
     members come from the table of products u*g0 that also gave g0's
     sweep its Type-1 verdicts (t2_set)."""
 
-    units: tuple[int, ...]
-    members: dict[tuple[int, ...], tuple[Type2Set, int]] = field(default_factory=dict)
+    def __init__(self, units: tuple[int, ...]):
+        self.units = units
+        self.members: dict[tuple[int, ...], tuple[Type2Set, int]] = {}
 
 
-@dataclass
-class VSet:
+class VSet(NamedTuple):
     """Full rotation sweep of a base graph.
 
     steps is the sweep length n/m.  rows classify the circulant steps
@@ -91,8 +89,7 @@ class VSet:
         return fill_steps(self.rows, range(self.steps))
 
 
-@dataclass
-class Type2Set:
+class Type2Set(NamedTuple):
     """The base graph together with its distinct Type-2 partners.
 
     t2_indices are the steps of the base's sweep classified Identity or
@@ -110,8 +107,7 @@ class Type2Set:
     graph_period: int
 
 
-@dataclass
-class OrbitGroup:
+class OrbitGroup(NamedTuple):
     """Additive group on sweep indices with graph-valued labels.
 
     indices form a subgroup of Z_modulus generated by generator; labels
@@ -137,8 +133,7 @@ class OrbitGroup:
         return len(self.quotient_reps)
 
 
-@dataclass
-class AppendedJumpReport:
+class AppendedJumpReport(NamedTuple):
     """Evidence that a base without an m-divisible jump has no Type-2 partner."""
 
     applicable: bool
@@ -149,8 +144,7 @@ class AppendedJumpReport:
     passed: bool = False
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One discovered Type-2 class, keyed by its least member."""
 
     base: CirculantGraph
@@ -159,8 +153,7 @@ class CensusRecord:
     t2_equals_v: bool
 
 
-@dataclass
-class CensusSummary:
+class CensusSummary(NamedTuple):
     n: int
     m: int
     sizes: tuple[int, ...]
@@ -169,8 +162,7 @@ class CensusSummary:
     t2_equals_v: int
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     records: tuple[CensusRecord, ...]
     summary: CensusSummary
 

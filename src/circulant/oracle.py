@@ -15,10 +15,9 @@ residue classes, O(m·|R|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, pi
 from operator import sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import CirculantGraph, gcd_profile, symmetric_closure
 from .errors import BudgetExceeded, OrderMismatch, VerificationFailure
@@ -29,8 +28,7 @@ SPECTRAL_DIGITS = 9
 SPECTRAL_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """An explicit vertex bijection that was checked on every jump of every vertex."""
 
     mapping: tuple[int, ...]

@@ -32,7 +32,6 @@ m that pass it for a graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from typing import Callable, Iterable, NamedTuple
@@ -48,20 +47,23 @@ NO_DIVISOR_CUBED = "NoDivisorCubed"
 NO_ANCHOR_JUMP = "NoAnchorJump"
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    """Validated rotation parameters: m > 1, m^3 | n, 0 <= t < n/m."""
-
+class _ThetaParams(NamedTuple):
     n: int
     m: int
     t: int
 
-    def __post_init__(self):
-        _check_step(self.t, sweep_length(self.n, self.m))
+
+class ThetaParams(_ThetaParams):
+    """Validated rotation parameters: m > 1, m^3 | n, 0 <= t < n/m."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, t: int):
+        _check_step(t, sweep_length(n, m))
+        return tuple.__new__(cls, (n, m, t))
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple):
     """A labeled graph on Z_n, edges as (low, high) pairs; test reference."""
 
     n: int
@@ -83,8 +85,8 @@ class TClassification(NamedTuple):
 
     image is the image graph when circulant; witnesses are the multiplier
     units when the image is a Type-1 partner.  A sweep builds one per
-    circulant step, so it is a named tuple, cheaper to build than a
-    frozen dataclass and as closed: its fields cannot be assigned.
+    circulant step; like every record of the package it is a named
+    tuple, so its fields cannot be assigned.
     """
 
     t: int

@@ -22,9 +22,8 @@ multiplies its Type-2 set for the others (groups.t2_set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     CirculantGraph,
@@ -44,8 +43,7 @@ from .errors import (
 )
 
 
-@dataclass
-class Type1Set:
+class Type1Set(NamedTuple):
     """All multiplier images of a base graph, with their witnesses.
 
     members are ordered lexicographically on jump sequences; witness maps
@@ -57,8 +55,7 @@ class Type1Set:
     witness: dict[CirculantGraph, tuple[int, ...]]
 
 
-@dataclass
-class Type1Group:
+class Type1Group(NamedTuple):
     """Group structure on a Type-1 set under multiplier composition.
 
     representatives[i] is the smallest unit mapping the base onto

@@ -105,6 +105,18 @@ def test_the_cli_imports_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
+    # the records are named tuples: a start builds no generated methods, and
+    # loading dataclasses would also load inspect
+    code = (
+        "import sys, circulant, circulant.cli; circulant.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_brute_force_finds_a_witness_for_the_known_pair():
     g = make_circulant(16, [1, 2, 7])
     h = make_circulant(16, [2, 3, 5])
