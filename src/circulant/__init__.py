@@ -10,7 +10,6 @@ from .core import (
     make_circulant,
     period_cycle_stats,
     reflexive_reduce,
-    scale,
     symmetric_closure,
 )
 from .errors import (

@@ -45,8 +45,9 @@ from .oracle import (
     brute_force_isomorphic,
     gcd_signature_check,
     same_spectrum,
+    verify_theta_witness,
 )
-from .theta import Verdict, admissible_m, classification_table, sweep_length
+from .theta import ThetaParams, Verdict, admissible_m, classification_table, sweep_length
 from .type1 import type1_group, type1_set, type1_witnesses
 
 _DISPLAY = {
@@ -346,6 +347,9 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
             if row.verdict == Verdict.TYPE2 and row.image == h
         ]
         if steps:
+            # the sweep's verdict is re-checked as a certificate: a rotation
+            # that does not map g onto h exits 5 instead of printing
+            verify_theta_witness(ThetaParams(g.n, m, steps[0]), [(g, h)])
             return {"relation": "type2", "m": m, "t": steps}
     if not gcd_signature_check(g, h) or not same_spectrum(g, h):
         return {"relation": "not-isomorphic", "evidence": "invariant mismatch"}

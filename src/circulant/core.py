@@ -131,13 +131,6 @@ def period_cycle_stats(n: int, jump: int) -> CycleStats:
     return CycleStats(jump=jump, gcd=g, cycle_length=n // g, cycle_count=g)
 
 
-def scale(k: int, g: CirculantGraph) -> CirculantGraph:
-    """C_n(R) -> C_{kn}(kR); jumps stay canonical without refolding."""
-    if k < 1:
-        raise InvalidJump(f"scale factor must be positive, got {k}")
-    return CirculantGraph(k * g.n, tuple(k * j for j in g.jumps))
-
-
 def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> None:
     """Check that a composition table is an Abelian group with the given identity.
 

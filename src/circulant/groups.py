@@ -11,11 +11,12 @@ are circulant partners of the base (identity or Type-2) form a subgroup
 of Z_{n/m}; quotienting by the period at which the image graph repeats
 gives the Type-2 group, whose order is the number of distinct Type-2
 partners plus the base.  Both index groups are cyclic: _orbit_group
-checks the indices as one set against the multiples of their step, and
-writes the quotient's table as the rotations of range(k).  census sweeps
-one member of each multiplier orbit, reading the sweep's Type-1 verdicts
-off that orbit, and takes every other member's Type-2 set as a unit
-multiple of that one (lemma B, proved in t2_set).
+checks the indices as one set against the multiples of their step d and
+the period against d, and the quotient is then Z_{period/d}, so no table
+is built.  census sweeps one member of each multiplier orbit, reading
+the sweep's Type-1 verdicts off that orbit, and takes every other
+member's Type-2 set as a unit multiple of that one (lemma B, proved in
+t2_set).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     CirculantGraph,
-    check_abelian_group,
     check_equal_or_disjoint,
     check_order,
     fold,
@@ -108,12 +108,13 @@ class Type2Set(NamedTuple):
 
 
 class OrbitGroup(NamedTuple):
-    """Additive group on sweep indices with graph-valued labels.
+    """Cyclic additive group on sweep indices with graph-valued labels.
 
-    indices form a subgroup of Z_modulus generated by generator; labels
-    give the image graph at each index (None when not circulant).
-    Quotienting the indices by the label period yields quotient_table over
-    the representatives below the period; quotient_order is its size.
+    indices are the subgroup <generator> = <d> of Z_modulus, with
+    d = gcd(generator, modulus); labels give the image graph at each index
+    (None when not circulant) and repeat with the period, a multiple of d
+    dividing the modulus.  The quotient of <d> by the period is cyclic,
+    Z_{period/d}, so quotient_order is period/d and no table is kept.
     """
 
     modulus: int
@@ -121,8 +122,6 @@ class OrbitGroup(NamedTuple):
     indices: tuple[int, ...]
     period: int
     labels: dict[int, CirculantGraph | None]
-    quotient_reps: tuple[int, ...]
-    quotient_table: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -130,7 +129,7 @@ class OrbitGroup(NamedTuple):
 
     @property
     def quotient_order(self) -> int:
-        return len(self.quotient_reps)
+        return self.period // gcd(self.generator, self.modulus)
 
 
 class AppendedJumpReport(NamedTuple):
@@ -334,13 +333,13 @@ def _orbit_group(
     The subgroup generated by g in Z_modulus is the multiples of
     d = gcd(g, modulus), so the indices must be exactly those (g = 0
     gives d = modulus, the subgroup {0}).  The period must be a positive
-    multiple of d that divides the modulus; these are O(1) checks, and
-    any failing raises VerificationFailure.  Then the representatives
-    below the period are 0, d, ..., (k - 1)*d with k = period/d, and
-    since the period divides the modulus, (i*d + j*d) mod modulus mod
-    period is ((i + j) mod k)*d: row i of the quotient table is range(k)
-    rotated by i, the table of Z_k, so no cell needs its own sum.  It
-    still passes core.check_abelian_group, as every reported group does.
+    multiple of d that divides the modulus, and the labels must repeat
+    with it; any failing check raises VerificationFailure.  No table is
+    needed for the quotient: the representatives below the period are
+    0, d, ..., (k - 1)*d with k = period/d, and since the period divides
+    the modulus, (i*d + j*d) mod modulus mod period is ((i + j) mod k)*d,
+    so the quotient of <d> by the period is Z_k, cyclic and Abelian by
+    construction.
     """
     generator = indices[1] if len(indices) > 1 else 0
     d = gcd(generator, modulus)
@@ -350,24 +349,11 @@ def _orbit_group(
         raise VerificationFailure(
             f"period {period} is not a positive multiple of {d} dividing the modulus {modulus}"
         )
-    k = period // d
-    cyclic = tuple(range(k))
-    table = tuple(cyclic[i:] + cyclic[:i] for i in range(k))
-    check_abelian_group(table, 0)
-    # labels must repeat with the period
     for i in indices:
         j = (i + period) % modulus
         if j in labels and labels[i] != labels[j]:
             raise VerificationFailure(f"label period broken at {i}")
-    return OrbitGroup(
-        modulus=modulus,
-        generator=generator,
-        indices=tuple(indices),
-        period=period,
-        labels=labels,
-        quotient_reps=tuple(range(0, period, d)),
-        quotient_table=table,
-    )
+    return OrbitGroup(modulus, generator, tuple(indices), period, labels)
 
 
 def t2_set_equality(g: CirculantGraph, h: CirculantGraph, m: int) -> bool:

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import circulant.groups
 import circulant.type1
-from circulant import cli, errors
+from circulant import TClassification, Verdict, cli, errors, make_circulant
 from circulant.families import KINDS
 from circulant.errors import DEFAULT_BUDGET
 from golden import SWEEP_54_COLUMNS, SWEEP_54_ROWS
@@ -257,6 +258,26 @@ def test_iso_relations(capsys):
     r = relation("1,2,7", "1,6,7")
     assert r["relation"] == "isomorphic-unclassified"
     assert sorted(r["mapping"]) == list(range(16))
+
+
+def test_iso_refuses_a_type2_row_its_rotation_does_not_realise(capsys, monkeypatch):
+    # a sweep that reports C_54(2,5,16,20) as the Type-2 image at t = 1: the
+    # rotation does not reach it, so iso's certificate must exit 5, not print it
+    sweep = circulant.groups.classify_steps
+    false = TClassification(1, Verdict.TYPE2, make_circulant(54, [2, 5, 16, 20]))
+
+    def lying(g, m, t_values, **kwargs):
+        rows = [row for row in sweep(g, m, t_values, **kwargs) if row.t != 1]
+        return tuple(sorted([*rows, false], key=lambda row: row.t))
+
+    monkeypatch.setattr(circulant.groups, "classify_steps", lying)
+    argv = ["iso", "--n", "54", "--a", "2,3,16,20", "--b", "2,5,16,20", "--m", "3"]
+    assert run(capsys, argv) == (
+        5,
+        "",
+        "error: ThetaParams(n=54, m=3, t=1) does not map C_54(2,3,16,20) onto "
+        "C_54(2,5,16,20)\n",
+    )
 
 
 def test_iso_above_cap_is_inconclusive(capsys):

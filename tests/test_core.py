@@ -1,6 +1,7 @@
 """Canonical graphs, closures, edge sets, and per-jump cycle structure."""
 
 import ast
+import importlib.util
 import itertools
 import sys
 from pathlib import Path
@@ -17,7 +18,6 @@ from circulant import (
     make_circulant,
     period_cycle_stats,
     reflexive_reduce,
-    scale,
     symmetric_closure,
 )
 from circulant.errors import EmptyConnectionSet, InvalidJump, VerificationFailure
@@ -175,21 +175,6 @@ def test_cycle_stats_rejects_out_of_range_jumps():
         period_cycle_stats(54, 0)
     with pytest.raises(InvalidJump):
         period_cycle_stats(54, 54)
-
-
-def test_scale_multiplies_order_and_jumps():
-    assert scale(2, make_circulant(16, [1, 2, 7])) == make_circulant(32, [2, 4, 14])
-    assert scale(3, make_circulant(8, [1, 3])) == make_circulant(24, [3, 9])
-
-
-def test_scale_by_one_is_identity():
-    g = make_circulant(16, [1, 2, 7])
-    assert scale(1, g) == g
-
-
-def test_scale_rejects_nonpositive_factors():
-    with pytest.raises(InvalidJump):
-        scale(0, make_circulant(16, [1, 2, 7]))
 
 
 def test_group_checker_accepts_cyclic_groups():
@@ -403,6 +388,23 @@ def test_every_package_import_points_down_the_layers():
     assert edges
     upward = sorted((a, b) for a, b in edges if layer[b] >= layer[a])
     assert not upward
+
+
+def test_every_traced_span_names_a_library_function():
+    # perfbench/spans.py rebinds each (layer, fn) of LAYERS by name, so a
+    # rename or a removal in the library must fail here, not only in a
+    # traced benchmark run; the file is loaded by path and left as it is
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{fn}"
+        for layer, fns in spans.LAYERS.items()
+        for fn in fns
+        if not hasattr(importlib.import_module(f"circulant.{layer}"), fn)
+    ]
+    assert spans.LAYERS and not missing
 
 
 def test_edge_set_reference_stays_out_of_the_library():

@@ -9,7 +9,7 @@ import circulant.groups
 import circulant.theta
 import circulant.type1
 from circulant import make_circulant
-from circulant.core import CirculantGraph
+from circulant.core import CirculantGraph, check_abelian_group
 from circulant.errors import (
     BudgetExceeded,
     CirculantError,
@@ -144,9 +144,9 @@ def test_t2_group_of_16():
     assert gr.period == 4
     assert gr.indices == (0, 2, 4, 6)
     assert gr.order == 4
-    assert gr.quotient_reps == (0, 2)
     assert gr.quotient_order == 2
-    assert gr.quotient_table == ((0, 1), (1, 0))
+    # the quotient is Z_{period/d}, so the record keeps no table of it
+    assert type(gr)._fields == ("modulus", "generator", "indices", "period", "labels")
     assert gr.labels[0].jumps == (1, 2, 7)
     assert gr.labels[2].jumps == (2, 3, 5)
 
@@ -450,8 +450,8 @@ def test_census_builds_no_witness_lookup(monkeypatch):
 
 
 def _double_loop_quotient(modulus, period, indices):
-    """The quotient as the cell-by-cell sum built it before: the reference
-    for _orbit_group's rotated rows."""
+    """The quotient of the indices by the period, summed cell by cell from
+    the sweep's own indices: the reference for quotient_order."""
     reps = tuple(i for i in indices if i < period)
     rep_pos = {r: i for i, r in enumerate(reps)}
     table = []
@@ -467,7 +467,10 @@ def _double_loop_quotient(modulus, period, indices):
 
 
 def test_rotation_quotient_equals_the_double_loop():
-    # every v_group and t2_group of the anchored 3- and 4-jump sets
+    # every v_group and t2_group of the anchored 3- and 4-jump sets: the
+    # quotient built from the sweep is an Abelian group (the paper's claim
+    # for V and T2) of order quotient_order, the T2 one of order the
+    # member count
     quotients = set()
     for n, m in ((16, 2), (27, 3), (54, 3)):
         for k in (3, 4):
@@ -475,11 +478,14 @@ def test_rotation_quotient_equals_the_double_loop():
                 if not any(j % m == 0 for j in combo):
                     continue
                 g = CirculantGraph(n, combo)
-                v = v_set(g, m)
-                for group in (v_group(v), t2_group(t2_set(g, m))):
-                    expected = _double_loop_quotient(group.modulus, group.period, group.indices)
-                    assert (group.quotient_reps, group.quotient_table) == expected, (g, m)
+                s = t2_set(g, m)
+                for group in (v_group(v_set(g, m)), t2_group(s)):
+                    reps, table = _double_loop_quotient(group.modulus, group.period, group.indices)
+                    assert len(reps) == group.quotient_order, (g, m)
+                    check_abelian_group(table, 0)
                     quotients.add((group.modulus, len(group.indices), group.quotient_order))
+                # reps are the T2 group's, the last: one per member
+                assert len(reps) == len(s.members), (g, m)
     # both groups reach proper subgroups and proper quotients
     assert any(order < modulus for modulus, order, _ in quotients)
     assert any(1 < q < order for _, order, q in quotients)
