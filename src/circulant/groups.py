@@ -14,9 +14,10 @@ partners plus the base.  Both index groups are cyclic: _orbit_group
 checks the indices as one set against the multiples of their step d and
 the period against d, and the quotient is then Z_{period/d}, so no table
 is built.  census sweeps one member of each multiplier orbit, reading
-the sweep's Type-1 verdicts off that orbit, and takes every other
-member's Type-2 set as a unit multiple of that one (lemma B, proved in
-t2_set).
+the sweep's Type-1 verdicts off that orbit's table, whose unit products
+come from columns built once per call (type1.UnitProducts), and takes
+every other member's Type-2 set as a unit multiple of that one (lemma B,
+proved in t2_set).
 """
 
 from __future__ import annotations
@@ -48,18 +49,19 @@ from .theta import (
     sweep_length,
     theta_reasons,
 )
-from .type1 import multiply, units
+from .type1 import UnitProducts, multiply, units
 
 
 class SweepOrbits:
-    """census state for one call: the units of Z_n, computed once, and the
-    jumps of each multiplier-orbit member -> (the Type-2 set of the orbit's
-    first member g0, the least unit u with u*g0 = the member).  The
-    members come from the table of products u*g0 that also gave g0's
-    sweep its Type-1 verdicts (t2_set)."""
+    """census state for one call of order n: the unit products of Z_n,
+    whose columns are built once (type1.UnitProducts), and the jumps of
+    each multiplier-orbit member -> (the Type-2 set of the orbit's first
+    member g0, the least unit u with u*g0 = the member).  The members come
+    from g0's orbit table, which also gave g0's sweep its Type-1 verdicts
+    (t2_set)."""
 
-    def __init__(self, units: tuple[int, ...]):
-        self.units = units
+    def __init__(self, n: int):
+        self.products = UnitProducts(n, units(n))
         self.members: dict[tuple[int, ...], tuple[Type2Set, int]] = {}
 
 
@@ -213,25 +215,19 @@ def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> T
     them; see Type2Set for the C_48(1, 4, 23) example.  Without orbits, g
     is swept with v_set and its witnesses come from type1.witness_lookup.
     census passes one SweepOrbits for its whole run.  For the first
-    member g0 of a multiplier orbit it meets, one pass over the units
-    u <= n/2 maps each product multiply(n, u, R0), R0 the jumps of g0, to
-    the list of its u; g0 is swept with v_set against that table, and
+    member g0 of a multiplier orbit it meets, the orbit table of its
+    jumps R0 (UnitProducts.orbit) maps the jumps of each u*g0, u <= n/2,
+    to the list of its u; g0 is swept with v_set against that table, and
     g0's Type-2 set is then recorded from the same table under every
     unit multiple u*g0.  A later member g = u*g0 gets, without a sweep, g
     followed by u times g0's other members, with g0's partner steps,
     sweep length and period.
 
-    Why the table gives the sweep's witnesses exactly.  The sweep asks,
-    for each distinct image C_n(S), which units x have x*R0 = S.
-    fold(n, x) = fold(n, -x), so multiply(n, u, R0) = multiply(n, n - u,
-    R0), and for n >= 3 every unit is u or n - u for exactly one u <= n/2
-    (u = n - u makes u = n/2, a unit only for n = 2; a sweep has n >= 8).
-    So for S a key of the table, its list us together with the n - u for
-    u in us is exactly the set of x with x*R0 = S, and sorted it is the
-    tuple witness_lookup(g0) returns for S, equal to type1_set(g0).witness
-    of S.  An S that is no key is no x*R0 and has no witness: ().  Every
-    entry is a computed product, so there is no candidate for phi_apply
-    to confirm.  The tuple is built only for the images the sweep meets.
+    The sweep asks, for each distinct image C_n(S), which units x have
+    x*R0 = S: UnitProducts.witnesses of S's list in the table, the tuple
+    witness_lookup(g0) returns for S and type1_set(g0).witness holds for
+    it (proof in UnitProducts.orbit), or () when S is no key.  The tuple
+    is built only for the images the sweep meets.
 
     Why that is g's own Type-2 set (lemma B).  Let u be a unit, R the
     jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives
@@ -263,19 +259,16 @@ def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> T
         known = orbits.members.get(g.jumps)
         if known is not None:
             s0, u = known
-            partners = tuple(CirculantGraph(n, multiply(n, u, x.jumps)) for x in s0.members[1:])
-            return Type2Set((g,) + partners, s0.t2_indices, s0.steps, s0.graph_period)
-        # the jumps of each multiple u*g, u <= n/2 -> those u, ascending
-        table: dict[tuple[int, ...], list[int]] = {}
-        half = n // 2
-        for u in orbits.units:
-            if u > half:
-                break
-            table.setdefault(multiply(n, u, g.jumps), []).append(u)
+            members = (g,)
+            if len(s0.members) > 1:
+                members += tuple(CirculantGraph(n, multiply(n, u, x.jumps)) for x in s0.members[1:])
+            return Type2Set(members, s0.t2_indices, s0.steps, s0.graph_period)
+        table = orbits.products.orbit(g.jumps)
+        witnesses = orbits.products.witnesses
 
         def lookup(image: CirculantGraph) -> tuple[int, ...]:
             us = table.get(image.jumps)
-            return () if us is None else tuple(sorted(us + [n - u for u in us]))
+            return () if us is None else witnesses(us)
 
         v = v_set(g, m, lookup=lookup)
     # an Identity row's image is g and step 0 is one, so the base comes first
@@ -426,14 +419,16 @@ def census(
     bounded upfront by budget, which may not be below 0.
     A unit multiple of a candidate keeps its size and its jump divisible
     by m, so candidates come in whole multiplier orbits; one SweepOrbits,
-    alive for this call only, holds the units of Z_n, computed once, and
-    the Type-2 set of each orbit's first member, which alone is swept,
-    with v_set's step-0 and period checks.  That sweep reads its Type-1
+    alive for this call only, holds the unit products of Z_n and the
+    Type-2 set of each orbit's first member, which alone is swept, with
+    v_set's step-0 and period checks.  The products come in one column
+    per jump value, built the first time a first member holds that value,
+    so each is made at most once per call.  That sweep reads its Type-1
     verdicts off the orbit's table of unit multiples, which t2_set builds
-    before the sweep and registers the members from afterwards; no
-    witness_lookup is built.  Every candidate still gets its own t2_set
-    call, which for every other member is a unit multiple of that set
-    (lemma B, proved in t2_set).
+    from those columns before the sweep and registers the members from
+    afterwards; no witness_lookup is built.  Every candidate still gets
+    its own t2_set call, which for every other member is a unit multiple
+    of that set (lemma B, proved in t2_set).
     """
     check_order(n)
     sweep_length(n, m)
@@ -451,7 +446,7 @@ def census(
     space = sum(comb(half, k) for k in sizes)
     if space > budget:
         raise BudgetExceeded(f"{space} candidate sets exceed the budget of {budget}")
-    orbits = SweepOrbits(units(n))
+    orbits = SweepOrbits(n)
     # the anchor half of theta_reasons, as a set test: it runs once per combination
     anchors = frozenset(range(m, half + 1, m))
     records: list[CensusRecord] = []

@@ -5,19 +5,24 @@ C_n(R) -> C_n(xR).  The distinct images form the Type-1 set of the graph,
 the units witnessing each image partition the unit group, and composition
 of multipliers makes the Type-1 set an Abelian group.
 
-Witnesses come from two places.  type1_set applies all phi(n) units to R,
-buckets them by the jumps they give and builds one graph per bucket; it
-serves callers that need the whole orbit (t1set, type1_group,
-type1_set_equality).  type1_group reads each cell of its table from a
-list that maps every unit to its member, under a budget of the unit
-products, stabilizer pairs and table cells it costs.
+Witnesses come from two places.  UnitProducts.orbit maps the jumps of
+each multiple u*R, u a unit up to n/2, to the units giving them, reading
+each product from a column of fold(n, u*j) per jump value j that is built
+once per UnitProducts; n - u gives what u gives, so each list mirrors into
+the witness tuple.  type1_set builds that table for its graph, then one
+graph per member; it serves callers that need the whole orbit (t1set,
+type1_group, type1_set_equality).  type1_group reads each cell of its
+table from a list that maps every unit to its member, under a budget of
+the unit products, stabilizer pairs and table cells it costs.  census
+keeps one UnitProducts per call, so each product is made at most once a
+call, and takes each swept orbit's witnesses from its table
+(groups.t2_set).
 witness_lookup pins one jump of R and solves for the units that can move
 it into the target set, at most 2*|S|*gcd(r0, n) candidates, for
 callers that ask about single images (single sweeps, type1_witnesses).
-multiply, the one multiplier image of a jump tuple and phi_apply's core,
-serves type1_set and census, which sweeps one member of each multiplier
-orbit, takes that sweep's witnesses from the orbit's products, and
-multiplies its Type-2 set for the others (groups.t2_set).
+multiply, the one multiplier image of a jump tuple, is phi_apply's core;
+census also multiplies each orbit's Type-2 set by it for the orbit's
+other members (groups.t2_set).
 """
 
 from __future__ import annotations
@@ -95,14 +100,60 @@ def phi_apply(g: CirculantGraph, x: int) -> CirculantGraph:
     return CirculantGraph(n, jumps)
 
 
-def type1_set(g: CirculantGraph) -> Type1Set:
-    """Sweep every unit and collect the distinct multiplier images.
+class UnitProducts(dict):
+    """The folded unit products of one order n, in columns.
 
-    The units are bucketed by multiply's jump tuple, and one graph is
-    built per member rather than per unit.  A unit permutes Z_n and
-    commutes with negation, so no bucket's tuple can collapse jumps;
-    that is still checked, once per bucket, naming the bucket's least
-    unit, which is the least unit to collapse.
+    self[j] is the column of the jump value j: fold(n, u*j) for each unit
+    u <= n/2 of Z_n, ascending in u, built the first time j is read and
+    kept.  group is the units of Z_n, ascending.
+    """
+
+    def __init__(self, n: int, group: tuple[int, ...]):
+        super().__init__()
+        self.n = n
+        # x and n - x are units together and n/2 is none for n >= 3, so
+        # the units below n/2 are the first half
+        self.half = group[: len(group) // 2]
+
+    def __missing__(self, j: int) -> list[int]:
+        n = self.n
+        column = self[j] = [fold(n, u * j) for u in self.half]
+        return column
+
+    def orbit(self, jumps: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+        """The multiplier orbit of R = jumps: the jumps of each multiple
+        u*R, u a unit up to n/2 -> those u, ascending.  Each row is read
+        from the columns of R's values, one sorted tuple per unit.
+
+        Why a key's list gives its witnesses exactly (see witnesses).
+        fold(n, x) = fold(n, -x), so u and n - u give the same jumps, and
+        for n >= 3 every unit is u or n - u for exactly one u <= n/2
+        (u = n - u makes u = n/2, a unit only for n = 2).  So for S a key,
+        its list us together with the n - u for u in us is exactly the
+        set of units x with x*R = S; an S that is no key is no x*R and has
+        no witness.  Every entry is a computed product, so there is no
+        candidate for phi_apply to confirm.
+        """
+        table: dict[tuple[int, ...], list[int]] = {}
+        for u, row in zip(self.half, zip(*[self[j] for j in jumps])):
+            table.setdefault(tuple(sorted(row)), []).append(u)
+        return table
+
+    def witnesses(self, us: list[int]) -> tuple[int, ...]:
+        """The ascending units x with x*R = S, from S's list us in orbit(R):
+        us, then n - u for each u in reverse, all above n/2."""
+        n = self.n
+        return tuple(us + [n - u for u in reversed(us)])
+
+
+def type1_set(g: CirculantGraph) -> Type1Set:
+    """Collect the distinct multiplier images of g with their witnesses.
+
+    The units are grouped by the jumps they give (UnitProducts.orbit), and
+    one graph is built per member rather than per unit.  A unit permutes
+    Z_n and commutes with negation, so no member's jumps can collapse;
+    that is still checked, once per member, naming its least unit, which
+    is the least unit to collapse.
     """
     return _orbit(g, units(g.n))
 
@@ -110,15 +161,14 @@ def type1_set(g: CirculantGraph) -> Type1Set:
 def _orbit(g: CirculantGraph, group: tuple[int, ...]) -> Type1Set:
     """type1_set(g), given the units of its order."""
     n = g.n
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for x in group:
-        buckets.setdefault(multiply(n, x, g.jumps), []).append(x)
-    for jumps, xs in buckets.items():
+    products = UnitProducts(n, group)
+    table = products.orbit(g.jumps)
+    for jumps, us in table.items():
         if len(set(jumps)) != len(g.jumps):
-            raise VerificationFailure(f"unit {xs[0]} collapsed jumps of {g.jumps} mod {n}")
-    keys = sorted(buckets)
+            raise VerificationFailure(f"unit {us[0]} collapsed jumps of {g.jumps} mod {n}")
+    keys = sorted(table)
     members = tuple(CirculantGraph(n, jumps) for jumps in keys)
-    witness = {m: tuple(buckets[jumps]) for m, jumps in zip(members, keys)}
+    witness = {m: products.witnesses(table[jumps]) for m, jumps in zip(members, keys)}
     return Type1Set(base=g, members=members, witness=witness)
 
 
@@ -193,11 +243,12 @@ def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Grou
     stabilizer, which is re-checked here rather than assumed.
 
     The budget, which may not be below 0, counts the steps that grow
-    faster than n: the phi(n)*|R| unit products that find the orbit,
-    the |stabilizer|^2 pairs of the closure check and the k*k cells of
-    the table of k members.  The products are counted before the orbit
-    is built and the sum once it is known, before the closure check;
-    either over budget raises BudgetExceeded.
+    faster than n: phi(n)*|R| for the unit products that find the orbit
+    (a bound: the orbit makes the half of them with u <= n/2), the
+    |stabilizer|^2 pairs of the closure check and the k*k cells of the
+    table of k members.  The products are counted before the orbit is
+    built and the sum once it is known, before the closure check; either
+    over budget raises BudgetExceeded.
 
     The witness sets partition the units, so the member whose set holds
     a*b mod n is the image of the base under a*b; a list indexed by unit

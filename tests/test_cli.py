@@ -606,6 +606,23 @@ def test_every_benchmark_job_reproduces_its_recorded_digest_under_python_O():
     assert proc.stdout.strip() == "1 []"
 
 
+@pytest.mark.parametrize("workload", ["sweep", "census", "query"])
+def test_the_traced_benchmark_run_stays_correct(workload):
+    # perfbench/run.py, unedited, on one short traced run: its output checks
+    # and its tracer (one traced t2_set per census candidate, summed over
+    # the four census jobs' examined counts) must both hold
+    run_py = JOBS_FILE.parent / "run.py"
+    argv = ["--workload", workload, "--seed", "7", "--seconds", "0.1", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(run_py), *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert (report["correct"], report["failed"]) == (True, 0)
+    if workload == "census":
+        assert report["metrics"]["groups.t2_set.calls"]["value"] == 3555
+
+
 def test_every_benchmark_job_renders_its_pinned_table_and_csv():
     # the recorded digests cover json alone; this pins the other two formats
     digest = hashlib.sha256()

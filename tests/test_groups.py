@@ -351,6 +351,53 @@ def test_census_computes_the_units_once_per_call(monkeypatch):
     assert result.summary.examined > 100
 
 
+def test_census_builds_each_product_column_once_per_call(monkeypatch):
+    built, swept, multiplied = [], [], []
+    build_column = circulant.type1.UnitProducts.__missing__
+    sweep = circulant.groups.v_set
+    multiply = circulant.groups.multiply
+
+    def building(products, j):
+        built.append((products.n, j))
+        return build_column(products, j)
+
+    def sweeping(g, m, *, lookup):
+        swept.append(g)
+        return sweep(g, m, lookup=lookup)
+
+    def multiplying(n, u, jumps):
+        multiplied.append((n, jumps))
+        return multiply(n, u, jumps)
+
+    def refused(*args):
+        raise AssertionError("an orbit table called multiply")
+
+    monkeypatch.setattr(circulant.type1.UnitProducts, "__missing__", building)
+    monkeypatch.setattr(circulant.groups, "v_set", sweeping)
+    monkeypatch.setattr(circulant.groups, "multiply", multiplying)
+    monkeypatch.setattr(circulant.type1, "multiply", refused)
+    census(54, 3, [3, 4])
+    # each column once, and only for the values of the swept first members
+    assert len(built) == len(set(built))
+    assert set(built) == {(54, j) for g in swept for j in g.jumps}
+    assert len(built) < sum(len(g.jumps) for g in swept)
+    # multiply makes the partners of the members of orbits that have them,
+    # once per partner of each member that is not swept
+    monkeypatch.undo()
+    expected = []
+    for g in swept:
+        partners = t2_set(g, 3).members[1:]
+        others = len(type1_set(g).members) - 1
+        expected += [(54, x.jumps) for x in partners] * others
+    assert sorted(multiplied) == sorted(expected)
+    assert multiplied
+    # the columns live for one call: a second census builds them again
+    monkeypatch.setattr(circulant.type1.UnitProducts, "__missing__", building)
+    first = len(built)
+    census(54, 3, [3, 4])
+    assert built[first:] == built[:first]
+
+
 def test_orbit_member_type2_sets_equal_fresh_ones():
     # lemma B: the Type-2 set of u*R taken from R's is u*R's own in every
     # field, with the same group, and its members are u times R's.  The
@@ -366,7 +413,7 @@ def test_orbit_member_type2_sets_equal_fresh_ones():
     bases += [(54, 3, (2, 3, 16, 20)), (108, 3, (3, 5, 31, 41))]
     for n, m, combo in bases:
         g = CirculantGraph(n, combo)
-        orbits = SweepOrbits(units(n))
+        orbits = SweepOrbits(n)
         base = t2_set(g, m, orbits=orbits)
         fresh = {}
         for u in units(n):

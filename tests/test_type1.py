@@ -11,6 +11,8 @@ from circulant import make_circulant
 from circulant.core import CirculantGraph
 from circulant.errors import BudgetExceeded, NotAUnit
 from circulant.type1 import (
+    UnitProducts,
+    multiply,
     phi_apply,
     type1_group,
     type1_set,
@@ -192,12 +194,43 @@ def _bucket_reference(g):
     return members, witness, witness[g], reps, table
 
 
+# the smallest orders, primes, powers of two, and 54, 81 and 250
+ORACLE_ORDERS = (3, 4, 5, 6, 7, 8, 13, 16, 31, 32, 54, 64, 81, 97, 128, 211, 250)
+
+
+def _sampled_bases(seed, count):
+    """The bases of ORACLE_ORDERS at every size from 1 to 6 the order admits,
+    then count bases at random orders 3-250 and sizes 1-6."""
+    rng = random.Random(seed)
+    orders = [(n, k) for n in ORACLE_ORDERS for k in range(1, min(6, n // 2) + 1)]
+    for _ in range(count):
+        n = rng.randint(3, 250)
+        orders.append((n, rng.randint(1, min(6, n // 2))))
+    return [
+        CirculantGraph(n, tuple(sorted(rng.sample(range(1, n // 2 + 1), k)))) for n, k in orders
+    ]
+
+
+def test_orbit_table_equals_multiply_over_every_unit():
+    # one UnitProducts per order serves all of that order's bases, met
+    # interleaved with other orders, so a column read for the wrong base
+    # or order would show; each table, its lists mirrored, must be
+    # multiply's bucketing of all phi(n) units
+    products = {}
+    for g in _sampled_bases(30, 200):
+        n = g.n
+        reference = {}
+        for x in units(n):
+            reference.setdefault(multiply(n, x, g.jumps), []).append(x)
+        shared = products.setdefault(n, UnitProducts(n, units(n)))
+        table = shared.orbit(g.jumps)
+        assert all(2 * u < n for us in table.values() for u in us), g
+        got = {jumps: shared.witnesses(us) for jumps, us in table.items()}
+        assert got == {jumps: tuple(xs) for jumps, xs in reference.items()}, g
+
+
 def test_orbit_and_group_equal_the_per_unit_reference():
-    rng = random.Random(27)
-    for _ in range(300):
-        n = rng.randint(5, 250)
-        k = rng.randint(1, min(6, n // 2))
-        g = CirculantGraph(n, tuple(sorted(rng.sample(range(1, n // 2 + 1), k))))
+    for g in _sampled_bases(27, 300):
         group = type1_group(g)
         ts = group.carrier
         assert ts.base == g
