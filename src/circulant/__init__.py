@@ -3,7 +3,6 @@
 from .core import (
     CirculantGraph,
     CycleStats,
-    check_abelian_group,
     edge_set,
     fold,
     gcd_profile,

@@ -9,7 +9,6 @@ their (n, jumps) pairs are equal.
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyConnectionSet, InvalidJump, VerificationFailure
@@ -129,66 +128,6 @@ def period_cycle_stats(n: int, jump: int) -> CycleStats:
         raise InvalidJump(f"jump {jump} outside [1, {n - 1}] for order {n}")
     g = gcd(n, jump)
     return CycleStats(jump=jump, gcd=g, cycle_length=n // g, cycle_count=g)
-
-
-def check_abelian_group(table: tuple[tuple[int, ...], ...], identity: int) -> None:
-    """Check that a composition table is an Abelian group with the given identity.
-
-    table[i][j] is the index of the composite of elements i and j.  Raises
-    VerificationFailure naming the first axiom that fails: closure, the
-    identity (which must be one of the k elements, so the empty table
-    fails), inverses, commutativity or associativity.
-
-    Associativity is Light's test on a generating set.  The elements a
-    with (x*a)*y = x*(a*y) for all x and y are closed under the operation:
-    for a and b among them, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) =
-    x*(a*(b*y)) = x*((a*b)*y).  So it suffices to test a generating set,
-    at O(k^2) per generator instead of O(k^3) in all.
-
-    Commutativity and Light's test compare whole rows, row i against
-    column i and row i*g against row i pushed through row g; only a
-    failed row is scanned, for the first pair or triple to name.
-    """
-    k = len(table)
-    if not 0 <= identity < k:
-        raise VerificationFailure(f"identity {identity} is not one of the {k} elements")
-    elems = set(range(k))
-    for i, row in enumerate(table):
-        if len(row) != k or not elems.issuperset(row):
-            raise VerificationFailure(f"row {i} of the table is not closed over {k} elements")
-    if any(table[identity][j] != j for j in range(k)):
-        raise VerificationFailure(f"element {identity} is not an identity")
-    # rows as tuples, so that they compare equal to the columns zip builds
-    table = tuple(map(tuple, table))
-    for i, (row, column) in enumerate(zip(table, zip(*table))):
-        if identity not in row:
-            raise VerificationFailure(f"element {i} has no inverse")
-        if row != column:
-            j = next(j for j in range(k) if row[j] != column[j])
-            raise VerificationFailure(f"elements {i} and {j} do not commute")
-    # greedy generating set: each element not yet reached joins it, and the
-    # reached set is closed again under right multiplication by generators
-    generators: list[int] = []
-    reached = {identity}
-    for a in range(k):
-        if a in reached:
-            continue
-        generators.append(a)
-        stack = list(reached)
-        while stack:
-            x = stack.pop()
-            for g in generators:
-                y = table[x][g]
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-    # a generator's row has k >= 2 entries, so its getter returns a tuple
-    getters = [(g, itemgetter(*table[g])) for g in generators]
-    for i, row in enumerate(table):
-        for g, times_g in getters:
-            if table[row[g]] != times_g(row):
-                l = next(l for l in range(k) if table[row[g]][l] != row[table[g][l]])
-                raise VerificationFailure(f"({i}*{g})*{l} != {i}*({g}*{l})")
 
 
 def check_equal_or_disjoint(

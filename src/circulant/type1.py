@@ -3,7 +3,8 @@
 Multiplying every vertex by a unit x of Z_n is a graph isomorphism
 C_n(R) -> C_n(xR).  The distinct images form the Type-1 set of the graph,
 the units witnessing each image partition the unit group, and composition
-of multipliers makes the Type-1 set an Abelian group.
+of multipliers makes the Type-1 set an Abelian group, the quotient of the
+units by the stabilizer of R (the proof is in type1_group's docstring).
 
 Witnesses come from two places.  UnitProducts.orbit maps the jumps of
 each multiple u*R, u a unit up to n/2, to the units giving them, reading
@@ -32,7 +33,6 @@ from typing import Callable, NamedTuple
 
 from .core import (
     CirculantGraph,
-    check_abelian_group,
     check_equal_or_disjoint,
     fold,
     gcd_profile,
@@ -82,6 +82,21 @@ def units(n: int) -> tuple[int, ...]:
     if n < 2:
         raise ValueError(f"unit group needs n >= 2, got {n}")
     return tuple(x for x in range(1, n) if gcd(n, x) == 1)
+
+
+def totient(n: int) -> int:
+    """phi(n), the number of units of Z_n, from n's factorisation by trial
+    division: O(sqrt(n)) steps where units(n) takes n."""
+    phi, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 def multiply(n: int, x: int, jumps: tuple[int, ...]) -> tuple[int, ...]:
@@ -237,35 +252,40 @@ def type1_witnesses(g: CirculantGraph, h: CirculantGraph) -> tuple[int, ...]:
 
 
 def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Group:
-    """Composition group on the Type-1 set of g.
-
-    Well-definedness comes from the witness sets being cosets of the
-    stabilizer, which is re-checked here rather than assumed.
+    """Composition group on the Type-1 set of g: the units of Z_n modulo
+    the stabilizer of R.
 
     The budget, which may not be below 0, counts the steps that grow
     faster than n: phi(n)*|R| for the unit products that find the orbit
     (a bound: the orbit makes the half of them with u <= n/2), the
     |stabilizer|^2 pairs of the closure check and the k*k cells of the
-    table of k members.  The products are counted before the orbit is
-    built and the sum once it is known, before the closure check; either
-    over budget raises BudgetExceeded.
+    table of k members.  The products are counted from totient(n) before
+    any unit is listed, and the sum once the orbit is known, before the
+    closure check; either over budget raises BudgetExceeded.
 
-    The witness sets partition the units, so the member whose set holds
-    a*b mod n is the image of the base under a*b; a list indexed by unit
-    gives that member's index, so each cell is one product and one list
-    read.
+    Why the table is a group, so that no axiom is tested on it.  Two
+    facts about the orbit's data are checked, each raising
+    VerificationFailure: the stabilizer Stab = W(R -> R) holds 1 and is
+    closed under products mod n, so it is a subgroup of the finite group
+    Z_n^*; and each witness set W(R -> S) is rep*Stab, rep its least
+    unit.  The witness sets partition Z_n^*, so they are exactly the
+    cosets of Stab, one per member.  Z_n^* is Abelian, so the coset of
+    a*b depends only on the cosets of a and b, and member_of[a*b mod n]
+    is their product in Z_n^*/Stab, which is the composition of the
+    multipliers: xR = S and yR = T give (x*y)R = xT.  So table[i][j] = member_of[rep_i*rep_j mod n] is the Cayley table of
+    Z_n^*/Stab, an Abelian group whose identity is member_of[1], the
+    base.  Each cell is one product and one list read.
     """
     if budget < 0:
         raise CirculantError(f"multiplier group budget {budget} is below 0")
     n = g.n
-    group = units(n)
-    products = len(group) * len(g.jumps)
+    products = totient(n) * len(g.jumps)
     if products > budget:
         raise BudgetExceeded(
             f"{products} unit products of the multiplier orbit of {g} "
             f"exceed the budget of {budget}"
         )
-    ts = _orbit(g, group)
+    ts = _orbit(g, units(n))
     stabilizer = ts.witness[g]
     k = len(ts.members)
     steps = products + len(stabilizer) ** 2 + k * k
@@ -292,8 +312,6 @@ def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Grou
         for x in w:
             member_of[x] = i
     table = tuple(tuple([member_of[a * b % n] for b in reps]) for a in reps)
-    # the unit 1 maps g onto itself
-    check_abelian_group(table, member_of[1])
     return Type1Group(carrier=ts, representatives=reps, stabilizer=stabilizer, table=table)
 
 

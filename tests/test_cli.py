@@ -737,11 +737,26 @@ def test_t1set_refuses_an_orbit_over_its_budget_before_building_it(capsys, monke
     )
 
 
-def test_t1set_refuses_a_group_over_its_budget_before_building_its_table(capsys, monkeypatch):
-    def no_table(table, identity):
-        raise AssertionError("the table was built and checked")
+def test_t1set_refuses_an_orbit_over_its_budget_before_listing_its_units(capsys, monkeypatch):
+    # 10^8 + 7 is prime: totient counts its units by trial division up to
+    # 10^4, where listing them would take 10^8 gcds
+    def no_units(n):
+        raise AssertionError("the units were listed")
 
-    monkeypatch.setattr(circulant.type1, "check_abelian_group", no_table)
+    monkeypatch.setattr(circulant.type1, "units", no_units)
+    assert run(capsys, ["t1set", "--n", "100000007", "--set", "1"]) == (
+        6,
+        "",
+        "error: 100000006 unit products of the multiplier orbit of C_100000007(1) "
+        "exceed the budget of 10000000\n",
+    )
+
+
+def test_t1set_refuses_a_group_over_its_budget_before_building_its_table(capsys, monkeypatch):
+    def no_group(*args, **kwargs):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(circulant.type1, "Type1Group", no_group)
     argv = ["t1set", "--n", "54", "--set", "1,17,18,19", "--budget", "116"]
     assert run(capsys, argv) == (
         6,

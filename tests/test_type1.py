@@ -14,6 +14,7 @@ from circulant.type1 import (
     UnitProducts,
     multiply,
     phi_apply,
+    totient,
     type1_group,
     type1_set,
     type1_set_equality,
@@ -21,6 +22,7 @@ from circulant.type1 import (
     units,
     witness_lookup,
 )
+from reference import check_abelian_group
 
 
 def test_units_of_a_power_of_two():
@@ -37,6 +39,10 @@ def test_units_of_54():
 
 def test_units_of_a_prime():
     assert units(7) == (1, 2, 3, 4, 5, 6)
+
+
+def test_totient_counts_the_units():
+    assert all(totient(n) == len(units(n)) for n in range(3, 3000))
 
 
 def test_units_rejects_tiny_orders():
@@ -166,6 +172,9 @@ def test_pinned_lookup_equals_the_full_scan():
 
 
 def test_group_table_matches_the_multiplier_action():
+    # the paper's claim, held against the reference: each table is an
+    # Abelian group whose identity is the base; the unit groups of 16 and
+    # 24 are not cyclic
     for n in (16, 24, 27):
         for k in (1, 2, 3):
             for combo in itertools.combinations(range(1, n // 2 + 1), k):
@@ -177,6 +186,7 @@ def test_group_table_matches_the_multiplier_action():
                     tuple(index[phi_apply(g, a * b % n)] for b in reps) for a in reps
                 )
                 assert group.table == expected, g
+                check_abelian_group(group.table, index[g])
 
 
 def _bucket_reference(g):
