@@ -13,6 +13,12 @@ Every envelope keeps its "findings" key, which is always empty: each
 check either passes or fails with an exit code, and errors go to stderr
 as "error: ...".
 
+Each argv is parsed once (_parse): a subcommand's own parser reads the
+arguments after its name, and the top-level parser reads every other
+argv and refuses leftover arguments, so usage and error texts are those
+of the two-level parse.  iso sweeps for a Type-2 step onto b alone, so
+its sweep looks up multiplier witnesses for b and for no other image.
+
 Exit codes: 0 success, 7 stdout closed before the output was written
 (as by `| head`), which ends quietly, with nothing on stderr, and for a
 library error the exit_code of its class in errors.py: 2 invalid input
@@ -340,10 +346,16 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     wits = type1_witnesses(g, h)
     if wits:
         return {"relation": "type1", "multipliers": wits}
+    # the sweep's rows are read only where the image is h, so only h is
+    # looked up, with the witnesses found above (none); any other image's
+    # Type1/Type2 split is not computed and not read
+    def lookup(image: CirculantGraph) -> tuple[int, ...]:
+        return wits if image == h else ()
+
     for m in admissible_m(g) if args.m is None else (args.m,):
         steps = [
             row.t
-            for row in v_set(g, m).rows
+            for row in v_set(g, m, lookup=lookup).rows
             if row.verdict == Verdict.TYPE2 and row.image == h
         ]
         if steps:
@@ -482,13 +494,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser; parse_args keeps no state between calls."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The process's one parser and its subcommand parsers by name;
+    parsing keeps no state between calls."""
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    return parser, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed once: by its subcommand's own parser when argv[0] names
+    one, else (no argv, -h, an unknown subcommand) by the top-level parser.
+
+    The top-level parser would hand argv[1:] to that same subcommand parser
+    through parse_known_args, then refuse any leftover arguments with its
+    own usage; leftovers are refused here through it, so every usage and
+    error text is the one the two-level parse prints.
+    """
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         args.func(args)
         sys.stdout.flush()

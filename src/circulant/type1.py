@@ -261,7 +261,9 @@ def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Grou
     |stabilizer|^2 pairs of the closure check and the k*k cells of the
     table of k members.  The products are counted from totient(n) before
     any unit is listed, and the sum once the orbit is known, before the
-    closure check; either over budget raises BudgetExceeded.
+    closure check; either over budget raises BudgetExceeded.  An n above
+    2*budget^2 is refused before it is factored: phi(n) >= sqrt(n/2)
+    for every n, so its products already exceed the budget.
 
     Why the table is a group, so that no axiom is tested on it.  Two
     facts about the orbit's data are checked, each raising
@@ -279,6 +281,11 @@ def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Grou
     if budget < 0:
         raise CirculantError(f"multiplier group budget {budget} is below 0")
     n = g.n
+    if n > 2 * budget * budget:
+        raise BudgetExceeded(
+            f"more than {budget} unit products of the multiplier orbit of {g} "
+            f"exceed the budget of {budget}"
+        )
     products = totient(n) * len(g.jumps)
     if products > budget:
         raise BudgetExceeded(

@@ -17,8 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circulant.groups
+import circulant.theta
 import circulant.type1
-from circulant import TClassification, Verdict, cli, errors, make_circulant
+from circulant import (
+    TClassification,
+    ThetaParams,
+    Verdict,
+    admissible_m,
+    cli,
+    errors,
+    make_circulant,
+    v_set,
+)
 from circulant.families import KINDS
 from circulant.errors import DEFAULT_BUDGET
 from golden import SWEEP_54_COLUMNS, SWEEP_54_ROWS
@@ -40,6 +50,8 @@ def run_json(capsys, argv):
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     sequence = (
         ["t1set", "--n", "16"],  # --set missing: argparse exits with 2
+        # a leftover argument: the top-level parser refuses it with 2
+        ["t1set", "--n", "16", "--set", "1,2,7", "--bogus"],
         ["t1set", "--n", "16", "--set", "1,2,7", "--format", "table"],
         ["t1set", "--n", "16", "--set", "1,2,7"],
     )
@@ -56,8 +68,10 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     for argv in sequence:
         cli._parser.cache_clear()
         fresh.append(outcome(argv))
-    assert [code for code, _, _ in fresh] == [2, 0, 0]
-    assert json.loads(fresh[2][1])["command"] == "t1set"
+    assert [code for code, _, _ in fresh] == [2, 2, 0, 0]
+    assert fresh[1][2].startswith("usage: circulant [-h]")
+    assert fresh[1][2].endswith("circulant: error: unrecognized arguments: --bogus\n")
+    assert json.loads(fresh[3][1])["command"] == "t1set"
 
     builds = []
     original = cli.build_parser
@@ -570,9 +584,13 @@ def benchmark_jobs() -> list:
 
 
 def run_captured(argv) -> tuple[int, str, str]:
+    """cli.main(argv)'s exit code, argparse's own exit included, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -604,6 +622,117 @@ def test_every_benchmark_job_reproduces_its_recorded_digest_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1 []"
+
+
+# one argv per subcommand that parses; the malformed argvs are built on them
+PARSED_ARGVS = {
+    "reduce": ["--n", "16", "--set", "1,2,7"],
+    "t1set": ["--n", "16", "--set", "1,2,7"],
+    "t2set": ["--n", "16", "--m", "2", "--set", "1,2,7"],
+    "vset": ["--n", "16", "--m", "2", "--set", "1,2,7"],
+    "table": ["--n", "16", "--m", "2", "--set", "1,2,7", "--t", "0..3"],
+    "family": ["--kind", "m3", "--n", "1"],
+    "iso": ["--n", "16", "--a", "1,2,7", "--b", "2,3,5"],
+    "census": ["--n", "16", "--m", "2", "--sizes", "3"],
+}
+
+
+def malformed_argvs() -> list:
+    reduce = ["reduce", *PARSED_ARGVS["reduce"]]
+    argvs = [[], ["-h"], ["--help"], ["bogus"], ["-x"], ["--", *reduce], ["--bogus", *reduce]]
+    argvs += [
+        ["reduce", "--", "--n", "16", "--set", "1"],
+        ["reduce", "--n", "five", "--set", "1"],
+        ["census", *PARSED_ARGVS["census"], "--budget", "x"],
+    ]
+    for command, rest in PARSED_ARGVS.items():
+        argvs += [
+            [command, *rest, "--bogus"],
+            [command, *rest, "extra"],
+            [command, "--bogus", "3", *rest, "x", "y"],
+            [command, *rest, "--format", "xml"],
+            [command, *rest, "--for", "table"],
+            [command, *rest, "--"],
+            [command, "-h"],
+            [command],
+        ]
+    return argvs
+
+
+def test_one_parse_per_argv_prints_what_the_two_level_parse_prints(monkeypatch):
+    # the two-level parse: the top-level parser runs the subcommand's own
+    # parser on the rest of the argv
+    argvs = [job["argv"] for job in benchmark_jobs()] + malformed_argvs()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", cli.build_parser().parse_args)
+        expected = [run_captured(argv) for argv in argvs]
+    assert [run_captured(argv) for argv in argvs] == expected
+    codes = {code for code, _, _ in expected}
+    assert codes == {0, 2}
+
+
+def test_iso_looks_up_multiplier_witnesses_for_b_alone(monkeypatch):
+    # iso reads the sweep's rows whose image is b, so no other image may be
+    # searched for witnesses; each type2 answer must still be the one that
+    # a sweep looking up every image gives, certified at its first step
+    argvs = [
+        job["argv"]
+        for job in benchmark_jobs()
+        if job["stratum"] in ("iso-type2", "iso-composite")
+    ]
+    parser = cli.build_parser()
+    cases = []
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        g = make_circulant(args.n, cli._parse_jumps(args.a))
+        h = make_circulant(args.n, cli._parse_jumps(args.b))
+        answer = None
+        for m in admissible_m(g):
+            rows = v_set(g, m).rows
+            t = [row.t for row in rows if row.verdict == Verdict.TYPE2 and row.image == h]
+            if t:
+                answer = (m, t)
+                break
+        cases.append((argv, g, h, answer))
+
+    searched, multiplied, certified = [], [], []
+    real_lookup, real_phi = circulant.type1.witness_lookup, circulant.type1.phi_apply
+    real_certificate = cli.verify_theta_witness
+
+    def spy_lookup(g):
+        lookup = real_lookup(g)
+        return lambda s: searched.append(s) or lookup(s)
+
+    def spy_phi(g, x):
+        multiplied.append(real_phi(g, x))
+        return multiplied[-1]
+
+    def spy_certificate(p, pairs):
+        certified.append((p, pairs))
+        return real_certificate(p, pairs)
+
+    monkeypatch.setattr(circulant.type1, "witness_lookup", spy_lookup)
+    monkeypatch.setattr(circulant.theta, "witness_lookup", spy_lookup)
+    monkeypatch.setattr(circulant.type1, "phi_apply", spy_phi)
+    monkeypatch.setattr(cli, "verify_theta_witness", spy_certificate)
+    type2 = 0
+    for argv, g, h, answer in cases:
+        for spied in (searched, multiplied, certified):
+            spied.clear()
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, ""), argv
+        result = json.loads(out)["result"]
+        assert set(searched) <= {h} and set(multiplied) <= {h}, argv
+        if result["relation"] in ("equal", "type1"):
+            continue
+        if answer is None:
+            assert result["relation"] != "type2" and certified == [], argv
+            continue
+        m, t = answer
+        assert (result["relation"], result["m"], result["t"]) == ("type2", m, t), argv
+        assert certified == [(ThetaParams(g.n, m, t[0]), [(g, h)])], argv
+        type2 += 1
+    assert type2 >= 30
 
 
 @pytest.mark.parametrize("workload", ["sweep", "census", "query"])
@@ -774,6 +903,21 @@ def test_t1set_accepts_a_budget_of_exactly_its_steps(capsys):
 def test_t1set_rejects_a_budget_below_zero(capsys):
     argv = ["t1set", "--n", "54", "--set", "1,17,18,19", "--budget", "-1"]
     assert run(capsys, argv) == (2, "", "error: multiplier group budget -1 is below 0\n")
+
+
+def test_t1set_refuses_an_order_above_twice_the_budget_squared_unfactored(capsys, monkeypatch):
+    # 10^16 + 61 is prime: trial division would run to 10^8, but any order
+    # above 2*10^14 has phi(n) >= sqrt(n/2) > 10^7 units
+    def no_totient(n):
+        raise AssertionError("the order was factored")
+
+    monkeypatch.setattr(circulant.type1, "totient", no_totient)
+    assert run(capsys, ["t1set", "--n", str(10**16 + 61), "--set", "1"]) == (
+        6,
+        "",
+        "error: more than 10000000 unit products of the multiplier orbit of "
+        "C_10000000000000061(1) exceed the budget of 10000000\n",
+    )
 
 
 def test_t1set_and_census_share_the_default_budget():

@@ -45,6 +45,11 @@ def test_totient_counts_the_units():
     assert all(totient(n) == len(units(n)) for n in range(3, 3000))
 
 
+def test_totient_is_at_least_the_root_of_half_the_order():
+    # type1_group refuses an n above 2*budget^2 unfactored on this bound
+    assert all(2 * totient(n) ** 2 >= n for n in range(1, 30000))
+
+
 def test_units_rejects_tiny_orders():
     with pytest.raises(ValueError):
         units(1)
@@ -257,6 +262,23 @@ def test_type1_group_counts_the_stabilizer_pairs_in_its_budget():
         type1_group(g, budget=216)
     assert str(info.value).startswith("217 steps of the multiplier group of C_13(1,2,3,4,5,6)")
     assert type1_group(g, budget=217).stabilizer == units(13)
+
+
+def test_type1_group_factors_no_order_above_twice_the_budget_squared(monkeypatch):
+    # 2*3^2 = 18: C_18(1) is counted, 6 unit products; C_19(1) is refused
+    # before 19 is factored
+    with pytest.raises(BudgetExceeded, match="^6 unit products of the multiplier orbit of C_18"):
+        type1_group(make_circulant(18, [1]), budget=3)
+
+    def no_totient(n):
+        raise AssertionError("the order was factored")
+
+    monkeypatch.setattr(circulant.type1, "totient", no_totient)
+    with pytest.raises(BudgetExceeded) as info:
+        type1_group(make_circulant(19, [1]), budget=3)
+    assert str(info.value) == (
+        "more than 3 unit products of the multiplier orbit of C_19(1) exceed the budget of 3"
+    )
 
 
 def test_type1_group_refuses_a_large_complete_graph_by_default(monkeypatch):
