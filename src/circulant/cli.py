@@ -258,7 +258,8 @@ def cmd_vset(args) -> None:
 
 def cmd_table(args) -> None:
     g = make_circulant(args.n, _parse_jumps(args.set))
-    steps = _parse_t_range(args.t, "step") if args.t else None
+    # an absent --t sweeps every step; an empty one is a list that does not parse
+    steps = None if args.t is None else _parse_t_range(args.t, "step")
     table = classification_table(g, args.m, t_values=steps)
     # one row per requested step, in the order asked
     t_values = [entry.t for entry in table]

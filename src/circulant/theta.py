@@ -11,7 +11,10 @@ graph is classified per step t.  classify_steps does this for a whole
 sweep from vertex 0's image neighbourhood alone, O(|R|) per step it
 builds (lemma A), and returns rows for the circulant steps only, one
 TClassification named tuple per row.  Lemma C rules out every step off
-the multiples of circulant_stride(g, m) without building it.  fill_steps
+the multiples of circulant_stride(g, m) without building it.  The steps
+with a multiplier image form a subgroup of Z_{n/m} (lemma E), so the
+kernel's own witness search runs only at the divisor steps of n/m and
+at the Type1 steps; any other image has no witness.  fill_steps
 puts an NS row back at every other step, for the callers that list
 them: classify_t, one step, and
 classification_table, which renders each step's row with the kernel's
@@ -250,15 +253,29 @@ def classify_steps(
     q = n/gcd(n, c*m*m), and every other step is NS without building its
     neighbourhood.
 
+    Which steps have a multiplier image (lemma E).  Let H be the steps t
+    of Z_{n/m} with theta_t(C_n(R)) = C_n(xR) for some unit x, the
+    Identity steps (x = 1) included.  0 is in H, and theta_{t+n/m} =
+    theta_t, so H lies in Z_{n/m}.  For a and b in H with images C_n(xR)
+    and C_n(yR), theta_{a+b}(C_n(R)) = theta_a(C_n(yR)), which is
+    C_n(y*xR) by lemma B (proved in groups.t2_set): H is closed under
+    addition.  A finite set holding 0 and closed under addition is a
+    subgroup, so H = <h> with h | n/m, and t is in H exactly when
+    gcd(t, n/m) is: h divides t exactly when it divides gcd(t, n/m).
+    Every step of H is circulant, so H lies among the multiples of q.
+
     A built step costs O(|R|), and its |N| = |+-R| is still checked.  A
     sweep revisits each image once per period of the image sequence, so
-    each distinct image is built and validated as a CirculantGraph once,
-    and its multiplier witnesses are looked up once.  lookup maps an image
-    to its ascending witness units, () for none; by default it is
-    type1.witness_lookup(g), built at the first image it is asked about,
-    which pins one jump of g and tries at most 2*|S|*gcd(r0, n) units.
-    census passes the multiplier orbit of g it has already computed
-    instead (groups.t2_set).
+    each distinct image is built and validated as a CirculantGraph once.
+    lookup maps an image to its ascending witness units, () for none, and
+    is asked about each distinct image once.  census passes the
+    multiplier orbit of g it has already computed (groups.t2_set), and
+    cli's iso a lookup of its b alone.  By default the kernel searches
+    with type1.witness_lookup(g), which pins one jump of g and tries at
+    most 2*|S|*gcd(r0, n) units; by lemma E it searches an image at step
+    t only when t divides n/m or step gcd(t, n/m) is Type1, and gives ()
+    without a search otherwise (_divisor_gated_search).  Every Type1 image is still searched in full,
+    so its witnesses are listed and each is confirmed with phi_apply.
     """
     n = g.n
     steps = sweep_length(n, m)
@@ -266,6 +283,9 @@ def classify_steps(
     closure = tuple((v, v % m * m) for v in symmetric_closure(g))
     q = circulant_stride(g, m)
     anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
+    # the kernel's own lookup is gated by lemma E; a caller's is asked about
+    # every new image
+    search = _divisor_gated_search(g, m, steps) if lookup is None else None
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[CirculantGraph, tuple[int, ...]]] = {}
     rows = []
@@ -288,10 +308,8 @@ def classify_steps(
             continue
         known = images.get(key)
         if known is None:
-            if lookup is None:
-                lookup = witness_lookup(g)
             image = CirculantGraph(n, key)
-            known = images[key] = (image, lookup(image))
+            known = images[key] = (image, lookup(image) if search is None else search(t, image))
         image, witnesses = known
         if witnesses:
             verdict = Verdict.TYPE1
@@ -301,6 +319,43 @@ def classify_steps(
             verdict = Verdict.UNCLASSIFIED
         rows.append(TClassification(t, verdict, image=image, witnesses=witnesses))
     return tuple(rows)
+
+
+def _divisor_gated_search(
+    g: CirculantGraph, m: int, steps: int
+) -> Callable[[int, CirculantGraph], tuple[int, ...]]:
+    """search(t, image): the witnesses of the image of g at step t, for classify_steps.
+
+    The image is searched with type1.witness_lookup(g) when t divides
+    steps = n/m, or when step d = gcd(t, n/m) is in the subgroup H of
+    lemma E (proved in classify_steps).  Otherwise t is not in H, and the
+    answer is () without a search.  Whether d is in H is read off step
+    d's own row, once per d: d is in H when that row is Type1.  It is not
+    Identity, since d divides t and the image at t is not g.  Each image
+    is searched at most once per sweep.
+    """
+    lookup = witness_lookup(g)
+    # image -> its witnesses, for every image searched
+    found: dict[CirculantGraph, tuple[int, ...]] = {}
+    # divisor d of n/m -> whether step d is in H
+    in_h: dict[int, bool] = {}
+
+    def witnesses(image: CirculantGraph) -> tuple[int, ...]:
+        if image not in found:
+            found[image] = lookup(image)
+        return found[image]
+
+    def search(t: int, image: CirculantGraph) -> tuple[int, ...]:
+        d = gcd(t, steps)
+        if d != t:
+            if d not in in_h:
+                rows = classify_steps(g, m, (d,), lookup=witnesses)
+                in_h[d] = bool(rows) and rows[0].verdict is Verdict.TYPE1
+            if not in_h[d]:
+                return ()
+        return witnesses(image)
+
+    return search
 
 
 def fill_steps(

@@ -179,6 +179,8 @@ def test_vset_sweep_has_no_non_circulant_rows_at_27(capsys):
 
 def test_table_json_matches_the_reference_sweep(capsys):
     d = run_json(capsys, ["table", "--n", "54", "--m", "3", "--set", "2,3,16,20"])
+    # without --t the table lists every step
+    assert d["inputs"]["t"] == list(range(18))
     r = d["result"]
     assert tuple(r["columns"]) == SWEEP_54_COLUMNS
     by_t = {row["t"]: row for row in r["rows"]}
@@ -521,6 +523,10 @@ def test_exit_code_for_a_census_size_above_half_the_order(capsys):
         (["table", "--n", "16", "--m", "2", "--set", "1,2", "--t", "x"], "step list 'x'"),
         (["table", "--n", "16", "--m", "2", "--set", "1,2", "--t", "1..x"], "step list '1..x'"),
         (["census", "--n", "16", "--m", "2", "--sizes", "x"], "size list 'x'"),
+        # an empty --t is a step list too, not the absent flag's full sweep
+        (["table", "--n", "16", "--m", "2", "--set", "1,2", "--t", ""], "step list ''"),
+        (["table", "--n", "16", "--m", "2", "--set", "1,2", "--t", " "], "step list ' '"),
+        (["table", "--n", "16", "--m", "2", "--set", "1,2", "--t", ","], "step list ','"),
     ],
 )
 def test_exit_code_for_an_unparsable_range(capsys, argv, message):

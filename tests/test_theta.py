@@ -1,8 +1,12 @@
 """Block-shift vertex maps, their images, and per-step classification."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,8 @@ from circulant.theta import (
     theta_vertex,
 )
 from circulant.type1 import type1_witnesses
+
+JOBS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.json"
 
 
 def test_params_accept_the_reference_regime():
@@ -348,6 +354,33 @@ def test_stride_of_the_order1715_table_base():
     assert all(row.t % 5 == 0 for row in classify_steps(g, 7, range(245)))
 
 
+def test_divisor_step_gate_matches_a_lookup_of_every_image():
+    # lemma E: the kernel's own lookup searches a new image at step t only
+    # when step gcd(t, n/m) is a multiplier image; a caller's lookup is
+    # asked about every new image, so witness_lookup(g) passed in is the
+    # ungated reference.  Every base with 1-3 jumps, and with 4 at n <= 27
+    # (a seeded sample of 400 above), anchored or not; full sweeps and
+    # seeded t-lists with repeats, out of order.
+    rng = random.Random(34)
+    seen = set()
+    for n, m in _admissible_orders(54):
+        steps = n // m
+        for k in (1, 2, 3, 4):
+            combos = list(itertools.combinations(range(1, n // 2 + 1), k))
+            if k == 4 and n > 27:
+                combos = rng.sample(combos, 400)
+            for combo in combos:
+                g = CirculantGraph(n, combo)
+                for t_values in (range(steps), [rng.randrange(steps) for _ in range(8)]):
+                    rows = classify_steps(g, m, t_values)
+                    expected = classify_steps(g, m, t_values, lookup=circulant.type1.witness_lookup(g))
+                    assert rows == expected, (n, m, combo, t_values)
+                    seen.update((row.verdict, math.gcd(row.t, steps) == row.t) for row in rows)
+    # Type1 and Type2 rows both occur off the divisor steps, so the gate
+    # admits and refuses searches there
+    assert {(Verdict.TYPE1, False), (Verdict.TYPE2, False)} <= seen
+
+
 def test_single_sweep_looks_up_each_image_once(monkeypatch):
     orbit_builds, looked_up = [], []
     original_set = circulant.type1.type1_set
@@ -372,17 +405,41 @@ def test_single_sweep_looks_up_each_image_once(monkeypatch):
     rows = v_set(g, 2).rows
     assert sum(row.verdict is Verdict.TYPE1 for row in rows) >= 2
     assert orbit_builds == []
-    # the sweep keeps circulant rows alone, so every row has an image
+    # the sweep keeps circulant rows alone, so every row has an image; it
+    # meets each image more than once
     revisited = [row.image for row in rows if row.image != g]
-    # the sweep meets each image more than once, and looks each up once
     assert len(revisited) > len(set(revisited))
-    assert len(looked_up) == len(set(looked_up))
-    assert set(looked_up) == set(revisited)
+    # each image is looked up at most once: every Type1 image, and otherwise
+    # only an image at a step that divides n/m (lemma E).  At order 54 step
+    # 4's image is Type2 and gcd(4, 18) = 2 is not a multiplier step
+    for g, m in ((g, 2), (make_circulant(54, [2, 3, 16, 20]), 3)):
+        looked_up.clear()
+        rows = v_set(g, m).rows
+        steps = g.n // m
+        assert len(looked_up) == len(set(looked_up))
+        type1 = {row.image for row in rows if row.verdict is Verdict.TYPE1}
+        at_divisors = {row.image for row in rows if math.gcd(row.t, steps) == row.t}
+        assert type1 <= set(looked_up) <= type1 | at_divisors
+    assert rows[2].t == 4 and rows[2].verdict is Verdict.TYPE2
+    assert rows[2].image not in looked_up
     # jumps divisible by m are fixed, so every image is the base itself and
     # no lookup is needed
     looked_up.clear()
     v_set(make_circulant(16, [2, 4]), 2)
     assert looked_up == [] and orbit_builds == []
+    # the order-1715 table base: steps 70..104 have only step 5's image to
+    # search, once, and each job of the benchmark's sweep pool searches once
+    looked_up.clear()
+    argv = ["table", "--n", "1715", "--m", "7", "--set", "7,17,228,262,473,507,718,752"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--t", "70..104"]) == 0
+    assert len(looked_up) == 1
+    jobs = json.loads(JOBS_FILE.read_text())["sweep"]["jobs"]
+    assert len(jobs) == 66
+    looked_up.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(cli.main(job["argv"]) == 0 for job in jobs)
+    assert len(looked_up) <= 66
 
 
 def test_sweep_rows_stay_closed():
