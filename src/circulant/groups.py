@@ -44,6 +44,7 @@ from .theta import (
     NO_ANCHOR_JUMP,
     TClassification,
     Verdict,
+    circulant_stride,
     classify_steps,
     fill_steps,
     sweep_length,
@@ -179,7 +180,9 @@ def v_set(
     classify_steps returns the circulant steps alone, with the multiplier
     witnesses from lookup (see classify_steps).  Step 0 must be Identity,
     and the Identity steps must be the multiples of the least positive
-    one, the graph period.
+    one, the graph period.  V must be cyclic of order period/q*, q* the
+    stride of the circulant steps (lemma D, proved in classify_steps):
+    the sweep meets exactly that many distinct images.
     """
     steps = sweep_length(g.n, m, g)
     rows = classify_steps(g, m, range(steps), lookup=lookup)
@@ -197,6 +200,12 @@ def v_set(
     if identity_ts != list(range(0, steps, period)):
         raise VerificationFailure(
             f"identity steps {identity_ts} of {g} are not the multiples of {period}"
+        )
+    q = circulant_stride(g, m)
+    if len(distinct) * q != period:
+        raise VerificationFailure(
+            f"{len(distinct)} distinct images of {g} at stride {q}, "
+            f"for the graph period {period}"
         )
     return VSet(g, m, steps, rows, distinct, period)
 

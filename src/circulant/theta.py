@@ -10,8 +10,10 @@ may not be circulant again; when it is, the image's relation to the base
 graph is classified per step t.  classify_steps does this for a whole
 sweep from vertex 0's image neighbourhood alone, O(|R|) per step it
 builds (lemma A), and returns rows for the circulant steps only, one
-TClassification named tuple per row.  Lemma C rules out every step off
-the multiples of circulant_stride(g, m) without building it.  The steps
+TClassification named tuple per row.  The circulant steps are exactly
+the multiples of circulant_stride(g, m) (lemma D): every other step is
+NS without building it, and step 0, or every step when each jump of g
+is a multiple of m, is Identity without building it.  The steps
 with a multiplier image form a subgroup of Z_{n/m} (lemma E), so the
 kernel's own witness search runs only at the divisor steps of n/m and
 at the Type1 steps; any other image has no witness.  fill_steps
@@ -200,14 +202,26 @@ def detect_circulant(h: LabeledGraph) -> CirculantGraph | None:
 
 
 def circulant_stride(g: CirculantGraph, m: int) -> int:
-    """q = n/gcd(n, c*m*m), c the number of values of +-R not divisible by m.
+    """q* = d/gcd(d, m*m): the circulant steps of g are its multiples (lemma D).
 
-    Every circulant step of g is a multiple of q (lemma C, proved in
-    classify_steps).  A jump j off the multiples of m gives j and n - j,
-    one value when j = n/2.
+    dZ_n is the stabiliser of R', the translations x with R' + x = R', for
+    R' the c values of +-R not divisible by m; the proof is in
+    classify_steps.  R' is a union of cosets of dZ_n, so n/d, the order
+    of dZ_n, divides c as well as n, and the subgroup (n/k)Z_n of order k
+    lies in dZ_n exactly when k divides n/d.  So n/d is the greatest k
+    dividing gcd(c, n) with R' + n/k = R', k = 1 (d = n) when no greater
+    one does; d = 1 when R' is empty.  A jump j off the multiples of m gives j and
+    n - j, both off them as m | n, one value when j = n/2.
     """
-    c = sum(1 if 2 * j == g.n else 2 for j in g.jumps if j % m)
-    return g.n // gcd(g.n, c * m * m)
+    n = g.n
+    moving = {x for j in g.jumps if j % m for x in (j, n - j)}
+    top = gcd(len(moving), n)
+    d = n
+    for k in range(top, 1, -1):
+        if top % k == 0 and {(v + n // k) % n for v in moving} == moving:
+            d = n // k
+            break
+    return d // gcd(d, m * m)
 
 
 def classify_steps(
@@ -242,16 +256,26 @@ def classify_steps(
     thus an edge of C_n(fold N), which has n*|N|/2 = n*|+-R|/2 edges, as
     many as C_n(R) and so as the image: the image is all of C_n(fold N).
 
-    Which steps can be circulant (lemma C).  Let c be the number of
-    values of +-R not divisible by m, and N' their images, the part of N
-    off residue 0 mod m; |N'| = c by the injectivity above.  If the image
-    is circulant, then N = -N, and for w = theta_t(v) in N',
-    w - M = -theta_t(-v) lies in -N = N with w's nonzero residue, so in
-    N'.  N' is thus closed under w -> w - M, a union of cosets of <M>,
-    and n/gcd(n, M) = |<M>| divides c; so n divides c*gcd(n, M), which
-    divides c*m*m*t.  A circulant step is therefore a multiple of
-    q = n/gcd(n, c*m*m), and every other step is NS without building its
-    neighbourhood.
+    Which steps are circulant (lemma D).  Let R' be the values of +-R not
+    divisible by m, and N' = theta_t(R') their images, the part of N off
+    residue 0 mod m.  The part of N on residue 0 is that of +-R, which
+    theta_t fixes and which is closed under negation, so N = -N exactly
+    when N' = -N'.  R' = -R' and theta_t(-v) = M - theta_t(v) for v in R',
+    so -N' = N' - M, and the image is circulant exactly when
+    N' + M = N'.  M is 0 mod m, so theta_t(v + M) = theta_t(v) + M and
+    N' + M = theta_t(R' + M); theta_t is a bijection of Z_n, so that is
+    N' exactly when R' + M = R'.  The translations fixing R' are a
+    subgroup dZ_n of Z_n, d as circulant_stride computes it, so step t is
+    circulant exactly when d divides m*m*t, that is when
+    q* = d/gcd(d, m*m) divides t.  Every step off the multiples of q* is
+    NS without building its neighbourhood, and a built step whose N is
+    not closed under negation raises VerificationFailure.  Two cases
+    build nothing and are Identity: step 0, as theta_0 is the identity
+    map, and every step when R' is empty, as theta_t fixes every multiple
+    of m.  The images at 0, q*, 2q*, ... repeat with the graph period and
+    are distinct below it (groups.t2_group), so the sweep's distinct
+    images number period/q*: (V, o) is cyclic, generated by the image at
+    step q*, which groups.v_set checks.
 
     Which steps have a multiplier image (lemma E).  Let H be the steps t
     of Z_{n/m} with theta_t(C_n(R)) = C_n(xR) for some unit x, the
@@ -262,7 +286,7 @@ def classify_steps(
     addition.  A finite set holding 0 and closed under addition is a
     subgroup, so H = <h> with h | n/m, and t is in H exactly when
     gcd(t, n/m) is: h divides t exactly when it divides gcd(t, n/m).
-    Every step of H is circulant, so H lies among the multiples of q.
+    Every step of H is circulant, so H lies among the multiples of q*.
 
     A built step costs O(|R|), and its |N| = |+-R| is still checked.  A
     sweep revisits each image once per period of the image sequence, so
@@ -282,6 +306,8 @@ def classify_steps(
     # (v, v's shift per unit step) for each v of the closure
     closure = tuple((v, v % m * m) for v in symmetric_closure(g))
     q = circulant_stride(g, m)
+    # whether theta moves any value of the closure; if not, every step is g
+    moving = any(s for _, s in closure)
     anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
     # the kernel's own lookup is gated by lemma E; a caller's is asked about
     # every new image
@@ -293,6 +319,9 @@ def classify_steps(
         _check_step(t, steps)
         if t % q:
             continue
+        if not t or not moving:
+            rows.append(TClassification(t, Verdict.IDENTITY, image=g))
+            continue
         nbrs = {(v + s * t) % n for v, s in closure}
         if len(nbrs) != len(closure):
             raise VerificationFailure(
@@ -300,7 +329,10 @@ def classify_steps(
                 f"to {len(nbrs)}"
             )
         if any((n - v) % n not in nbrs for v in nbrs):
-            continue
+            raise VerificationFailure(
+                f"step t={t} of {g} is a multiple of the stride {q} "
+                f"but its image is not circulant"
+            )
         # nbrs is closed under negation: its lower half is the folded set
         key = tuple(sorted(v for v in nbrs if 2 * v <= n))
         if key == g.jumps:

@@ -277,21 +277,27 @@ def test_iso_relations(capsys):
 
 
 def test_iso_refuses_a_type2_row_its_rotation_does_not_realise(capsys, monkeypatch):
-    # a sweep that reports C_54(2,5,16,20) as the Type-2 image at t = 1: the
-    # rotation does not reach it, so iso's certificate must exit 5, not print it
+    # a sweep that reports C_54(2,5,16,20) as the Type-2 image at t = 2, and
+    # at every step with step 2's true image, so v_set's checks still hold:
+    # the rotation does not reach it, so iso's certificate must exit 5, not
+    # print it
     sweep = circulant.groups.classify_steps
-    false = TClassification(1, Verdict.TYPE2, make_circulant(54, [2, 5, 16, 20]))
+    false = make_circulant(54, [2, 5, 16, 20])
 
     def lying(g, m, t_values, **kwargs):
-        rows = [row for row in sweep(g, m, t_values, **kwargs) if row.t != 1]
-        return tuple(sorted([*rows, false], key=lambda row: row.t))
+        rows = sweep(g, m, t_values, **kwargs)
+        true = next(row.image for row in rows if row.t == 2)
+        return tuple(
+            TClassification(row.t, Verdict.TYPE2, false) if row.image == true else row
+            for row in rows
+        )
 
     monkeypatch.setattr(circulant.groups, "classify_steps", lying)
     argv = ["iso", "--n", "54", "--a", "2,3,16,20", "--b", "2,5,16,20", "--m", "3"]
     assert run(capsys, argv) == (
         5,
         "",
-        "error: ThetaParams(n=54, m=3, t=1) does not map C_54(2,3,16,20) onto "
+        "error: ThetaParams(n=54, m=3, t=2) does not map C_54(2,3,16,20) onto "
         "C_54(2,5,16,20)\n",
     )
 

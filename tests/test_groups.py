@@ -1,6 +1,10 @@
 """Rotation sweeps, Type-2 partner sets, their index groups, and the census."""
 
 import itertools
+import re
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -61,6 +65,35 @@ def test_vset_rejects_identity_steps_off_the_period(monkeypatch):
     # the period of this sweep is 6, so an Identity step at 7 is impossible
     with pytest.raises(VerificationFailure, match="not the multiples of 6"):
         v_set(make_circulant(54, [2, 3, 16, 20]), 3)
+
+
+def test_vset_rejects_a_count_of_images_off_lemma_d(monkeypatch):
+    # C_54(2, 3, 16, 20) has q* = 2 and period 6, so V holds 3 images; a
+    # stride of 1 would claim 6.  The check raises under python -O too
+    g = make_circulant(54, [2, 3, 16, 20])
+    assert len(v_set(g, 3).distinct) * circulant.theta.circulant_stride(g, 3) == 6
+    monkeypatch.setattr(circulant.groups, "circulant_stride", lambda g, m: 1)
+    message = f"3 distinct images of {g} at stride 1, for the graph period 6"
+    with pytest.raises(VerificationFailure, match=re.escape(message)):
+        v_set(g, 3)
+    script = textwrap.dedent(
+        """
+        import sys
+        import circulant.groups
+        from circulant import make_circulant
+        from circulant.errors import VerificationFailure
+        circulant.groups.circulant_stride = lambda g, m: 1
+        try:
+            circulant.groups.v_set(make_circulant(54, [2, 3, 16, 20]), 3)
+        except VerificationFailure as e:
+            print(e, "optimize", sys.flags.optimize)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message + " optimize 1"
 
 
 def test_order_first_calls_are_type_errors():

@@ -6,6 +6,9 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -13,8 +16,8 @@ import pytest
 import circulant.type1
 from circulant import cli, edge_set, make_circulant
 from circulant.core import CirculantGraph, symmetric_closure
-from circulant.errors import InvalidThetaParams, OrderMismatch
-from circulant.groups import v_set
+from circulant.errors import InvalidThetaParams, OrderMismatch, VerificationFailure
+from circulant.groups import t2_set, v_set
 from circulant.theta import (
     MIN_TYPE2_JUMPS,
     M_TOO_SMALL,
@@ -298,7 +301,7 @@ def test_sweep_kernel_matches_the_edge_set_reference():
         circulant = [row for row in expected if row.verdict is not Verdict.NON_CIRCULANT]
         assert [row.t for row in rows] == [row.t for row in circulant], (n, m, g.jumps)
         assert list(rows) == circulant, (n, m, g.jumps)
-        # every other step is NS by the reference, lemma C's pruned ones too
+        # every other step is NS by the reference, lemma D's pruned ones too
         kept = {row.t for row in rows}
         q = circulant_stride(g, m)
         for row in expected:
@@ -318,40 +321,113 @@ def _admissible_orders(limit):
                 yield n, m
 
 
-def test_no_circulant_step_is_off_a_multiple_of_the_stride():
-    # lemma C, exhaustively: the circulant steps (lemma A's symmetric
-    # vertex-0 neighbourhood, built step by step) are multiples of
-    # q = n / gcd(n, c*m*m), c the closure values off the multiples of m
+def _reference_stride(n, m, closure):
+    """q* = d/gcd(d, m*m), d the least of all x in [1, n] with R' + x = R'."""
+    moving = {v for v in closure if v % m}
+    d = next(x for x in range(1, n + 1) if {(v + x) % n for v in moving} == moving)
+    return d // math.gcd(d, m * m)
+
+
+def test_circulant_steps_are_exactly_the_multiples_of_the_stride():
+    # lemma D, exhaustively: every set of 1-3 jumps at every admissible
+    # order up to 54, with no anchor, with one, or with every jump a
+    # multiple of m.  The circulant steps (lemma A's symmetric vertex-0
+    # neighbourhood, built with theta_vertex at every step) are exactly the
+    # multiples of q* = d/gcd(d, m*m), d the least translation fixing R',
+    # the closure values off the multiples of m; the kernel returns rows
+    # for exactly those steps
     orders = list(_admissible_orders(54))
     assert orders == [(8, 2), (16, 2), (24, 2), (27, 3), (32, 2), (40, 2), (48, 2), (54, 3)]
-    strides = set()
+    strides, kinds = set(), set()
     for n, m in orders:
+        steps = n // m
         for k in (1, 2, 3):
             for combo in itertools.combinations(range(1, n // 2 + 1), k):
-                if not any(j % m == 0 for j in combo):
-                    continue
                 g = CirculantGraph(n, combo)
                 closure = symmetric_closure(g)
-                q = n // math.gcd(n, sum(1 for v in closure if v % m) * m * m)
+                q = _reference_stride(n, m, closure)
                 assert circulant_stride(g, m) == q, (n, m, combo)
-                strides.add(q)
                 circulant = []
-                for t in range(n // m):
+                for t in range(steps):
                     p = ThetaParams(n, m, t)
                     nbrs = {theta_vertex(p, v) for v in closure}
                     if nbrs == {(n - v) % n for v in nbrs}:
                         circulant.append(t)
-                assert all(t % q == 0 for t in circulant), (n, m, combo, q, circulant)
-                assert [row.t for row in classify_steps(g, m, range(n // m))] == circulant
-    # some bases are pruned, some are not
-    assert 1 in strides and len(strides) > 1
+                assert circulant == list(range(0, steps, q)), (n, m, combo, q)
+                assert [row.t for row in classify_steps(g, m, range(steps))] == circulant
+                strides.add(q)
+                kinds.add(sum(j % m == 0 for j in combo) / k)
+    # some bases are pruned, some are not, and every kind of base occurs
+    assert 1 in strides and len(strides) > 2
+    assert {0, 1} < kinds
 
 
 def test_stride_of_the_order1715_table_base():
-    # c = 14 values off the multiples of 7, so q = 1715 / gcd(1715, 14*49) = 5
+    # R' is the two cosets 17 + <245> and 228 + <245>, so d = 245 and
+    # q* = 245 / gcd(245, 49) = 5; every multiple of 5 is circulant
     g = make_circulant(1715, [7, 17, 228, 262, 473, 507, 718, 752])
     assert circulant_stride(g, 7) == 5
-    assert all(row.t % 5 == 0 for row in classify_steps(g, 7, range(245)))
+    assert [row.t for row in classify_steps(g, 7, range(245))] == list(range(0, 245, 5))
+
+
+def test_a_stride_below_lemma_d_is_refused_at_its_step(monkeypatch):
+    # patched to a proper divisor p of the true q*, the kernel builds step
+    # p, which lemma D says is not circulant: it raises, naming the step
+    cases = set()
+    for n, m in _admissible_orders(54):
+        for combo in itertools.combinations(range(1, n // 2 + 1), 2):
+            g = CirculantGraph(n, combo)
+            q = circulant_stride(g, m)
+            for p in (p for p in range(1, q) if q % p == 0):
+                with monkeypatch.context() as patch:
+                    patch.setattr(circulant.theta, "circulant_stride", lambda g, m: p)
+                    with pytest.raises(VerificationFailure, match=f"step t={p} of ") as raised:
+                        classify_steps(g, m, range(n // m))
+                assert str(g) in str(raised.value)
+                cases.add(p)
+    assert {1, 2} < cases
+    # and under python -O, where an assert would vanish
+    g = make_circulant(1715, [7, 17, 228, 262, 473, 507, 718, 752])
+    script = textwrap.dedent(
+        """
+        import sys
+        import circulant.theta
+        from circulant import make_circulant
+        from circulant.errors import VerificationFailure
+        g = make_circulant(1715, [7, 17, 228, 262, 473, 507, 718, 752])
+        circulant.theta.circulant_stride = lambda g, m: 1
+        try:
+            circulant.theta.classify_steps(g, 7, range(245))
+        except VerificationFailure as e:
+            print(e, "optimize", sys.flags.optimize)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"step t=1 of {g}")
+    assert proc.stdout.strip().endswith("optimize 1")
+
+
+def test_bases_of_multiples_of_m_are_identity_at_every_step():
+    # R' is empty, so theta_t fixes every jump: every row is Identity, as
+    # the edge-set reference says, and T2 = V = {R} with period 1
+    bases = 0
+    for n, m in _admissible_orders(54):
+        steps = n // m
+        for k in (1, 2, 3):
+            for combo in itertools.combinations(range(m, n // 2 + 1, m), k):
+                g = CirculantGraph(n, combo)
+                rows = classify_steps(g, m, range(steps))
+                assert rows == tuple(TClassification(t, Verdict.IDENTITY, image=g) for t in range(steps))
+                assert list(rows) == [_reference_step(ThetaParams(n, m, t), g) for t in range(steps)]
+                s = t2_set(g, m)
+                assert s.t2_indices == tuple(range(steps)), (n, m, combo)
+                assert s.graph_period == 1 and s.members == (g,)
+                assert v_set(g, m).distinct == (g,)
+                bases += 1
+    assert bases > 500
 
 
 def test_divisor_step_gate_matches_a_lookup_of_every_image():
