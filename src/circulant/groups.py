@@ -1,6 +1,8 @@
 """Orbit sets and groups of the rotation transform.
 
-Sweeping every rotation step t in [0, n/m) produces the V set of a graph.
+The V set of a graph is its rotation images at the steps t in [0, n/m).
+They repeat with the graph period (t2_group), so a sweep builds only the
+steps below it and copies each later row (theta.classify_steps).
 A VSet keeps its sweep length and the rows of its circulant steps alone,
 as theta.classify_steps returns them; v_set's checks and the Type-2 set
 read only those rows, and the full row per step, NS rows filled in, is

@@ -288,11 +288,15 @@ def classify_steps(
     gcd(t, n/m) is: h divides t exactly when it divides gcd(t, n/m).
     Every step of H is circulant, so H lies among the multiples of q*.
 
-    A built step costs O(|R|), and its |N| = |+-R| is still checked.  A
-    sweep revisits each image once per period of the image sequence, so
-    each distinct image is built and validated as a CirculantGraph once.
-    lookup maps an image to its ascending witness units, () for none, and
-    is asked about each distinct image once.  census passes the
+    Any Identity step P is a period of the images: the image at t is the
+    one at t mod P (groups.t2_group).  The first step t > 0 whose built
+    image is g is such a P, and each later step whose t mod P was walked
+    gets that row under its own t, with nothing built or looked up, so a
+    full sweep builds only the circulant steps below the graph period.
+    A built step costs O(|R|), and its |N| = |+-R| is still checked;
+    each distinct image is validated as a CirculantGraph once.  lookup
+    maps an image to its ascending witness units, () for none, and is
+    asked about each distinct image once.  census passes the
     multiplier orbit of g it has already computed (groups.t2_set), and
     cli's iso a lookup of its b alone.  By default the kernel searches
     with type1.witness_lookup(g), which pins one jump of g and tries at
@@ -309,52 +313,63 @@ def classify_steps(
     # whether theta moves any value of the closure; if not, every step is g
     moving = any(s for _, s in closure)
     anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
+    # each circulant step walked -> its row
+    walked: dict[int, TClassification] = {}
     # the kernel's own lookup is gated by lemma E; a caller's is asked about
     # every new image
-    search = _divisor_gated_search(g, m, steps) if lookup is None else None
+    search = _divisor_gated_search(g, m, steps, walked) if lookup is None else None
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[CirculantGraph, tuple[int, ...]]] = {}
     rows = []
+    # the first Identity step built, once there is one
+    period = 0
     for t in t_values:
-        _check_step(t, steps)
+        if not 0 <= t < steps:
+            _check_step(t, steps)
         if t % q:
             continue
-        if not t or not moving:
-            rows.append(TClassification(t, Verdict.IDENTITY, image=g))
-            continue
-        nbrs = {(v + s * t) % n for v, s in closure}
-        if len(nbrs) != len(closure):
-            raise VerificationFailure(
-                f"step t={t} of {g} sent {len(closure)} neighbours of 0 "
-                f"to {len(nbrs)}"
-            )
-        if any((n - v) % n not in nbrs for v in nbrs):
-            raise VerificationFailure(
-                f"step t={t} of {g} is a multiple of the stride {q} "
-                f"but its image is not circulant"
-            )
-        # nbrs is closed under negation: its lower half is the folded set
-        key = tuple(sorted(v for v in nbrs if 2 * v <= n))
-        if key == g.jumps:
-            rows.append(TClassification(t, Verdict.IDENTITY, image=g))
-            continue
-        known = images.get(key)
-        if known is None:
-            image = CirculantGraph(n, key)
-            known = images[key] = (image, lookup(image) if search is None else search(t, image))
-        image, witnesses = known
-        if witnesses:
-            verdict = Verdict.TYPE1
-        elif anchored:
-            verdict = Verdict.TYPE2
+        row = walked.get(t % period) if period else None
+        if row is not None:
+            row = TClassification(t, row.verdict, row.image, row.witnesses)
+        elif not t or not moving:
+            row = TClassification(t, Verdict.IDENTITY, image=g)
         else:
-            verdict = Verdict.UNCLASSIFIED
-        rows.append(TClassification(t, verdict, image=image, witnesses=witnesses))
+            nbrs = {(v + s * t) % n for v, s in closure}
+            if len(nbrs) != len(closure):
+                raise VerificationFailure(
+                    f"step t={t} of {g} sent {len(closure)} neighbours of 0 "
+                    f"to {len(nbrs)}"
+                )
+            if any((n - v) % n not in nbrs for v in nbrs):
+                raise VerificationFailure(
+                    f"step t={t} of {g} is a multiple of the stride {q} "
+                    f"but its image is not circulant"
+                )
+            # nbrs is closed under negation: its lower half is the folded set
+            key = tuple(sorted(v for v in nbrs if 2 * v <= n))
+            if key == g.jumps:
+                period = period or t
+                row = TClassification(t, Verdict.IDENTITY, image=g)
+            else:
+                known = images.get(key)
+                if known is None:
+                    image = CirculantGraph(n, key)
+                    known = images[key] = (image, lookup(image) if search is None else search(t, image))
+                image, witnesses = known
+                if witnesses:
+                    verdict = Verdict.TYPE1
+                elif anchored:
+                    verdict = Verdict.TYPE2
+                else:
+                    verdict = Verdict.UNCLASSIFIED
+                row = TClassification(t, verdict, image=image, witnesses=witnesses)
+        walked[t] = row
+        rows.append(row)
     return tuple(rows)
 
 
 def _divisor_gated_search(
-    g: CirculantGraph, m: int, steps: int
+    g: CirculantGraph, m: int, steps: int, walked: dict[int, TClassification]
 ) -> Callable[[int, CirculantGraph], tuple[int, ...]]:
     """search(t, image): the witnesses of the image of g at step t, for classify_steps.
 
@@ -362,7 +377,8 @@ def _divisor_gated_search(
     steps = n/m, or when step d = gcd(t, n/m) is in the subgroup H of
     lemma E (proved in classify_steps).  Otherwise t is not in H, and the
     answer is () without a search.  Whether d is in H is read off step
-    d's own row, once per d: d is in H when that row is Type1.  It is not
+    d's own row, once per d: the sweep's row in walked when it has walked
+    d, else a one-step sweep's.  d is in H when that row is Type1.  It is not
     Identity, since d divides t and the image at t is not g.  Each image
     is searched at most once per sweep.
     """
@@ -381,7 +397,7 @@ def _divisor_gated_search(
         d = gcd(t, steps)
         if d != t:
             if d not in in_h:
-                rows = classify_steps(g, m, (d,), lookup=witnesses)
+                rows = (walked[d],) if d in walked else classify_steps(g, m, (d,), lookup=witnesses)
                 in_h[d] = bool(rows) and rows[0].verdict is Verdict.TYPE1
             if not in_h[d]:
                 return ()

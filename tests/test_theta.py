@@ -430,6 +430,68 @@ def test_bases_of_multiples_of_m_are_identity_at_every_step():
     assert bases > 500
 
 
+M7_BASE = (343, 7, (1, 7, 48, 50, 97, 99, 146, 148))
+M5_BASE = (250, 5, (1, 5, 49, 51, 99, 101))
+TABLE_BASE = (1715, 7, (7, 17, 228, 262, 473, 507, 718, 752))
+
+
+def test_rows_past_an_identity_step_match_the_edge_set_reference():
+    # the kernel copies the row of t mod P at each step t past the first
+    # Identity step P it builds; every row it returns, copied or built, is
+    # the edge-set reference's.  Walks: the full sweep, a slice from
+    # mid-period, and an out-of-order list with repeats.  Only the
+    # multiples of q* are asked of the reference: lemma D's tests above
+    # show every other step is NS
+    def bases():
+        yield from _reference_bases()
+        for n, m in _admissible_orders(54):
+            for k in (1, 2, 3):
+                for combo in itertools.combinations(range(1, n // 2 + 1), k):
+                    yield n, m, CirculantGraph(n, combo)
+        for n, m, jumps in (M7_BASE, TABLE_BASE):
+            yield n, m, make_circulant(n, jumps)
+
+    strides = set()
+    for n, m, g in bases():
+        steps, q = n // m, circulant_stride(g, m)
+        reference = {}
+        for t in range(0, steps, q):
+            reference[t] = _reference_step(ThetaParams(n, m, t), g)
+        period = next(
+            (t for t, row in reference.items() if t and row.verdict is Verdict.IDENTITY), steps
+        )
+        walks = (
+            range(steps),
+            range(period // 2, steps),
+            [t % steps for t in (period, 0, 2 * period + q, q, period)],
+        )
+        for walk in walks:
+            rows = classify_steps(g, m, walk)
+            assert list(rows) == [reference[t] for t in walk if t % q == 0], (n, m, g.jumps, walk)
+        if period < steps:
+            strides.add(q)
+    # periods below the sweep length occur, at stride 1 and above it
+    assert 1 in strides and len(strides) > 1
+
+
+def test_a_sweep_builds_only_the_steps_below_the_period(monkeypatch):
+    # each built step folds its image neighbourhood with one sorted call,
+    # and theta sorts nothing else in a sweep: the order-343 m7 base builds
+    # 7 of its 49 circulant steps (q* = 1, period 7), the order-250 m5 base
+    # 5 of its 25 (q* = 2, period 10)
+    sorts = []
+
+    def counting_sorted(values):
+        sorts.append(values)
+        return sorted(values)
+
+    monkeypatch.setattr(circulant.theta, "sorted", counting_sorted, raising=False)
+    for (n, m, jumps), built, walked, period in ((M7_BASE, 7, 49, 7), (M5_BASE, 5, 25, 10)):
+        sorts.clear()
+        v = v_set(make_circulant(n, jumps), m)
+        assert (len(sorts), len(v.rows), v.graph_period) == (built, walked, period)
+
+
 def test_divisor_step_gate_matches_a_lookup_of_every_image():
     # lemma E: the kernel's own lookup searches a new image at step t only
     # when step gcd(t, n/m) is a multiplier image; a caller's lookup is
