@@ -347,11 +347,11 @@ def _iso_relation(args, g: CirculantGraph, h: CirculantGraph) -> dict:
     wits = type1_witnesses(g, h)
     if wits:
         return {"relation": "type1", "multipliers": wits}
-    # the sweep's rows are read only where the image is h, so only h is
-    # looked up, with the witnesses found above (none); any other image's
-    # Type1/Type2 split is not computed and not read
+    # the sweep's rows are read only where the image is h, and h has no
+    # multiplier witness (above), so no image is looked up; any other
+    # image's Type1/Type2 split is not computed and not read
     def lookup(image: CirculantGraph) -> tuple[int, ...]:
-        return wits if image == h else ()
+        return ()
 
     for m in admissible_m(g) if args.m is None else (args.m,):
         steps = [

@@ -52,7 +52,7 @@ from .theta import (
     sweep_length,
     theta_reasons,
 )
-from .type1 import UnitProducts, multiply, units
+from .type1 import UnitProducts, multiply
 
 
 class SweepOrbits:
@@ -64,7 +64,7 @@ class SweepOrbits:
     (t2_set)."""
 
     def __init__(self, n: int):
-        self.products = UnitProducts(n, units(n))
+        self.products = UnitProducts(n)
         self.members: dict[tuple[int, ...], tuple[Type2Set, int]] = {}
 
 
@@ -238,7 +238,9 @@ def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> T
     x*R0 = S: UnitProducts.witnesses of S's list in the table, the tuple
     witness_lookup(g0) returns for S and type1_set(g0).witness holds for
     it (proof in UnitProducts.orbit), or () when S is no key.  The tuple
-    is built only for the images the sweep meets.
+    is built only for the images the sweep meets, and only for those its
+    lemma E gate (theta.classify_steps) does not already know to have
+    none.
 
     Why that is g's own Type-2 set (lemma B).  Let u be a unit, R the
     jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives

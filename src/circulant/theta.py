@@ -14,9 +14,9 @@ TClassification named tuple per row.  The circulant steps are exactly
 the multiples of circulant_stride(g, m) (lemma D): every other step is
 NS without building it, and step 0, or every step when each jump of g
 is a multiple of m, is Identity without building it.  The steps
-with a multiplier image form a subgroup of Z_{n/m} (lemma E), so the
-kernel's own witness search runs only at the divisor steps of n/m and
-at the Type1 steps; any other image has no witness.  fill_steps
+with a multiplier image form a subgroup of Z_{n/m} (lemma E), so all
+steps with one gcd(t, n/m) have a witness or none has, and the first
+witness lookup among them decides which for the rest.  fill_steps
 puts an NS row back at every other step, for the callers that list
 them: classify_t, one step, and
 classification_table, which renders each step's row with the kernel's
@@ -286,7 +286,12 @@ def classify_steps(
     addition.  A finite set holding 0 and closed under addition is a
     subgroup, so H = <h> with h | n/m, and t is in H exactly when
     gcd(t, n/m) is: h divides t exactly when it divides gcd(t, n/m).
-    Every step of H is circulant, so H lies among the multiples of q*.
+    So the steps with one d = gcd(t, n/m) are all in H or none is, and
+    the first lookup of an image at any of them decides which.  The
+    kernel keeps that answer per d, and once a lookup at a step with
+    gcd d has found no witness, each new image at such a step gets ()
+    unsearched.  Every step of H is circulant, so H lies among the
+    multiples of q*.
 
     Any Identity step P is a period of the images: the image at t is the
     one at t mod P (groups.t2_group).  The first step t > 0 whose built
@@ -296,14 +301,12 @@ def classify_steps(
     A built step costs O(|R|), and its |N| = |+-R| is still checked;
     each distinct image is validated as a CirculantGraph once.  lookup
     maps an image to its ascending witness units, () for none, and is
-    asked about each distinct image once.  census passes the
-    multiplier orbit of g it has already computed (groups.t2_set), and
-    cli's iso a lookup of its b alone.  By default the kernel searches
-    with type1.witness_lookup(g), which pins one jump of g and tries at
-    most 2*|S|*gcd(r0, n) units; by lemma E it searches an image at step
-    t only when t divides n/m or step gcd(t, n/m) is Type1, and gives ()
-    without a search otherwise (_divisor_gated_search).  Every Type1 image is still searched in full,
-    so its witnesses are listed and each is confirmed with phi_apply.
+    asked about each distinct image at most once, through lemma E's
+    gate, so every Type1 image is looked up and its witnesses listed in
+    full.  census passes the multiplier orbit of g it has already
+    computed (groups.t2_set), and cli's iso a lookup that finds none.
+    By default the kernel searches with type1.witness_lookup(g), which
+    pins one jump of g and tries at most 2*|S|*gcd(r0, n) units.
     """
     n = g.n
     steps = sweep_length(n, m)
@@ -313,11 +316,13 @@ def classify_steps(
     # whether theta moves any value of the closure; if not, every step is g
     moving = any(s for _, s in closure)
     anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
+    if lookup is None:
+        lookup = witness_lookup(g)
     # each circulant step walked -> its row
     walked: dict[int, TClassification] = {}
-    # the kernel's own lookup is gated by lemma E; a caller's is asked about
-    # every new image
-    search = _divisor_gated_search(g, m, steps, walked) if lookup is None else None
+    # gcd(t, n/m) -> whether the last lookup at a step with it found
+    # witnesses: by lemma E, whether any such step has them
+    in_h: dict[int, bool] = {}
     # folded jumps of each distinct non-identity image -> (image, witnesses)
     images: dict[tuple[int, ...], tuple[CirculantGraph, tuple[int, ...]]] = {}
     rows = []
@@ -354,7 +359,10 @@ def classify_steps(
                 known = images.get(key)
                 if known is None:
                     image = CirculantGraph(n, key)
-                    known = images[key] = (image, lookup(image) if search is None else search(t, image))
+                    d = gcd(t, steps)
+                    witnesses = lookup(image) if in_h.get(d, True) else ()
+                    in_h[d] = bool(witnesses)
+                    known = images[key] = (image, witnesses)
                 image, witnesses = known
                 if witnesses:
                     verdict = Verdict.TYPE1
@@ -366,44 +374,6 @@ def classify_steps(
         walked[t] = row
         rows.append(row)
     return tuple(rows)
-
-
-def _divisor_gated_search(
-    g: CirculantGraph, m: int, steps: int, walked: dict[int, TClassification]
-) -> Callable[[int, CirculantGraph], tuple[int, ...]]:
-    """search(t, image): the witnesses of the image of g at step t, for classify_steps.
-
-    The image is searched with type1.witness_lookup(g) when t divides
-    steps = n/m, or when step d = gcd(t, n/m) is in the subgroup H of
-    lemma E (proved in classify_steps).  Otherwise t is not in H, and the
-    answer is () without a search.  Whether d is in H is read off step
-    d's own row, once per d: the sweep's row in walked when it has walked
-    d, else a one-step sweep's.  d is in H when that row is Type1.  It is not
-    Identity, since d divides t and the image at t is not g.  Each image
-    is searched at most once per sweep.
-    """
-    lookup = witness_lookup(g)
-    # image -> its witnesses, for every image searched
-    found: dict[CirculantGraph, tuple[int, ...]] = {}
-    # divisor d of n/m -> whether step d is in H
-    in_h: dict[int, bool] = {}
-
-    def witnesses(image: CirculantGraph) -> tuple[int, ...]:
-        if image not in found:
-            found[image] = lookup(image)
-        return found[image]
-
-    def search(t: int, image: CirculantGraph) -> tuple[int, ...]:
-        d = gcd(t, steps)
-        if d != t:
-            if d not in in_h:
-                rows = (walked[d],) if d in walked else classify_steps(g, m, (d,), lookup=witnesses)
-                in_h[d] = bool(rows) and rows[0].verdict is Verdict.TYPE1
-            if not in_h[d]:
-                return ()
-        return witnesses(image)
-
-    return search
 
 
 def fill_steps(

@@ -120,12 +120,13 @@ class UnitProducts(dict):
 
     self[j] is the column of the jump value j: fold(n, u*j) for each unit
     u <= n/2 of Z_n, ascending in u, built the first time j is read and
-    kept.  group is the units of Z_n, ascending.
+    kept.
     """
 
-    def __init__(self, n: int, group: tuple[int, ...]):
+    def __init__(self, n: int):
         super().__init__()
         self.n = n
+        group = units(n)
         # x and n - x are units together and n/2 is none for n >= 3, so
         # the units below n/2 are the first half
         self.half = group[: len(group) // 2]
@@ -170,13 +171,8 @@ def type1_set(g: CirculantGraph) -> Type1Set:
     that is still checked, once per member, naming its least unit, which
     is the least unit to collapse.
     """
-    return _orbit(g, units(g.n))
-
-
-def _orbit(g: CirculantGraph, group: tuple[int, ...]) -> Type1Set:
-    """type1_set(g), given the units of its order."""
     n = g.n
-    products = UnitProducts(n, group)
+    products = UnitProducts(n)
     table = products.orbit(g.jumps)
     for jumps, us in table.items():
         if len(set(jumps)) != len(g.jumps):
@@ -292,7 +288,7 @@ def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Grou
             f"{products} unit products of the multiplier orbit of {g} "
             f"exceed the budget of {budget}"
         )
-    ts = _orbit(g, units(n))
+    ts = type1_set(g)
     stabilizer = ts.witness[g]
     k = len(ts.members)
     steps = products + len(stabilizer) ** 2 + k * k

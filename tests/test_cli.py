@@ -865,10 +865,10 @@ def test_readme_command_lines_exit_zero(capsys):
 
 
 def test_t1set_refuses_an_orbit_over_its_budget_before_building_it(capsys, monkeypatch):
-    def no_orbit(g, group):
+    def no_orbit(n):
         raise AssertionError("the orbit was built")
 
-    monkeypatch.setattr(circulant.type1, "_orbit", no_orbit)
+    monkeypatch.setattr(circulant.type1, "UnitProducts", no_orbit)
     argv = ["t1set", "--n", "54", "--set", "1,17,18,19", "--budget", "71"]
     assert run(capsys, argv) == (
         6,

@@ -377,8 +377,8 @@ def test_census_builds_each_multiplier_orbit_once(monkeypatch):
 
 def test_census_computes_the_units_once_per_call(monkeypatch):
     called = []
-    original = circulant.groups.units
-    monkeypatch.setattr(circulant.groups, "units", lambda n: called.append(n) or original(n))
+    original = circulant.type1.units
+    monkeypatch.setattr(circulant.type1, "units", lambda n: called.append(n) or original(n))
     result = census(54, 3, [3])
     assert called == [54]
     # many orbits share that one list

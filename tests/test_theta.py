@@ -493,12 +493,13 @@ def test_a_sweep_builds_only_the_steps_below_the_period(monkeypatch):
 
 
 def test_divisor_step_gate_matches_a_lookup_of_every_image():
-    # lemma E: the kernel's own lookup searches a new image at step t only
-    # when step gcd(t, n/m) is a multiplier image; a caller's lookup is
-    # asked about every new image, so witness_lookup(g) passed in is the
-    # ungated reference.  Every base with 1-3 jumps, and with 4 at n <= 27
-    # (a seeded sample of 400 above), anchored or not; full sweeps and
-    # seeded t-lists with repeats, out of order.
+    # lemma E: the kernel looks up a new image at step t only while no
+    # lookup at a step with the same gcd(t, n/m) has come back empty; the
+    # ungated reference is type1_witnesses of every row's image, called
+    # outside the kernel, and the verdict it implies.  Every base with 1-3
+    # jumps, and with 4 at n <= 27 (a seeded sample of 400 above),
+    # anchored or not; full sweeps and seeded t-lists with repeats, out
+    # of order.
     rng = random.Random(34)
     seen = set()
     for n, m in _admissible_orders(54):
@@ -509,11 +510,19 @@ def test_divisor_step_gate_matches_a_lookup_of_every_image():
                 combos = rng.sample(combos, 400)
             for combo in combos:
                 g = CirculantGraph(n, combo)
+                anchored = k >= MIN_TYPE2_JUMPS and any(j % m == 0 for j in combo)
                 for t_values in (range(steps), [rng.randrange(steps) for _ in range(8)]):
-                    rows = classify_steps(g, m, t_values)
-                    expected = classify_steps(g, m, t_values, lookup=circulant.type1.witness_lookup(g))
-                    assert rows == expected, (n, m, combo, t_values)
-                    seen.update((row.verdict, math.gcd(row.t, steps) == row.t) for row in rows)
+                    for row in classify_steps(g, m, t_values):
+                        if row.image == g:
+                            assert (row.verdict, row.witnesses) == (Verdict.IDENTITY, ())
+                            continue
+                        wits = type1_witnesses(g, row.image)
+                        if wits:
+                            verdict = Verdict.TYPE1
+                        else:
+                            verdict = Verdict.TYPE2 if anchored else Verdict.UNCLASSIFIED
+                        assert (row.verdict, row.witnesses) == (verdict, wits), (n, m, combo, row)
+                        seen.add((row.verdict, math.gcd(row.t, steps) == row.t))
     # Type1 and Type2 rows both occur off the divisor steps, so the gate
     # admits and refuses searches there
     assert {(Verdict.TYPE1, False), (Verdict.TYPE2, False)} <= seen
@@ -565,7 +574,7 @@ def test_single_sweep_looks_up_each_image_once(monkeypatch):
     looked_up.clear()
     v_set(make_circulant(16, [2, 4]), 2)
     assert looked_up == [] and orbit_builds == []
-    # the order-1715 table base: steps 70..104 have only step 5's image to
+    # the order-1715 table base: steps 70..104 have only step 75's image to
     # search, once, and each job of the benchmark's sweep pool searches once
     looked_up.clear()
     argv = ["table", "--n", "1715", "--m", "7", "--set", "7,17,228,262,473,507,718,752"]
@@ -596,3 +605,28 @@ def test_sweep_rows_stay_closed():
             cli._json(value)
         with pytest.raises(TypeError, match=type(value).__name__):
             cli._json({"rows": [value]})
+
+
+def test_table_slice_sweeps_in_one_kernel_call(monkeypatch):
+    # lemma E's gate learns from the sweep's own lookups, so a table slice
+    # that does not walk step gcd(t, n/m) makes no one-step sweep to ask
+    # about it: one kernel call per job, table slices and whole sweeps alike
+    calls = []
+    original = circulant.theta.classify_steps
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    # theta's own name catches a call of the kernel from within theta
+    for module in (circulant.theta, circulant.groups):
+        monkeypatch.setattr(module, "classify_steps", counting)
+    argv = ["table", "--n", "1715", "--m", "7", "--set", "7,17,228,262,473,507,718,752"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--t", "70..104"]) == 0
+    assert len(calls) == 1
+    jobs = json.loads(JOBS_FILE.read_text())["sweep"]["jobs"]
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(cli.main(job["argv"]) == 0 for job in jobs)
+    assert len(calls) == len(jobs) == 66

@@ -237,7 +237,7 @@ def test_orbit_table_equals_multiply_over_every_unit():
         reference = {}
         for x in units(n):
             reference.setdefault(multiply(n, x, g.jumps), []).append(x)
-        shared = products.setdefault(n, UnitProducts(n, units(n)))
+        shared = products.setdefault(n, UnitProducts(n))
         table = shared.orbit(g.jumps)
         assert all(2 * u < n for us in table.values() for u in us), g
         got = {jumps: shared.witnesses(us) for jumps, us in table.items()}
@@ -284,9 +284,9 @@ def test_type1_group_factors_no_order_above_twice_the_budget_squared(monkeypatch
 def test_type1_group_refuses_a_large_complete_graph_by_default(monkeypatch):
     # 20010 units times 10005 jumps are 2*10^8 unit products, above the
     # default budget, so no unit is multiplied
-    def no_orbit(g, group):
+    def no_orbit(n):
         raise AssertionError("the orbit was built")
 
-    monkeypatch.setattr(circulant.type1, "_orbit", no_orbit)
+    monkeypatch.setattr(circulant.type1, "UnitProducts", no_orbit)
     with pytest.raises(BudgetExceeded, match="^200200050 unit products "):
         type1_group(make_circulant(20011, range(1, 10006)))
