@@ -25,10 +25,10 @@ library error the exit_code of its class in errors.py: 2 invalid input
 (a ValueError too) or an --out path that cannot be written, 3 invalid
 rotation parameters, 4 invalid family parameters, 5 verification
 failure, 6 budget exceeded.  Each subcommand checks its parameters
-before it answers: iso checks an explicit --m before comparing the
-graphs, family names a flag its kind (families.KINDS) needs and lacks,
-or one it does not take, and census checks n and (n, m) before its
-budget.
+before it answers: iso checks an explicit --m and its --cap before
+comparing the graphs, family names a flag its kind (families.KINDS)
+needs and lacks, or one it does not take, and census checks n and
+(n, m) before its budget.
 """
 
 from __future__ import annotations
@@ -334,6 +334,8 @@ def cmd_iso(args) -> None:
     h = make_circulant(args.n, _parse_jumps(args.b))
     if args.m is not None:
         sweep_length(args.n, args.m, g)
+    if args.cap < 0:
+        raise CirculantError(f"brute-force cap {args.cap} is below 0")
     relation = _iso_relation(args, g, h)
     inputs = {"n": args.n, "a": g.jumps, "b": h.jumps}
     result = {"a": _graph_json(g), "b": _graph_json(h), **relation}

@@ -15,11 +15,9 @@ gives the Type-2 group, whose order is the number of distinct Type-2
 partners plus the base.  Both index groups are cyclic: _orbit_group
 checks the indices as one set against the multiples of their step d and
 the period against d, and the quotient is then Z_{period/d}, so no table
-is built.  census sweeps one member of each multiplier orbit, reading
-the sweep's Type-1 verdicts off that orbit's table, whose unit products
-come from columns built once per call (type1.UnitProducts), and takes
-every other member's Type-2 set as a unit multiple of that one (lemma B,
-proved in t2_set).
+is built.  census sweeps one member of each multiplier orbit and takes
+every other member's Type-2 set as a unit multiple of that one (see
+census).
 """
 
 from __future__ import annotations
@@ -56,12 +54,10 @@ from .type1 import UnitProducts, multiply
 
 
 class SweepOrbits:
-    """census state for one call of order n: the unit products of Z_n,
-    whose columns are built once (type1.UnitProducts), and the jumps of
-    each multiplier-orbit member -> (the Type-2 set of the orbit's first
-    member g0, the least unit u with u*g0 = the member).  The members come
-    from g0's orbit table, which also gave g0's sweep its Type-1 verdicts
-    (t2_set)."""
+    """census state for one call of order n: the unit products of Z_n
+    and the jumps of each multiplier-orbit member -> (the Type-2 set of
+    the orbit's first member g0, the least unit u with u*g0 = the
+    member); see census."""
 
     def __init__(self, n: int):
         self.products = UnitProducts(n)
@@ -225,22 +221,9 @@ def t2_set(g: CirculantGraph, m: int, *, orbits: SweepOrbits | None = None) -> T
     Images with verdict Type1 are left out although a rotation reaches
     them; see Type2Set for the C_48(1, 4, 23) example.  Without orbits, g
     is swept with v_set and its witnesses come from type1.witness_lookup.
-    census passes one SweepOrbits for its whole run.  For the first
-    member g0 of a multiplier orbit it meets, the orbit table of its
-    jumps R0 (UnitProducts.orbit) maps the jumps of each u*g0, u <= n/2,
-    to the list of its u; g0 is swept with v_set against that table, and
-    g0's Type-2 set is then recorded from the same table under every
-    unit multiple u*g0.  A later member g = u*g0 gets, without a sweep, g
-    followed by u times g0's other members, with g0's partner steps,
-    sweep length and period.
-
-    The sweep asks, for each distinct image C_n(S), which units x have
-    x*R0 = S: UnitProducts.witnesses of S's list in the table, the tuple
-    witness_lookup(g0) returns for S and type1_set(g0).witness holds for
-    it (proof in UnitProducts.orbit), or () when S is no key.  The tuple
-    is built only for the images the sweep meets, and only for those its
-    lemma E gate (theta.classify_steps) does not already know to have
-    none.
+    With census's SweepOrbits, only the first member g0 of each
+    multiplier orbit is swept, and a later member g = u*g0 gets u times
+    g0's set, with g first (see census).
 
     Why that is g's own Type-2 set (lemma B).  Let u be a unit, R the
     jumps of g0 and M = m*m*t.  For x with r = x mod m, m | n gives
@@ -425,23 +408,40 @@ def census(
 ) -> CensusResult:
     """Enumerate canonical graphs and collect their Type-2 classes.
 
-    Only sets holding a jump divisible by m are swept.  Classes with more
-    than one member are reported once each, keyed by the lexicographically
-    least member.  A size below 1 or above n//2 is refused, the sizes are
-    read once, up to the first refused one, and the enumeration space is
-    bounded upfront by budget, which may not be below 0.
+    The candidates are the sets of each size holding a jump divisible by
+    m, visited in CirculantGraph order.  A size below 1 or above n//2 is
+    refused, the sizes are read once, up to the first refused one, and
+    the enumeration space is bounded upfront by budget, which may not be
+    below 0.
+
+    Each class with more than one member is recorded once, at its least
+    member, which is its base; no table of the classes found is kept.
+    theta_t keeps |+-R| and fixes every value divisible by m, n/2 among
+    them when n is even, as m^3 | n; so every member of T2(g) has as many
+    jumps as g, one of them divisible by m, and is a candidate of the
+    same size.  Type-2 sets are equal or disjoint, so the least member of
+    a class is the first one visited, and the records come out in the
+    order their classes are first met.
+
     A unit multiple of a candidate keeps its size and its jump divisible
-    by m, so candidates come in whole multiplier orbits; one SweepOrbits,
-    alive for this call only, holds the unit products of Z_n and the
-    Type-2 set of each orbit's first member, which alone is swept, with
-    v_set's step-0 and period checks.  The products come in one column
-    per jump value, built the first time a first member holds that value,
-    so each is made at most once per call.  That sweep reads its Type-1
-    verdicts off the orbit's table of unit multiples, which t2_set builds
-    from those columns before the sweep and registers the members from
-    afterwards; no witness_lookup is built.  Every candidate still gets
-    its own t2_set call, which for every other member is a unit multiple
-    of that set (lemma B, proved in t2_set).
+    by m, so candidates come in whole multiplier orbits, and by lemma B
+    (proved in t2_set) T2(uR) = u*T2(R), with the same partner steps,
+    sweep length and period.  One SweepOrbits, alive for this call only,
+    holds the unit products of Z_n in one column per jump value
+    (type1.UnitProducts), built the first time a swept set holds that
+    value, so each product is made at most once per call.  Every
+    candidate gets its own t2_set call against it.  For the first member
+    g0 of an orbit, the orbit table of its jumps R0 (UnitProducts.orbit)
+    maps the jumps of each u*g0, u <= n/2, to its list of u, and g0 is
+    swept with v_set and its step-0 and period checks.  The sweep asks,
+    for each distinct image C_n(S), which units x have x*R0 = S:
+    UnitProducts.witnesses of S's list, the tuple witness_lookup(g0)
+    returns for S (proof in UnitProducts.orbit), or () when S is no key;
+    the lemma E gate (theta.classify_steps) skips the lookups that would
+    find none, and no witness_lookup is built.  g0's Type-2 set is then
+    registered under every member of the table, and a later member
+    g = u*g0 gets, without a sweep, g followed by u times g0's other
+    members, with g0's partner steps, sweep length and period.
     """
     check_order(n)
     sweep_length(n, m)
@@ -463,7 +463,6 @@ def census(
     # the anchor half of theta_reasons, as a set test: it runs once per combination
     anchors = frozenset(range(m, half + 1, m))
     records: list[CensusRecord] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
     examined = 0
     coincidences = 0
     for k in sizes:
@@ -476,19 +475,13 @@ def census(
             all_partner = len(s.t2_indices) == s.steps
             if all_partner:
                 coincidences += 1
-            if len(s.members) < 2:
+            if len(s.members) < 2 or min(s.members) != g:
                 continue
-            # every member has order n, so the members sort as their jumps do
-            key = tuple(sorted([x.jumps for x in s.members]))
-            if key in seen:
-                continue
-            seen.add(key)
-            ordered = tuple(sorted(s.members))
             group = t2_group(s)
             records.append(
                 CensusRecord(
-                    base=ordered[0],
-                    members=ordered,
+                    base=g,
+                    members=tuple(sorted(s.members)),
                     group_order=group.quotient_order,
                     t2_equals_v=all_partner,
                 )

@@ -12,13 +12,13 @@ sweep from vertex 0's image neighbourhood alone, O(|R|) per step it
 builds (lemma A), and returns rows for the circulant steps only, one
 TClassification named tuple per row.  The circulant steps are exactly
 the multiples of circulant_stride(g, m) (lemma D): every other step is
-NS without building it, and step 0, or every step when each jump of g
-is a multiple of m, is Identity without building it.  The steps
-with a multiplier image form a subgroup of Z_{n/m} (lemma E), so all
-steps with one gcd(t, n/m) have a witness or none has, and the first
-witness lookup among them decides which for the rest.  fill_steps
-puts an NS row back at every other step, for the callers that list
-them: classify_t, one step, and
+NS without building it, step 0 is Identity without building it, and
+a step past the first built Identity step P copies the row at t mod P.
+The steps with a multiplier image form a subgroup of Z_{n/m}
+(lemma E), so all steps with one gcd(t, n/m) have a witness or none
+has, and the first witness lookup among them decides which for the
+rest.  fill_steps puts an NS row back at every other step, for the
+callers that list them: classify_t, one step, and
 classification_table, which renders each step's row with the kernel's
 per-step shifts.  theta_image and detect_circulant build the whole image
 edge set.  No library module calls them: they are the reference the
@@ -269,13 +269,14 @@ def classify_steps(
     circulant exactly when d divides m*m*t, that is when
     q* = d/gcd(d, m*m) divides t.  Every step off the multiples of q* is
     NS without building its neighbourhood, and a built step whose N is
-    not closed under negation raises VerificationFailure.  Two cases
-    build nothing and are Identity: step 0, as theta_0 is the identity
-    map, and every step when R' is empty, as theta_t fixes every multiple
-    of m.  The images at 0, q*, 2q*, ... repeat with the graph period and
-    are distinct below it (groups.t2_group), so the sweep's distinct
-    images number period/q*: (V, o) is cyclic, generated by the image at
-    step q*, which groups.v_set checks.
+    not closed under negation raises VerificationFailure.  Step 0 alone
+    is Identity with nothing built, as theta_0 is the identity map.  When
+    R' is empty, d = 1 and q* = 1: theta_t fixes every multiple of m, so
+    step 1 is built and is Identity, and in a full sweep the period copy
+    (below) gives every later step.  The images at 0, q*, 2q*, ... repeat
+    with the graph period and are distinct below it (groups.t2_group),
+    so the sweep's distinct images number period/q*: (V, o) is cyclic,
+    generated by the image at step q*, which groups.v_set checks.
 
     Which steps have a multiplier image (lemma E).  Let H be the steps t
     of Z_{n/m} with theta_t(C_n(R)) = C_n(xR) for some unit x, the
@@ -304,7 +305,7 @@ def classify_steps(
     asked about each distinct image at most once, through lemma E's
     gate, so every Type1 image is looked up and its witnesses listed in
     full.  census passes the multiplier orbit of g it has already
-    computed (groups.t2_set), and cli's iso a lookup that finds none.
+    computed (groups.census), and cli's iso a lookup that finds none.
     By default the kernel searches with type1.witness_lookup(g), which
     pins one jump of g and tries at most 2*|S|*gcd(r0, n) units.
     """
@@ -313,8 +314,6 @@ def classify_steps(
     # (v, v's shift per unit step) for each v of the closure
     closure = tuple((v, v % m * m) for v in symmetric_closure(g))
     q = circulant_stride(g, m)
-    # whether theta moves any value of the closure; if not, every step is g
-    moving = any(s for _, s in closure)
     anchored = len(g.jumps) >= MIN_TYPE2_JUMPS and NO_ANCHOR_JUMP not in theta_reasons(n, m, g)
     if lookup is None:
         lookup = witness_lookup(g)
@@ -336,7 +335,7 @@ def classify_steps(
         row = walked.get(t % period) if period else None
         if row is not None:
             row = TClassification(t, row.verdict, row.image, row.witnesses)
-        elif not t or not moving:
+        elif not t:
             row = TClassification(t, Verdict.IDENTITY, image=g)
         else:
             nbrs = {(v + s * t) % n for v, s in closure}

@@ -15,15 +15,13 @@ graph per member; it serves callers that need the whole orbit (t1set,
 type1_group, type1_set_equality).  type1_group reads each cell of its
 table from a list that maps every unit to its member, under a budget of
 the unit products, stabilizer pairs and table cells it costs.  census
-keeps one UnitProducts per call, so each product is made at most once a
-call, and takes each swept orbit's witnesses from its table
-(groups.t2_set).
+reads its witnesses from one UnitProducts per call (see groups.census).
 witness_lookup pins one jump of R and solves for the units that can move
 it into the target set, at most 2*|S|*gcd(r0, n) candidates, for
 callers that ask about single images (single sweeps, type1_witnesses).
 multiply, the one multiplier image of a jump tuple, is phi_apply's core;
 census also multiplies each orbit's Type-2 set by it for the orbit's
-other members (groups.t2_set).
+other members (groups.census).
 """
 
 from __future__ import annotations
@@ -259,7 +257,14 @@ def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Grou
     any unit is listed, and the sum once the orbit is known, before the
     closure check; either over budget raises BudgetExceeded.  An n above
     2*budget^2 is refused before it is factored: phi(n) >= sqrt(n/2)
-    for every n, so its products already exceed the budget.
+    for every n, so its products already exceed the budget.  Between the
+    two, before any product is made, a bound on the table refuses an
+    orbit too large to tabulate: with d the least gcd(j, n) over the
+    jumps and c the number of jumps with that gcd, witness_lookup's
+    candidates for S = R hold the stabilizer, so |Stab| <= 2*c*d and the
+    orbit has k >= ceil(phi(n)/(2*c*d)) members; the products, one
+    stabilizer pair (the unit 1) and k*k cells over budget raise
+    BudgetExceeded.
 
     Why the table is a group, so that no axiom is tested on it.  Two
     facts about the orbit's data are checked, each raising
@@ -282,11 +287,20 @@ def type1_group(g: CirculantGraph, *, budget: int = DEFAULT_BUDGET) -> Type1Grou
             f"more than {budget} unit products of the multiplier orbit of {g} "
             f"exceed the budget of {budget}"
         )
-    products = totient(n) * len(g.jumps)
+    phi = totient(n)
+    products = phi * len(g.jumps)
     if products > budget:
         raise BudgetExceeded(
             f"{products} unit products of the multiplier orbit of {g} "
             f"exceed the budget of {budget}"
+        )
+    # |Stab| <= 2*c*d, witness_lookup's candidates for S = R
+    profile = gcd_profile(g)
+    least = -(-phi // (2 * profile.count(profile[0]) * profile[0]))
+    if products + 1 + least * least > budget:
+        raise BudgetExceeded(
+            f"more than {budget} steps of the multiplier group of {g} (unit products, "
+            f"stabilizer pairs, table cells) exceed the budget of {budget}"
         )
     ts = type1_set(g)
     stabilizer = ts.witness[g]

@@ -309,6 +309,15 @@ def test_iso_above_cap_is_inconclusive(capsys):
     assert d["result"]["relation"] == "inconclusive"
 
 
+def test_iso_rejects_a_cap_below_zero(capsys, monkeypatch):
+    def no_comparison(g, h):
+        raise AssertionError("the graphs were compared")
+
+    monkeypatch.setattr(cli, "type1_witnesses", no_comparison)
+    argv = ["iso", "--n", "54", "--a", "2,3,16,20", "--b", "1,3,16,20", "--cap", "-1"]
+    assert run(capsys, argv) == (2, "", "error: brute-force cap -1 is below 0\n")
+
+
 def test_iso_brute_force_searches_deeper_than_the_recursion_limit():
     # the composite pair scaled by 75: the search places 1,199 vertices,
     # more than the interpreter's default recursion limit of 1,000
@@ -904,6 +913,22 @@ def test_t1set_refuses_a_group_over_its_budget_before_building_its_table(capsys,
         "",
         "error: 117 steps of the multiplier group of C_54(1,17,18,19) (unit products, "
         "stabilizer pairs, table cells) exceed the budget of 116\n",
+    )
+
+
+def test_t1set_refuses_a_table_over_its_budget_before_building_the_orbit(capsys, monkeypatch):
+    # phi(2*10^7) = 8*10^6 unit products pass the default budget, but every
+    # jump gcd is 1 for the one jump, so the stabilizer has at most 2 units
+    # and the orbit at least 4*10^6 members: 1.6*10^13 table cells
+    def no_orbit(n):
+        raise AssertionError("the orbit was built")
+
+    monkeypatch.setattr(circulant.type1, "UnitProducts", no_orbit)
+    assert run(capsys, ["t1set", "--n", "20000000", "--set", "1"]) == (
+        6,
+        "",
+        "error: more than 10000000 steps of the multiplier group of C_20000000(1) "
+        "(unit products, stabilizer pairs, table cells) exceed the budget of 10000000\n",
     )
 
 

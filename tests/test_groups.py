@@ -22,6 +22,9 @@ from circulant.errors import (
     VerificationFailure,
 )
 from circulant.groups import (
+    CensusRecord,
+    CensusResult,
+    CensusSummary,
     SweepOrbits,
     _orbit_group,
     appended_jump_check,
@@ -484,6 +487,42 @@ def test_census_equals_a_fresh_t2_set_per_candidate(monkeypatch):
     monkeypatch.setattr(circulant.groups, "t2_set", fresh)
     assert [census(*case) for case in cases] == shared
     assert len(swept) == sum(r.summary.examined for r in shared)
+
+
+def census_reference(n, m, sizes):
+    """census from its definition: a fresh t2_set for every anchored k-set,
+    in the order census visits them, grouped by member set; each class is
+    listed where its first member was visited, keyed by its least member."""
+    sizes = tuple(sorted(set(sizes)))
+    classes = {}
+    examined = coincidences = 0
+    for k in sizes:
+        for combo in itertools.combinations(range(1, n // 2 + 1), k):
+            if all(j % m for j in combo):
+                continue
+            g = CirculantGraph(n, combo)
+            s = t2_set(g, m)
+            examined += 1
+            all_partner = len(s.t2_indices) == s.steps
+            coincidences += all_partner
+            if len(s.members) > 1:
+                found = classes.setdefault(frozenset(s.members), {})
+                found[g] = (t2_group(s).quotient_order, all_partner)
+    records = []
+    for members, swept in classes.items():
+        # classes are equal or disjoint, and every member is a candidate
+        assert set(swept) == members
+        base = min(members)
+        records.append(CensusRecord(base, tuple(sorted(members)), *swept[base]))
+    summary = CensusSummary(n, m, sizes, examined, len(records), coincidences)
+    return CensusResult(tuple(records), summary)
+
+
+def test_census_records_each_class_at_its_least_member():
+    cases = ((16, 2, [3, 4, 5]), (24, 2, [3, 4]), (27, 3, [3, 4]), (54, 3, [2, 3]))
+    expected = [census_reference(*case) for case in cases]
+    assert sum(len(r.records) for r in expected) > 0
+    assert [census(*case) for case in cases] == expected
 
 
 def test_census_sweeps_read_type1_verdicts_off_the_orbit_table(monkeypatch):

@@ -478,7 +478,8 @@ def test_a_sweep_builds_only_the_steps_below_the_period(monkeypatch):
     # each built step folds its image neighbourhood with one sorted call,
     # and theta sorts nothing else in a sweep: the order-343 m7 base builds
     # 7 of its 49 circulant steps (q* = 1, period 7), the order-250 m5 base
-    # 5 of its 25 (q* = 2, period 10)
+    # 5 of its 25 (q* = 2, period 10), and C_16(2, 4), whose jumps are all
+    # multiples of m, builds step 1 alone of its 8 (q* = 1, period 1)
     sorts = []
 
     def counting_sorted(values):
@@ -486,7 +487,8 @@ def test_a_sweep_builds_only_the_steps_below_the_period(monkeypatch):
         return sorted(values)
 
     monkeypatch.setattr(circulant.theta, "sorted", counting_sorted, raising=False)
-    for (n, m, jumps), built, walked, period in ((M7_BASE, 7, 49, 7), (M5_BASE, 5, 25, 10)):
+    cases = ((M7_BASE, 7, 49, 7), (M5_BASE, 5, 25, 10), ((16, 2, (2, 4)), 1, 8, 1))
+    for (n, m, jumps), built, walked, period in cases:
         sorts.clear()
         v = v_set(make_circulant(n, jumps), m)
         assert (len(sorts), len(v.rows), v.graph_period) == (built, walked, period)
